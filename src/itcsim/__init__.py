@@ -21,7 +21,7 @@ from .errors import (
 )
 from .guidance3d import Guidance3D
 from .guidance_planar import BaselinePlanar, GuidancePlanar
-from .kinematics import PlanarState, State3D, effective_lead, inertial_position
+from .kinematics import effective_lead, inertial_position
 from .logio import (
     COLUMNS,
     LogRow,
@@ -51,7 +51,6 @@ __all__ = [
     "LogRow",
     "Metrics",
     "ParseError",
-    "PlanarState",
     "PRESET_NAMES",
     "RunOutcome",
     "RunStatus",
@@ -60,7 +59,6 @@ __all__ = [
     "ShapingParams",
     "SimSettings",
     "SimulationWarning",
-    "State3D",
     "TrajectoryLog",
     "ValidationError",
     "axis_bounds",

@@ -72,6 +72,19 @@ def _summary_line(label: str, status: str, metrics: Metrics | None, error: str |
     )
 
 
+def _run_and_write(
+    label: str, cfg: ScenarioConfig, traj_path: str, metrics_path: str
+) -> tuple[RunStatus, Metrics]:
+    """Simulate one scenario, write its trajectory CSV and metrics JSON."""
+    log, outcome, mets = run_scenario(cfg)
+    write_trajectory_csv(log, traj_path)
+    payload: dict[str, object] = {"label": label, "status": outcome.status.value}
+    payload.update(mets.to_dict())
+    payload["warnings"] = list(log.warnings)
+    write_metrics_json(payload, metrics_path)
+    return outcome.status, mets
+
+
 # --- run ------------------------------------------------------------------------
 
 
@@ -94,14 +107,9 @@ def _compose_config(args: argparse.Namespace) -> tuple[str, ScenarioConfig]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     label, cfg = _compose_config(args)
-    log, outcome, mets = run_scenario(cfg)
-    write_trajectory_csv(log, args.out_traj)
-    payload: dict[str, object] = {"label": label, "status": outcome.status.value}
-    payload.update(mets.to_dict())
-    payload["warnings"] = list(log.warnings)
-    write_metrics_json(payload, args.out_metrics)
-    print(_summary_line(label, outcome.status.value, mets, None))
-    return _STATUS_EXIT[outcome.status]
+    status, mets = _run_and_write(label, cfg, args.out_traj, args.out_metrics)
+    print(_summary_line(label, status.value, mets, None))
+    return _STATUS_EXIT[status]
 
 
 # --- batch ----------------------------------------------------------------------
@@ -112,13 +120,13 @@ def _batch_worker(
 ) -> tuple[str, float, str, Metrics | None, str | None]:
     label, cfg, out_dir = item
     try:
-        log, outcome, mets = run_scenario(cfg)
-        write_trajectory_csv(log, os.path.join(out_dir, f"{label}.traj.csv"))
-        payload: dict[str, object] = {"label": label, "status": outcome.status.value}
-        payload.update(mets.to_dict())
-        payload["warnings"] = list(log.warnings)
-        write_metrics_json(payload, os.path.join(out_dir, f"{label}.metrics.json"))
-        return label, cfg.azimuth_deg, outcome.status.value, mets, None
+        status, mets = _run_and_write(
+            label,
+            cfg,
+            os.path.join(out_dir, f"{label}.traj.csv"),
+            os.path.join(out_dir, f"{label}.metrics.json"),
+        )
+        return label, cfg.azimuth_deg, status.value, mets, None
     except Exception as exc:  # per-scenario isolation: record and continue
         return label, cfg.azimuth_deg, "error", None, str(exc)
 

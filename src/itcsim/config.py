@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping
 
 from .engine import SimSettings, simulate
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 from .guidance3d import Guidance3D
 from .guidance_planar import BaselinePlanar, GuidancePlanar
 from .logio import TrajectoryLog
@@ -38,8 +38,6 @@ class ScenarioConfig:
     10 km down-range of a fixed target, commanded to hit at 50 s, launched
     with (-10 deg, 10 deg) heading offsets, 60 deg field of view, 10 g
     acceleration limit.  ``k1 = "auto"`` resolves to 1 - cos(sigma_max) - 0.01.
-    ``nav_constant`` is accepted and serialized for baseline studies but no
-    implemented law consumes it.
     """
 
     mode: str = "3d"
@@ -60,7 +58,6 @@ class ScenarioConfig:
     k4: float = 1.0
     ky: float = 7.0
     kz: float = 7.0
-    nav_constant: float = 3.0
     phi: float = 300.0
     sigma_max_deg: float = 60.0
     eps_sin: float = 1e-3
@@ -173,7 +170,17 @@ class ScenarioConfig:
     # --- Validation --------------------------------------------------------
 
     def validate(self) -> None:
-        """Check every value against its owning model; errors name the key."""
+        """Check every value; errors name the config key.
+
+        Rules on the shaping, saturation and integration parameters belong to
+        their parameter objects; only the rules no such object owns live here.
+        """
+        for key, (name, _) in KEYS.items():
+            value = getattr(self, name)
+            if not isinstance(value, float) or math.isfinite(value):
+                continue
+            if name != "a_clip_g" or math.isnan(value):  # aClipG = inf means no clip
+                raise ValidationError(f"{key} must be finite, got {value}")
         if self.mode not in MODES:
             raise ValidationError(f"scenario.mode must be one of {MODES}, got '{self.mode}'")
         if self.law not in LAWS:
@@ -184,16 +191,6 @@ class ScenarioConfig:
             raise ValidationError(f"scenario.speed must be > 0, got {self.speed}")
         if self.tf <= 0.0:
             raise ValidationError(f"scenario.tf must be > 0, got {self.tf}")
-        if not 0.0 < self.sigma_max_deg < 90.0:
-            raise ValidationError(
-                f"shaping.sigmaMaxDeg must be in (0, 90), got {self.sigma_max_deg}"
-            )
-        k1 = self.resolved_k1()
-        k1_limit = 1.0 - math.cos(math.radians(self.sigma_max_deg))
-        if not 0.0 < k1 < k1_limit:
-            raise ValidationError(
-                f"gains.k1 = {k1} violates 0 < k1 < 1 - cos(sigmaMax) = {k1_limit:.6f}"
-            )
         for key, val in (
             ("gains.k2", self.k2),
             ("gains.k3", self.k3),
@@ -203,37 +200,13 @@ class ScenarioConfig:
         ):
             if val <= 0.0:
                 raise ValidationError(f"{key} must be > 0, got {val}")
-        if self.phi <= 0.0:
-            raise ValidationError(f"shaping.phi must be > 0, got {self.phi}")
-        if not 0.0 < self.eps_sin < 0.1:
-            raise ValidationError(f"shaping.epsSin must be in (0, 0.1), got {self.eps_sin}")
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValidationError(f"saturation.n must be even and >= 2, got {self.n}")
-        if self.rho <= 0.0:
-            raise ValidationError(f"saturation.rho must be > 0, got {self.rho}")
+        if self.g <= 0.0:
+            raise ValidationError(f"saturation.g must be > 0, got {self.g}")
         if self.bound_mode not in tuple(m.value for m in BoundMode):
             raise ValidationError(
                 f"saturation.boundMode must be one of "
                 f"{tuple(m.value for m in BoundMode)}, got '{self.bound_mode}'"
             )
-        if self.g <= 0.0:
-            raise ValidationError(f"saturation.g must be > 0, got {self.g}")
-        if self.a_max_g <= 0.0:
-            raise ValidationError(f"saturation.aMaxG must be > 0, got {self.a_max_g}")
-        if self.bound_mode == "wing-tail" and not 0.0 < self.a_max_l_g <= self.a_max_g:
-            raise ValidationError(
-                f"saturation.aMaxLG must be in (0, aMaxG], got {self.a_max_l_g}"
-            )
-        if self.b_cap <= 0.0:
-            raise ValidationError(f"saturation.bCap must be > 0, got {self.b_cap}")
-        if self.dt <= 0.0:
-            raise ValidationError(f"sim.dt must be > 0, got {self.dt}")
-        if self.hit_radius <= 0.0:
-            raise ValidationError(f"sim.hitRadius must be > 0, got {self.hit_radius}")
-        if self.t_max_factor <= 1.0:
-            raise ValidationError(f"sim.tMaxFactor must be > 1, got {self.t_max_factor}")
-        if self.log_stride < 1:
-            raise ValidationError(f"sim.logStride must be >= 1, got {self.log_stride}")
         if self.a_clip_g <= 0.0:
             raise ValidationError(f"baseline.aClipG must be > 0 (inf for no clip), got {self.a_clip_g}")
         if self.mode == "planar" and self.initial_z_km != self.target_z_km:
@@ -245,6 +218,14 @@ class ScenarioConfig:
         dz = (self.target_z_km - self.initial_z_km) * 1e3
         if math.sqrt(dx * dx + dy * dy + dz * dz) < 1.0:
             raise ValidationError("geometry.initial*/target*: initial range is below 1 m")
+        for params in (self.shaping_params(), self.saturation_params(), self.sim_settings()):
+            try:
+                params.validate()
+            except ConfigError as exc:
+                name = _OWNER_FIELD.get(exc.field, exc.field)
+                raise ValidationError(
+                    f"{_FIELD_TO_KEY[name]} = {getattr(self, name)}: {exc}"
+                ) from None
 
 
 # --- Key table -----------------------------------------------------------------
@@ -286,7 +267,6 @@ KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "gains.k4": ("k4", _parse_float),
     "gains.ky": ("ky", _parse_float),
     "gains.kz": ("kz", _parse_float),
-    "baseline.navConstant": ("nav_constant", _parse_float),
     "baseline.aClipG": ("a_clip_g", _parse_float),
     "shaping.phi": ("phi", _parse_float),
     "shaping.sigmaMaxDeg": ("sigma_max_deg", _parse_float),
@@ -306,6 +286,8 @@ KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
 
 _LOWER_TO_KEY = {k.lower(): k for k in KEYS}
 _FIELD_TO_KEY = {f: k for k, (f, _) in KEYS.items()}
+# Parameter-object fields whose config field carries a unit suffix.
+_OWNER_FIELD = {"sigma_max": "sigma_max_deg", "a_max": "a_max_g", "a_max_l": "a_max_l_g"}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:

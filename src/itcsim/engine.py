@@ -54,13 +54,15 @@ class SimSettings:
 
     def validate(self) -> None:
         if self.dt <= 0.0:
-            raise ConfigError(f"integration step dt must be > 0, got {self.dt}")
+            raise ConfigError(f"integration step dt must be > 0, got {self.dt}", field="dt")
         if self.hit_radius <= 0.0:
-            raise ConfigError(f"hit radius must be > 0, got {self.hit_radius}")
+            raise ConfigError(f"hit radius must be > 0, got {self.hit_radius}", field="hit_radius")
         if self.t_max_factor <= 1.0:
-            raise ConfigError(f"t_max_factor must be > 1, got {self.t_max_factor}")
+            raise ConfigError(
+                f"t_max_factor must be > 1, got {self.t_max_factor}", field="t_max_factor"
+            )
         if self.log_stride < 1:
-            raise ConfigError(f"log stride must be >= 1, got {self.log_stride}")
+            raise ConfigError(f"log stride must be >= 1, got {self.log_stride}", field="log_stride")
 
 
 class RunStatus(str, Enum):

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 
 class ConfigError(ValueError):
-    """Raised when a scenario configuration is malformed or out of range."""
+    """Raised when a scenario configuration is malformed or out of range.
+
+    ``field`` names the offending parameter-object field when the error
+    comes from a ``validate()`` method, so callers can map it to their own
+    key names.
+    """
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class ParseError(ConfigError):

@@ -33,13 +33,8 @@ from dataclasses import dataclass
 from .errors import GuardTrip
 from .kinematics import EPS_COS, EPS_RANGE, heading_rates_3d, inertial_position, los_rates_3d
 from .logio import LogRow
-from .saturation import SaturationParams, axis_brackets, clip_command
+from .saturation import EPS_DEN, SaturationParams, axis_brackets, clip_command
 from .shaping import ShapingParams, shaping_rates
-
-# Commanded-input denominators below this are reported as a numerical guard
-# rather than divided by; with the command cap in place the actuator state
-# cannot actually reach its bound, so a trip indicates a mis-set scenario.
-EPS_DEN = 1e-6
 
 
 @dataclass

@@ -25,10 +25,8 @@ from dataclasses import dataclass
 from .errors import GuardTrip
 from .kinematics import EPS_RANGE, lead_rate_planar, los_rates_planar
 from .logio import LogRow
-from .saturation import SaturationParams, axis_brackets, clip_command
+from .saturation import EPS_DEN, SaturationParams, axis_brackets, clip_command
 from .shaping import ShapingParams, shaping_rates
-
-EPS_DEN = 1e-6
 
 
 def _planar_log_row(

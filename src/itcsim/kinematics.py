@@ -19,7 +19,6 @@ Angles are radians, distances metres, times seconds throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Guard thresholds for near-singular geometry.  LOS elevation of +-90 deg
 # (cos(theta) ~ 0) and zero range make the spherical equations singular;
@@ -27,48 +26,6 @@ from dataclasses import dataclass
 # by the integration loop rather than silently clamped.
 EPS_COS = 1e-9
 EPS_RANGE = 1e-6
-
-
-@dataclass
-class State3D:
-    """Full three-dimensional engagement state at time ``t``.
-
-    r        range to target, m
-    theta    LOS elevation, rad
-    psi      LOS azimuth, rad
-    theta_m  vertical lead (velocity pitch relative to LOS), rad
-    psi_m    horizontal lead (velocity yaw relative to LOS), rad
-    a_my     achieved horizontal lateral acceleration, m/s^2
-    a_mz     achieved vertical lateral acceleration, m/s^2
-    t        time since launch, s
-    """
-
-    r: float
-    theta: float
-    psi: float
-    theta_m: float
-    psi_m: float
-    a_my: float
-    a_mz: float
-    t: float
-
-
-@dataclass
-class PlanarState:
-    """Planar engagement state at time ``t``.
-
-    r      range to target, m
-    theta  LOS angle in the engagement plane, rad
-    sigma  lead angle (velocity relative to LOS), rad
-    a_my   achieved lateral acceleration, m/s^2
-    t      time since launch, s
-    """
-
-    r: float
-    theta: float
-    sigma: float
-    a_my: float
-    t: float
 
 
 # --- Lead angle -------------------------------------------------------------

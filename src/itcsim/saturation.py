@@ -38,6 +38,12 @@ from .errors import ConfigError
 # shared bound between axes.
 EPS_RESULTANT = 1e-6
 
+# Input-effectiveness brackets below this are reported by the guidance laws
+# as a numerical guard rather than divided by; with the command cap in place
+# the actuator state cannot actually reach its bound, so a trip indicates a
+# mis-set scenario.
+EPS_DEN = 1e-6
+
 
 class BoundMode(str, Enum):
     CONSTANT = "constant"
@@ -66,17 +72,18 @@ class SaturationParams:
 
     def validate(self) -> None:
         if self.n < 2 or self.n % 2 != 0:
-            raise ConfigError(f"saturation exponent n must be even and >= 2, got {self.n}")
+            raise ConfigError(f"saturation exponent n must be even and >= 2, got {self.n}", field="n")
         if self.rho <= 0.0:
-            raise ConfigError(f"saturation leak rate rho must be > 0, got {self.rho}")
+            raise ConfigError(f"saturation leak rate rho must be > 0, got {self.rho}", field="rho")
         if self.a_max <= 0.0:
-            raise ConfigError(f"acceleration bound a_max must be > 0, got {self.a_max}")
+            raise ConfigError(f"acceleration bound a_max must be > 0, got {self.a_max}", field="a_max")
         if self.mode is BoundMode.WING_TAIL and not 0.0 < self.a_max_l <= self.a_max:
             raise ConfigError(
-                f"wing-tail lower bound a_max_l must be in (0, a_max], got {self.a_max_l}"
+                f"wing-tail lower bound a_max_l must be in (0, a_max], got {self.a_max_l}",
+                field="a_max_l",
             )
         if self.b_cap <= 0.0:
-            raise ConfigError(f"command cap b_cap must be > 0, got {self.b_cap}")
+            raise ConfigError(f"command cap b_cap must be > 0, got {self.b_cap}", field="b_cap")
 
 
 # --- Bound schedules ---------------------------------------------------------

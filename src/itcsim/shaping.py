@@ -58,18 +58,22 @@ class ShapingParams:
     def validate(self) -> None:
         if not 0.0 < self.sigma_max < math.pi / 2:
             raise ConfigError(
-                f"field-of-view sigma_max must be in (0, pi/2) rad, got {self.sigma_max}"
+                f"field-of-view sigma_max must be in (0, pi/2) rad, got {self.sigma_max}",
+                field="sigma_max",
             )
         k1_limit = 1.0 - math.cos(self.sigma_max)
         if not 0.0 < self.k1 < k1_limit:
             raise ConfigError(
                 f"shaping gain k1 must be in (0, {k1_limit:.6f}) for this field of view, "
-                f"got {self.k1}"
+                f"got {self.k1}",
+                field="k1",
             )
         if self.phi <= 0.0:
-            raise ConfigError(f"boundary layer phi must be > 0, got {self.phi}")
+            raise ConfigError(f"boundary layer phi must be > 0, got {self.phi}", field="phi")
         if not 0.0 < self.eps_sin < 0.1:
-            raise ConfigError(f"rate-guard floor eps_sin must be in (0, 0.1), got {self.eps_sin}")
+            raise ConfigError(
+                f"rate-guard floor eps_sin must be in (0, 0.1), got {self.eps_sin}", field="eps_sin"
+            )
 
     def max_demand(self) -> float:
         """Largest lead angle the shaping can demand, rad (always < sigma_max)."""

@@ -167,6 +167,13 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "config error" in err and "k1" in err
 
 
+def test_validate_rejects_infinite_env_override(micro_cfg, monkeypatch, capsys):
+    monkeypatch.setenv("ITCSIM_SIM_HITRADIUS", "inf")
+    code = main(["validate", "--config", str(micro_cfg)])
+    assert code == EXIT_ERROR
+    assert "sim.hitRadius must be finite" in capsys.readouterr().err
+
+
 def test_validate_missing_file(tmp_path, capsys):
     code = main(["validate", "--config", str(tmp_path / "nope.cfg")])
     assert code == EXIT_ERROR

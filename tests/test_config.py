@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,9 @@ from itcsim.errors import ConfigError, ParseError, ValidationError
 from itcsim.guidance3d import Guidance3D
 from itcsim.guidance_planar import BaselinePlanar, GuidancePlanar
 from itcsim.presets import PLANAR_COMPARE_ROWS, PRESET_NAMES, preset_scenarios
+from itcsim.saturation import BoundMode
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults_describe_the_nominal_engagement():
@@ -41,7 +46,7 @@ def test_defaults_describe_the_nominal_engagement():
 def test_keys_cover_every_field_exactly_once():
     mapped = [field_name for field_name, _ in KEYS.values()]
     assert sorted(mapped) == sorted(f.name for f in fields(ScenarioConfig))
-    assert len(mapped) == len(set(mapped)) == 34
+    assert len(mapped) == len(set(mapped)) == 33
 
 
 def test_parse_config_text():
@@ -139,6 +144,7 @@ def test_validation_messages_name_the_key():
         (dict(law="baseline"), "baseline requires"),
         (dict(speed=0.0), "scenario.speed"),
         (dict(tf=-1.0), "scenario.tf"),
+        (dict(tf=math.nan), "scenario.tf"),
         (dict(sigma_max_deg=95.0), "sigmaMaxDeg"),
         (dict(k1=0.6), "0.500000"),
         (dict(k1=0.0), "gains.k1"),
@@ -154,9 +160,11 @@ def test_validation_messages_name_the_key():
         (dict(b_cap=0.0), "bCap"),
         (dict(dt=0.0), "sim.dt"),
         (dict(hit_radius=0.0), "hitRadius"),
+        (dict(hit_radius=math.inf), "hitRadius"),
         (dict(t_max_factor=1.0), "tMaxFactor"),
         (dict(log_stride=0), "logStride"),
         (dict(a_clip_g=0.0), "aClipG"),
+        (dict(a_clip_g=math.nan), "aClipG"),
         (dict(mode="planar", initial_z_km=1.0), "initialZKm"),
         (dict(initial_x_km=0.0), "initial range"),
     ]
@@ -164,6 +172,47 @@ def test_validation_messages_name_the_key():
         cfg = replace(ScenarioConfig(), **overrides)
         with pytest.raises(ValidationError, match=fragment):
             cfg.validate()
+
+
+def test_owner_rule_errors_name_the_config_key():
+    # Rules owned by ShapingParams, SaturationParams and SimSettings surface
+    # as "<config key> = <value as written>: <owner message>".
+    cases = [
+        (dict(sigma_max_deg=95.0), "shaping.sigmaMaxDeg = 95.0"),
+        (dict(k1=0.6), "gains.k1 = 0.6"),
+        (dict(sigma_max_deg=0.5), "gains.k1 = auto"),
+        (dict(phi=0.0), "shaping.phi = 0.0"),
+        (dict(eps_sin=0.5), "shaping.epsSin = 0.5"),
+        (dict(n=3), "saturation.n = 3"),
+        (dict(rho=0.0), "saturation.rho = 0.0"),
+        (dict(a_max_g=0.0), "saturation.aMaxG = 0.0"),
+        (dict(bound_mode="wing-tail", a_max_l_g=20.0), "saturation.aMaxLG = 20.0"),
+        (dict(b_cap=0.0), "saturation.bCap = 0.0"),
+        (dict(dt=0.0), "sim.dt = 0.0"),
+        (dict(hit_radius=0.0), "sim.hitRadius = 0.0"),
+        (dict(t_max_factor=1.0), "sim.tMaxFactor = 1.0"),
+        (dict(log_stride=0), "sim.logStride = 0"),
+    ]
+    for overrides, prefix in cases:
+        cfg = replace(ScenarioConfig(), **overrides)
+        with pytest.raises(ValidationError, match="^" + re.escape(prefix + ": ")):
+            cfg.validate()
+    # The unclipped comparison law's "no clip" value stays valid.
+    replace(ScenarioConfig(), mode="planar", law="baseline", a_clip_g=math.inf).validate()
+
+
+def test_readme_config_docs_match_keys():
+    text = README.read_text()
+    example = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+    apply_kv(ScenarioConfig(), parse_config_text(example, source="README")).validate()
+
+    rows = [line.split("|") for line in text.splitlines() if line.startswith("| `")]
+    documented = {
+        key for row in rows for key in re.findall(r"`(\w+\.\w+)`", row[1])
+    }
+    assert documented and documented <= set(KEYS)
+    (bound_row,) = [row for row in rows if "`saturation.boundMode`" in row[1]]
+    assert set(re.findall(r"`([\w-]+)`", bound_row[3])) == {m.value for m in BoundMode}
 
 
 def test_initial_state_geometry():
