@@ -169,7 +169,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "batch" and args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -1,10 +1,13 @@
 """Fixed-step RK4 integration of an engagement under a guidance law.
 
-The engine is law-agnostic: anything with a ``state_size``, a ``t_final``
-attribute, an ``evaluate(t, y) -> eval`` returning state derivatives in
-``eval.derivs``, and a ``log_row(t, y, eval)`` can be integrated.  Guidance
-commands are re-evaluated at every Runge-Kutta stage, so the closed loop is
-integrated as one smooth vector field rather than with a held command.
+The engine is law-agnostic: anything shaped like ``GuidanceLaw`` can be
+integrated.  All four Runge-Kutta stages call ``rates(t, y)``, which returns
+only the state derivatives and the shaping-feasibility flag, so guidance
+commands are re-evaluated at every stage and the closed loop is integrated
+as one smooth vector field rather than with a held command.  The full
+diagnostic record, ``evaluate(t, y)``, is built only for the rows that are
+logged (``log_row(t, y, eval)``): every ``log_stride``-th step plus the
+terminal or guard-trip row.
 
 A run terminates when the range first drops to the hit radius
 (``intercepted``, with the crossing time interpolated inside the final
@@ -28,9 +31,14 @@ from .logio import LogRow, TrajectoryLog
 
 
 class GuidanceLaw(Protocol):
+    """What the engine needs of a law; ``rates`` and ``evaluate`` raise the
+    same ``GuardTrip``s and agree bit-for-bit on derivatives and feasibility."""
+
     state_size: int
     speed: float
     t_final: float
+
+    def rates(self, t: float, y: tuple[float, ...]) -> tuple[tuple[float, ...], bool]: ...
 
     def evaluate(self, t: float, y: tuple[float, ...]) -> object: ...
 
@@ -90,22 +98,19 @@ class RunOutcome:
 
 def rk4_step(
     law: GuidanceLaw, t: float, y: tuple[float, ...], dt: float
-) -> tuple[tuple[float, ...], object]:
-    """One classical RK4 step; returns the new state and the stage-1 eval."""
-    ev1 = law.evaluate(t, y)
-    k1 = ev1.derivs
+) -> tuple[tuple[float, ...], bool]:
+    """One classical RK4 step; returns the new state and the stage-1 feasibility."""
+    rates = law.rates
+    k1, feasible = rates(t, y)
     h2 = 0.5 * dt
-    y2 = tuple(yi + h2 * ki for yi, ki in zip(y, k1))
-    k2 = law.evaluate(t + h2, y2).derivs
-    y3 = tuple(yi + h2 * ki for yi, ki in zip(y, k2))
-    k3 = law.evaluate(t + h2, y3).derivs
-    y4 = tuple(yi + dt * ki for yi, ki in zip(y, k3))
-    k4 = law.evaluate(t + dt, y4).derivs
+    k2 = rates(t + h2, [yi + h2 * ki for yi, ki in zip(y, k1)])[0]
+    k3 = rates(t + h2, [yi + h2 * ki for yi, ki in zip(y, k2)])[0]
+    k4 = rates(t + dt, [yi + dt * ki for yi, ki in zip(y, k3)])[0]
     h6 = dt / 6.0
     y_new = tuple(
-        yi + h6 * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+        [yi + h6 * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
     )
-    return y_new, ev1
+    return y_new, feasible
 
 
 def simulate(
@@ -151,7 +156,7 @@ def simulate(
     while True:
         t = step * dt
         try:
-            y_new, ev = rk4_step(law, t, y, dt)
+            y_new, feasible = rk4_step(law, t, y, dt)
         except GuardTrip as trip:
             # Try to capture the last healthy state in the log before
             # reporting the trip; the pre-step state evaluated fine on the
@@ -171,8 +176,8 @@ def simulate(
                 message=str(trip),
             )
 
-        if getattr(ev, "feasible", True) != was_feasible:
-            was_feasible = getattr(ev, "feasible", True)
+        if feasible != was_feasible:
+            was_feasible = feasible
             # Report the first clamp only; a run hovering at the feasibility
             # boundary would otherwise flood the warning list, and the logged
             # z1 column already carries the step-by-step detail.
@@ -183,9 +188,9 @@ def simulate(
                 log.warnings.append(msg)
 
         if step % settings.log_stride == 0:
-            log_state(t, ev)
+            log_state(t, law.evaluate(t, y))
 
-        if not all(math.isfinite(v) for v in y_new):
+        if not all(map(math.isfinite, y_new)):
             return log, RunOutcome(
                 status=RunStatus.GUARD_TRIPPED,
                 impact_time=None,

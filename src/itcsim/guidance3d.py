@@ -31,7 +31,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import GuardTrip
-from .kinematics import EPS_COS, EPS_RANGE, heading_rates_3d, inertial_position, los_rates_3d
+from .kinematics import (
+    EPS_COS, EPS_RANGE, effective_lead, heading_rates_3d_trig, inertial_position, los_rates_3d_trig,
+)
 from .logio import LogRow
 from .saturation import EPS_DEN, SaturationParams, axis_brackets, clip_command
 from .shaping import ShapingParams, shaping_rates
@@ -41,9 +43,11 @@ from .shaping import ShapingParams, shaping_rates
 class Eval3D:
     """One evaluation of the 3D law: state derivatives plus diagnostics."""
 
-    # Derivatives of (r, theta, psi, theta_m, psi_m, a_my, a_mz).
+    # Derivatives of (r, theta, psi, theta_m, psi_m, a_my, a_mz).  The fields
+    # up to a_z_max come in the order ``Guidance3D._chain`` returns them.
     derivs: tuple[float, float, float, float, float, float, float]
-    sigma: float
+    feasible: bool
+    capped: bool
     sigma_d: float
     z1: float
     z3: float
@@ -60,19 +64,18 @@ class Eval3D:
     b_z: float
     a_y_max: float
     a_z_max: float
+    sigma: float
     lyapunov_z: float
     lyapunov_y: float
-    feasible: bool
-    capped: bool
 
 
 class Guidance3D:
     """Closed-loop evaluation of the 3D impact-time guidance law.
 
     Bundles the engagement constants (speed, commanded impact time) with the
-    shaping, gain and actuator parameter blocks; ``evaluate`` maps a state
-    tuple to its derivative tuple plus every intermediate the logs and tests
-    need.
+    shaping, gain and actuator parameter blocks; ``rates`` maps a state tuple
+    to its derivative tuple and ``evaluate`` adds every intermediate the logs
+    and tests need.
     """
 
     state_size = 7
@@ -99,9 +102,29 @@ class Guidance3D:
         self.kz = kz
         self.target = target
 
+    def rates(
+        self, t: float, y: tuple[float, float, float, float, float, float, float]
+    ) -> tuple[tuple[float, ...], bool]:
+        """State derivatives and shaping feasibility: the integrator's hot path."""
+        return self._chain(t, y)[:2]
+
     def evaluate(
         self, t: float, y: tuple[float, float, float, float, float, float, float]
     ) -> Eval3D:
+        """Derivatives plus every diagnostic the logs and tests read."""
+        out = self._chain(t, y)
+        z3, z4, zy, zz = out[5:9]
+        return Eval3D(
+            *out,
+            sigma=effective_lead(y[3], y[4]),
+            lyapunov_z=0.5 * (z3 * z3 + zz * zz),
+            lyapunov_y=0.5 * (z4 * z4 + zy * zy),
+        )
+
+    def _chain(self, t: float, y: tuple[float, ...]) -> tuple:
+        """The control chain, written once for ``rates`` and ``evaluate``: a
+        flat tuple of the ``Eval3D`` fields up to a_z_max, so the hot path
+        builds no record."""
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
         v = self.speed
         if r < EPS_RANGE:
@@ -119,30 +142,32 @@ class Guidance3D:
         sin_pm = math.sin(psi_m)
 
         # --- Kinematics and current lead ---
-        r_dot, theta_dot, psi_dot = los_rates_3d(r, theta, theta_m, psi_m, v)
-        theta_m_dot, psi_m_dot = heading_rates_3d(
-            theta, theta_m, psi_m, theta_dot, psi_dot, a_my, a_mz, v
+        r_dot, theta_dot, psi_dot = los_rates_3d_trig(r, cos_t, sin_tm, cos_tm, sin_pm, cos_pm, v)
+        theta_m_dot, psi_m_dot = heading_rates_3d_trig(
+            sin_t, cos_t, cos_tm, math.tan(theta_m), sin_pm, cos_pm,
+            theta_dot, psi_dot, a_my, a_mz, v,
         )
-        sigma = math.acos(max(-1.0, min(1.0, cos_tm * cos_pm)))
 
         # --- Range-time error and shaped demand ---
         z1 = v * (self.t_final - t) - r
         z1_dot = -v - r_dot
         z1_ddot = -v * (sin_tm * cos_pm * theta_m_dot + cos_tm * sin_pm * psi_m_dot)
-        sh = shaping_rates(z1, z1_dot, z1_ddot, self.shaping)
+        sigma_d, _, _, heading_d, heading_d_dot, heading_d_ddot, feasible = shaping_rates(
+            z1, z1_dot, z1_ddot, self.shaping
+        )
 
         # --- Heading errors and stabilizing accelerations ---
-        z3 = theta_m - sh.heading_d
-        z4 = psi_m - sh.heading_d
+        z3 = theta_m - heading_d
+        z4 = psi_m - heading_d
         bracket_az = (
-            psi_dot * sin_t * sin_pm + theta_dot * cos_pm + sh.heading_d_dot - self.k3 * z3
+            psi_dot * sin_t * sin_pm + theta_dot * cos_pm + heading_d_dot - self.k3 * z3
         )
         alpha_z = v * bracket_az
         bracket_ay = (
             -psi_dot * tan_tm * cos_pm * sin_t
             + psi_dot * cos_t
             + theta_dot * tan_tm * sin_pm
-            + sh.heading_d_dot
+            + heading_d_dot
             - self.k4 * z4
         )
         alpha_y = v * cos_tm * bracket_ay
@@ -158,8 +183,8 @@ class Guidance3D:
             - v * cos_tm * cos_pm * psi_m_dot / (r * cos_t)
             + v * sin_tm * sin_pm * theta_m_dot / (r * cos_t)
         )
-        z3_dot = theta_m_dot - sh.heading_d_dot
-        z4_dot = psi_m_dot - sh.heading_d_dot
+        z3_dot = theta_m_dot - heading_d_dot
+        z4_dot = psi_m_dot - heading_d_dot
 
         alpha_z_dot = v * (
             psi_ddot * sin_t * sin_pm
@@ -167,7 +192,7 @@ class Guidance3D:
             + psi_dot * sin_t * cos_pm * psi_m_dot
             + theta_ddot * cos_pm
             - theta_dot * sin_pm * psi_m_dot
-            + sh.heading_d_ddot
+            + heading_d_ddot
             - self.k3 * z3_dot
         )
         bracket_ay_dot = (
@@ -180,7 +205,7 @@ class Guidance3D:
             + theta_ddot * tan_tm * sin_pm
             + theta_dot * theta_m_dot * sec2_tm * sin_pm
             + theta_dot * psi_m_dot * tan_tm * cos_pm
-            + sh.heading_d_ddot
+            + heading_d_ddot
             - self.k4 * z4_dot
         )
         alpha_y_dot = -v * sin_tm * theta_m_dot * bracket_ay + v * cos_tm * bracket_ay_dot
@@ -199,34 +224,16 @@ class Guidance3D:
         raw_b_z = (sat.rho * a_mz + alpha_z_dot - z3 / v - self.kz * zz) / bracket_z
         b_y = clip_command(raw_b_y, sat)
         b_z = clip_command(raw_b_z, sat)
-        capped = b_y != raw_b_y or b_z != raw_b_z
 
         a_my_dot = bracket_y * b_y - sat.rho * a_my
         a_mz_dot = bracket_z * b_z - sat.rho * a_mz
 
-        return Eval3D(
-            derivs=(r_dot, theta_dot, psi_dot, theta_m_dot, psi_m_dot, a_my_dot, a_mz_dot),
-            sigma=sigma,
-            sigma_d=sh.sigma_d,
-            z1=z1,
-            z3=z3,
-            z4=z4,
-            zy=zy,
-            zz=zz,
-            alpha_y=alpha_y,
-            alpha_z=alpha_z,
-            alpha_y_dot=alpha_y_dot,
-            alpha_z_dot=alpha_z_dot,
-            theta_ddot=theta_ddot,
-            psi_ddot=psi_ddot,
-            b_y=b_y,
-            b_z=b_z,
-            a_y_max=a_y_max,
-            a_z_max=a_z_max,
-            lyapunov_z=0.5 * (z3 * z3 + zz * zz),
-            lyapunov_y=0.5 * (z4 * z4 + zy * zy),
-            feasible=sh.feasible,
-            capped=capped,
+        return (
+            (r_dot, theta_dot, psi_dot, theta_m_dot, psi_m_dot, a_my_dot, a_mz_dot),
+            feasible,
+            b_y != raw_b_y or b_z != raw_b_z,
+            sigma_d, z1, z3, z4, zy, zz, alpha_y, alpha_z, alpha_y_dot, alpha_z_dot,
+            theta_ddot, psi_ddot, b_y, b_z, a_y_max, a_z_max,
         )
 
     def log_row(

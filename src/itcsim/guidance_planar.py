@@ -78,9 +78,13 @@ class EvalPlanar:
 
     ``derivs`` covers (r, theta, sigma, a_my) for the compensated law and
     (r, theta, sigma) for the baseline, whose acceleration is not a state.
+    The fields up to a_y_max come in the order ``GuidancePlanar._chain``
+    returns them.
     """
 
     derivs: tuple[float, ...]
+    feasible: bool
+    capped: bool
     sigma_d: float
     z1: float
     z2: float
@@ -90,8 +94,6 @@ class EvalPlanar:
     b_y: float
     a_y_max: float
     lyapunov_y: float
-    feasible: bool
-    capped: bool
 
 
 class GuidancePlanar:
@@ -117,7 +119,19 @@ class GuidancePlanar:
         self.ky = ky
         self.target = target
 
+    def rates(self, t: float, y: tuple[float, ...]) -> tuple[tuple[float, ...], bool]:
+        """State derivatives and shaping feasibility: the integrator's hot path."""
+        return self._chain(t, y)[:2]
+
     def evaluate(self, t: float, y: tuple[float, float, float, float]) -> EvalPlanar:
+        """Derivatives plus every diagnostic the logs and tests read."""
+        out = self._chain(t, y)
+        z2, zy = out[5:7]
+        return EvalPlanar(*out, lyapunov_y=0.5 * (z2 * z2 + zy * zy))
+
+    def _chain(self, t: float, y: tuple[float, ...]) -> tuple:
+        """The control chain, written once for ``rates`` and ``evaluate``: a
+        flat tuple of the ``EvalPlanar`` fields up to a_y_max."""
         r, _theta, sigma, a_my = y
         v = self.speed
         if r < EPS_RANGE:
@@ -132,15 +146,17 @@ class GuidancePlanar:
         z1 = v * (self.t_final - t) - r
         z1_dot = -v - r_dot
         z1_ddot = -v * sin_s * sigma_dot
-        sh = shaping_rates(z1, z1_dot, z1_ddot, self.shaping)
+        sigma_d, sigma_d_dot, sigma_d_ddot, _, _, _, feasible = shaping_rates(
+            z1, z1_dot, z1_ddot, self.shaping
+        )
 
         # --- Lead error and stabilizing acceleration ---
-        z2 = sigma - sh.sigma_d
-        alpha_y = v * (sh.sigma_d_dot - v * sin_s / r - self.k2 * z2)
+        z2 = sigma - sigma_d
+        alpha_y = v * (sigma_d_dot - v * sin_s / r - self.k2 * z2)
         zy = a_my - alpha_y
-        z2_dot = sigma_dot - sh.sigma_d_dot
+        z2_dot = sigma_dot - sigma_d_dot
         alpha_y_dot = v * (
-            sh.sigma_d_ddot
+            sigma_d_ddot
             - v * cos_s * sigma_dot / r
             + v * sin_s * r_dot / (r * r)
             - self.k2 * z2_dot
@@ -154,20 +170,11 @@ class GuidancePlanar:
         raw_b = (sat.rho * a_my + alpha_y_dot - z2 / v - self.ky * zy) / bracket
         b_y = clip_command(raw_b, sat)
         a_my_dot = bracket * b_y - sat.rho * a_my
-
-        return EvalPlanar(
-            derivs=(r_dot, theta_dot, sigma_dot, a_my_dot),
-            sigma_d=sh.sigma_d,
-            z1=z1,
-            z2=z2,
-            zy=zy,
-            alpha_y=alpha_y,
-            alpha_y_dot=alpha_y_dot,
-            b_y=b_y,
-            a_y_max=a_y_max,
-            lyapunov_y=0.5 * (z2 * z2 + zy * zy),
-            feasible=sh.feasible,
-            capped=b_y != raw_b,
+        return (
+            (r_dot, theta_dot, sigma_dot, a_my_dot),
+            feasible,
+            b_y != raw_b,
+            sigma_d, z1, z2, zy, alpha_y, alpha_y_dot, b_y, a_y_max,
         )
 
     def log_row(
@@ -203,7 +210,21 @@ class BaselinePlanar:
         self.a_clip = a_clip
         self.target = target
 
+    def rates(self, t: float, y: tuple[float, ...]) -> tuple[tuple[float, ...], bool]:
+        """State derivatives and shaping feasibility: the integrator's hot path."""
+        return self._chain(t, y)[:2]
+
     def evaluate(self, t: float, y: tuple[float, float, float]) -> EvalPlanar:
+        """Derivatives plus every diagnostic the logs and tests read."""
+        derivs, feasible, capped, sigma_d, z1, z2, a_raw = self._chain(t, y)
+        return EvalPlanar(
+            derivs, feasible, capped, sigma_d, z1, z2, zy=0.0, alpha_y=a_raw, alpha_y_dot=0.0,
+            b_y=a_raw, a_y_max=self.a_clip, lyapunov_y=0.5 * z2 * z2,
+        )
+
+    def _chain(self, t: float, y: tuple[float, ...]) -> tuple:
+        """The control chain, written once for ``rates`` and ``evaluate``:
+        (derivs, feasible, capped, sigma_d, z1, z2, raw acceleration)."""
         r, _theta, sigma = y
         v = self.speed
         if r < EPS_RANGE:
@@ -214,26 +235,12 @@ class BaselinePlanar:
         z1_dot = -v - r_dot
         # The demand rates only need z1 and z1_dot here; the second-derivative
         # slot feeds sigma_d_ddot, which this law never uses.
-        sh = shaping_rates(z1, z1_dot, 0.0, self.shaping)
-        z2 = sigma - sh.sigma_d
-        a_raw = v * (sh.sigma_d_dot - v * math.sin(sigma) / r - self.k2 * z2)
+        sigma_d, sigma_d_dot, _, _, _, _, feasible = shaping_rates(z1, z1_dot, 0.0, self.shaping)
+        z2 = sigma - sigma_d
+        a_raw = v * (sigma_d_dot - v * math.sin(sigma) / r - self.k2 * z2)
         a_my = max(-self.a_clip, min(self.a_clip, a_raw))
         sigma_dot = lead_rate_planar(theta_dot, a_my, v)
-
-        return EvalPlanar(
-            derivs=(r_dot, theta_dot, sigma_dot),
-            sigma_d=sh.sigma_d,
-            z1=z1,
-            z2=z2,
-            zy=0.0,
-            alpha_y=a_raw,
-            alpha_y_dot=0.0,
-            b_y=a_raw,
-            a_y_max=self.a_clip,
-            lyapunov_y=0.5 * z2 * z2,
-            feasible=sh.feasible,
-            capped=a_my != a_raw,
-        )
+        return (r_dot, theta_dot, sigma_dot), feasible, a_my != a_raw, sigma_d, z1, z2, a_raw
 
     def log_row(self, t: float, y: tuple[float, float, float], ev: EvalPlanar) -> LogRow:
         r, theta, sigma = y

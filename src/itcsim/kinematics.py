@@ -49,10 +49,17 @@ def los_rates_3d(
     r: float, theta: float, theta_m: float, psi_m: float, v: float
 ) -> tuple[float, float, float]:
     """Range and LOS angular rates (r_dot, theta_dot, psi_dot) for 3D flight."""
-    cos_tm = math.cos(theta_m)
-    r_dot = -v * cos_tm * math.cos(psi_m)
-    theta_dot = -v * math.sin(theta_m) / r
-    psi_dot = -v * cos_tm * math.sin(psi_m) / (r * math.cos(theta))
+    cos_t, sin_pm, cos_pm = math.cos(theta), math.sin(psi_m), math.cos(psi_m)
+    return los_rates_3d_trig(r, cos_t, math.sin(theta_m), math.cos(theta_m), sin_pm, cos_pm, v)
+
+
+def los_rates_3d_trig(
+    r: float, cos_t: float, sin_tm: float, cos_tm: float, sin_pm: float, cos_pm: float, v: float
+) -> tuple[float, float, float]:
+    """``los_rates_3d`` from the sines and cosines of theta, theta_m and psi_m."""
+    r_dot = -v * cos_tm * cos_pm
+    theta_dot = -v * sin_tm / r
+    psi_dot = -v * cos_tm * sin_pm / (r * cos_t)
     return r_dot, theta_dot, psi_dot
 
 
@@ -72,14 +79,21 @@ def heading_rates_3d(
     rates appear as kinematic coupling terms alongside the acceleration
     commands.
     """
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
-    tan_tm = math.tan(theta_m)
-    sin_pm = math.sin(psi_m)
-    cos_pm = math.cos(psi_m)
+    return heading_rates_3d_trig(
+        math.sin(theta), math.cos(theta), math.cos(theta_m), math.tan(theta_m),
+        math.sin(psi_m), math.cos(psi_m), theta_dot, psi_dot, a_my, a_mz, v,
+    )
+
+
+def heading_rates_3d_trig(
+    sin_t: float, cos_t: float, cos_tm: float, tan_tm: float, sin_pm: float, cos_pm: float,
+    theta_dot: float, psi_dot: float, a_my: float, a_mz: float, v: float,
+) -> tuple[float, float]:
+    """``heading_rates_3d`` from the trig of theta, theta_m and psi_m
+    (``tan_tm`` is ``math.tan(theta_m)``, which sin/cos can miss by an ulp)."""
     theta_m_dot = a_mz / v - psi_dot * sin_t * sin_pm - theta_dot * cos_pm
     psi_m_dot = (
-        a_my / (v * math.cos(theta_m))
+        a_my / (v * cos_tm)
         + psi_dot * tan_tm * cos_pm * sin_t
         - psi_dot * cos_t
         - theta_dot * tan_tm * sin_pm

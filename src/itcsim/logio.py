@@ -125,13 +125,18 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# One trajectory row as csv.writer would write it: formatted numbers never
+# need quoting, so a single format string gives the same bytes, faster.
+_ROW_FORMAT = ",".join(["{:.17g}"] * len(COLUMNS)) + "\r\n"
+
+
 def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
     """Write the trajectory rows in the shared column schema."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
+        fh.write(",".join(COLUMNS) + "\r\n")
+        write, fmt = fh.write, _ROW_FORMAT.format
         for row in log.rows:
-            writer.writerow([_fmt(v) for v in row.values()])
+            write(fmt(*row.values()))
 
 
 def read_trajectory_csv(path: str) -> TrajectoryLog:

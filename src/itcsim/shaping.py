@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -79,6 +81,17 @@ class ShapingParams:
         """Largest lead angle the shaping can demand, rad (always < sigma_max)."""
         return math.acos(1.0 - self.k1)
 
+    @cached_property
+    def _flat_demands(self) -> tuple[ShapingRates, ShapingRates]:
+        """The constant demands above the layer (z1 > phi) and clamped (z1 < 0),
+        built once by the same functions as any demand, so bit-identical."""
+        out = []
+        for z1 in (math.inf, -1.0):
+            sigma_d, feasible = desired_lead(z1, self)
+            heading_d = desired_heading(sigma_d)
+            out.append(ShapingRates(sigma_d, 0.0, 0.0, heading_d, 0.0, 0.0, feasible))
+        return out[0], out[1]
+
 
 # --- Saturating ramp ----------------------------------------------------------
 
@@ -122,8 +135,7 @@ def desired_heading(sigma_d: float) -> float:
     return 0.5 * math.acos(max(-1.0, min(1.0, c)))
 
 
-@dataclass
-class ShapingRates:
+class ShapingRates(NamedTuple):
     """Demanded lead/heading and their first two time derivatives.
 
     sigma_d / heading_d in rad, rates in rad/s and rad/s^2.  ``feasible`` is
@@ -143,16 +155,19 @@ def shaping_rates(z1: float, z1_dot: float, z1_ddot: float, params: ShapingParam
     """Differentiate the lead demand along the z1 trajectory.
 
     Outside the boundary layer the sigmoid is flat, so every rate is exactly
-    zero and the demand is the constant maximum.  Through zero demand the
+    zero and the demand is the constant maximum (or zero when clamped); both
+    come precomputed from ``params._flat_demands``.  Through zero demand the
     quotients by sin(sigma_d) are floored at EPS_SIN; the numerators vanish
     at the same order, so the floored rates stay bounded and correct in the
     limit.
     """
+    if z1 > params.phi:
+        return params._flat_demands[0]
+    if z1 < 0.0:
+        return params._flat_demands[1]
     k1 = params.k1
     sigma_d, feasible = desired_lead(z1, params)
     heading_d = desired_heading(sigma_d)
-    if not feasible or abs(z1) > params.phi:
-        return ShapingRates(sigma_d, 0.0, 0.0, heading_d, 0.0, 0.0, feasible)
 
     s1, s2 = sgmf_derivatives(z1, params.phi)
     sin_sd = max(math.sin(sigma_d), params.eps_sin)

@@ -454,12 +454,6 @@ def test_c8c_analytic_derivatives_match_finite_differences(
 # --- C8d: the planar law is a section of the 3D geometry --------------------------
 
 
-class _SectionEv:
-    def __init__(self, derivs):
-        self.derivs = derivs
-        self.feasible = True
-
-
 class _PlanarSection:
     """The planar engagement embedded in the 3D state layout: elevation
     channels pinned at zero, horizontal channels driven by the planar law,
@@ -472,16 +466,14 @@ class _PlanarSection:
         self.speed = planar.speed
         self.t_final = planar.t_final
 
-    def evaluate(self, t, y):
+    def rates(self, t, y):
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
-        pl = self.planar.evaluate(t, (r, psi, psi_m, a_my))
+        pl_derivs, feasible = self.planar.rates(t, (r, psi, psi_m, a_my))
         r_dot, theta_dot, psi_dot = los_rates_3d(r, theta, theta_m, psi_m, self.speed)
         theta_m_dot, psi_m_dot = heading_rates_3d(
             theta, theta_m, psi_m, theta_dot, psi_dot, a_my, a_mz, self.speed
         )
-        return _SectionEv(
-            (r_dot, theta_dot, psi_dot, theta_m_dot, psi_m_dot, pl.derivs[3], 0.0)
-        )
+        return (r_dot, theta_dot, psi_dot, theta_m_dot, psi_m_dot, pl_derivs[3], 0.0), feasible
 
 
 def _compare_section(cfg, steps, dt=1e-3):

@@ -194,6 +194,22 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == EXIT_ERROR
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_batch_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    out_dir = tmp_path / "batch"
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", "--preset", "fig4-rollcoupled", "--out-dir", str(out_dir), "--jobs", jobs])
+    assert exc.value.code == EXIT_ERROR
+    assert "--jobs" in capsys.readouterr().err
+    assert not out_dir.exists()  # nothing ran
+
+
 def test_batch_writes_per_run_outputs_and_report(tmp_path, capsys):
     out_dir = tmp_path / "batch"
     code = main([

@@ -48,9 +48,12 @@ class _MiniLaw:
         self.t_final = t_final
         self.feasible_fn = feasible
 
-    def evaluate(self, t, y):
+    def rates(self, t, y):
         feasible = True if self.feasible_fn is None else self.feasible_fn(t)
-        return _Ev(derivs=self.f(t, y), feasible=feasible)
+        return self.f(t, y), feasible
+
+    def evaluate(self, t, y):
+        return _Ev(*self.rates(t, y))
 
     def log_row(self, t, y, ev):
         return _row(t, y[0])
@@ -77,9 +80,12 @@ def test_state_size_mismatch():
 def test_rk4_step_basics():
     # Zero derivative: state unchanged bit-for-bit.
     law = _MiniLaw(lambda t, y: (0.0, 0.0), state_size=2)
-    y_new, ev = rk4_step(law, 0.0, (3.5, -2.25), 0.1)
+    y_new, feasible = rk4_step(law, 0.0, (3.5, -2.25), 0.1)
     assert y_new == (3.5, -2.25)
-    assert ev.derivs == (0.0, 0.0)
+    assert feasible is True
+    # The returned flag is the stage-1 feasibility.
+    law = _MiniLaw(lambda t, y: (0.0,), feasible=lambda t: t > 0.0)
+    assert rk4_step(law, 0.0, (1.0,), 0.1)[1] is False
     # Unit derivative advances by exactly one step (up to one rounding).
     law = _MiniLaw(lambda t, y: (1.0,))
     y_new, _ = rk4_step(law, 0.0, (0.0,), 0.125)
@@ -206,6 +212,36 @@ def test_log_stride_pattern():
     # Steps 0,3,6 logged by stride; interception at step 9 forces the last row.
     assert [row.t for row in log.rows] == [0.0, 3.0, 6.0, 9.0]
     assert out.status is RunStatus.INTERCEPTED
+
+
+class _CountingLaw(_MiniLaw):
+    """Counts hot-path ``rates`` calls and diagnostic ``evaluate`` calls."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.rate_calls = 0
+        self.eval_calls = 0
+
+    def rates(self, t, y):
+        self.rate_calls += 1
+        return super().rates(t, y)
+
+    def evaluate(self, t, y):
+        self.eval_calls += 1
+        return _Ev(*super().rates(t, y))
+
+
+def test_diagnostics_only_for_logged_rows():
+    """Every RK4 stage uses ``rates``; ``evaluate`` runs once per logged row."""
+    law = _CountingLaw(lambda t, y: (-1.0,), t_final=100.0)
+    log, out = simulate(law, (55.5,), SimSettings(dt=1.0, log_stride=10))
+    assert out.status is RunStatus.INTERCEPTED
+    steps = round(out.final_time)
+    assert steps == 55
+    # Steps 0, 10, ..., 50 by stride plus the terminal row at step 55.
+    assert len(log.rows) == 7
+    assert law.eval_calls == len(log.rows)
+    assert law.rate_calls == 4 * steps
 
 
 def test_log_meta_records_law_and_dt():

@@ -15,7 +15,7 @@ import pytest
 from itcsim.errors import GuardTrip
 from itcsim.guidance3d import Guidance3D
 from itcsim.kinematics import inertial_position
-from itcsim.saturation import SaturationParams
+from itcsim.saturation import BoundMode, SaturationParams
 from itcsim.shaping import ShapingParams, desired_heading
 
 REL = 1e-12
@@ -184,3 +184,52 @@ def test_log_row_mapping():
     assert (row.x, row.y, row.z) == inertial_position(
         Y_REF[0], Y_REF[1], Y_REF[2], (0.0, 0.0, 0.0)
     )
+
+
+# --- rates(): the integrator's hot path agrees with evaluate() ----------------
+
+# A state whose command hits the 5000 cap under each bound schedule; the
+# constant-bound one lies outside the shared-schedule bounds, where it trips.
+_CAPPED = {
+    BoundMode.CONSTANT: (9900.0, 0.05, -0.08, -0.12, 0.2, 90.0, -90.0),
+    BoundMode.ROLL_COUPLED: (9900.0, 0.05, -0.08, -0.12, 0.2, 90.0, -5.0),
+    BoundMode.WING_TAIL: (9900.0, 0.05, -0.08, -0.12, 0.2, 90.0, -5.0),
+}
+
+
+@pytest.mark.parametrize("mode", list(BoundMode))
+def test_rates_match_evaluate_bit_for_bit(mode):
+    sat = SaturationParams(mode=mode)
+    sat.validate()
+    law = _law(sat=sat)
+    cases = {
+        "in-layer": (T_REF, Y_REF),  # z1 = 100 m
+        "out-of-layer": (0.0, Y_REF),  # z1 = 2600 m > phi
+        "infeasible": (49.0, Y_REF),  # z1 < 0
+        "capped": (10.0, _CAPPED[mode]),
+    }
+    for name, (t, y) in cases.items():
+        ev = law.evaluate(t, y)
+        assert law.rates(t, y) == (ev.derivs, ev.feasible), name
+        assert ev.feasible is (name != "infeasible"), name
+        assert ev.capped is (name == "capped"), name
+        assert (ev.z1 > law.shaping.phi) is (name == "out-of-layer"), name
+
+
+@pytest.mark.parametrize(
+    "t, y",
+    [
+        (49.9, (1.0e-7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        (10.0, (5000.0, math.pi / 2.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        (10.0, (9900.0, 0.0, 0.0, 0.0, 0.0, 98.1 * (1.0 - 1.0e-8), 0.0)),
+        (10.0, (9900.0, 0.0, 0.0, 0.0, 0.0, 0.0, -98.1 * (1.0 - 1.0e-8))),
+    ],
+)
+def test_rates_trip_the_same_guards_as_evaluate(t, y):
+    law = _law()
+    with pytest.raises(GuardTrip) as ev_trip:
+        law.evaluate(t, y)
+    with pytest.raises(GuardTrip) as rates_trip:
+        law.rates(t, y)
+    assert rates_trip.value.guard == ev_trip.value.guard
+    assert str(rates_trip.value) == str(ev_trip.value)

@@ -168,3 +168,45 @@ def test_log_row_mapping():
     assert row.x == pytest.approx(-r * math.cos(theta), rel=REL)
     assert row.y == pytest.approx(-r * math.sin(theta), rel=REL)
     assert row.z == 0.0
+
+
+# --- rates(): the integrator's hot path agrees with evaluate() ----------------
+
+
+def _both_laws():
+    return _law(), BaselinePlanar(speed=250.0, t_final=50.0, shaping=_shaping(), a_clip=98.1)
+
+
+def test_rates_match_evaluate_bit_for_bit():
+    shaped, baseline = _both_laws()
+    states = [
+        (T_REF, Y_REF),  # in the blend layer
+        (0.0, Y_REF),  # z1 = 2600 m, above the layer
+        (49.0, Y_REF),  # z1 < 0, clamped
+        (10.0, (9900.0, 0.3, -0.9, 95.0)),  # command capped
+        (T_REF, (9900.0, 0.3, -1.0, 0.0)),  # baseline acceleration clipped
+    ]
+    for t, y in states:
+        for law, y_law in ((shaped, y), (baseline, y[:3])):
+            ev = law.evaluate(t, y_law)
+            assert law.rates(t, y_law) == (ev.derivs, ev.feasible)
+    assert shaped.evaluate(10.0, states[3][1]).capped
+    assert baseline.evaluate(T_REF, states[4][1][:3]).capped
+
+
+@pytest.mark.parametrize(
+    "which, t, y",
+    [
+        ("shaped", 49.9, (1.0e-7, 0.0, 0.0, 0.0)),
+        ("shaped", 10.0, (9900.0, 0.0, 0.0, 98.1 * (1.0 - 1.0e-8))),
+        ("baseline", 49.9, (1.0e-7, 0.0, 0.0)),
+    ],
+)
+def test_rates_trip_the_same_guards_as_evaluate(which, t, y):
+    law = dict(zip(("shaped", "baseline"), _both_laws()))[which]
+    with pytest.raises(GuardTrip) as ev_trip:
+        law.evaluate(t, y)
+    with pytest.raises(GuardTrip) as rates_trip:
+        law.rates(t, y)
+    assert rates_trip.value.guard == ev_trip.value.guard
+    assert str(rates_trip.value) == str(ev_trip.value)

@@ -6,6 +6,8 @@ reproduce every value bit-for-bit.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
@@ -46,6 +48,23 @@ def test_column_accessor():
     assert log.column("sigma") == [0.5, -0.25]
     with pytest.raises(ValueError):
         log.column("nonexistent")
+
+
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path):
+    """The row writer produces exactly the bytes of csv.writer on the same
+    17-digit strings, non-finite values and signed zeros included."""
+    rows = [
+        _row(t=0.0, r=math.inf, theta=-math.inf, psi=math.nan, sigma=-0.0, z1=5e-324),
+        _row(t=1e-3, r=9.006104071832581e15, x=-12345.678901234567, zy=1.0 / 3.0),
+    ]
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(TrajectoryLog(rows=rows), str(path))
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(COLUMNS)
+    for row in rows:
+        writer.writerow([f"{v:.17g}" for v in row.values()])
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_trajectory_roundtrip_is_bit_exact(tmp_path):
