@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 from typing import Sequence
 
@@ -117,18 +118,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _batch_worker(
     item: tuple[str, ScenarioConfig, str],
-) -> tuple[str, float, str, Metrics | None, str | None]:
+) -> tuple[str, float, str, Metrics | None, str | None, list[str]]:
+    """Run one batch scenario; the warnings it raised come back as messages,
+    so the parent reports them in scenario order whatever process ran it."""
     label, cfg, out_dir = item
-    try:
-        status, mets = _run_and_write(
-            label,
-            cfg,
-            os.path.join(out_dir, f"{label}.traj.csv"),
-            os.path.join(out_dir, f"{label}.metrics.json"),
-        )
-        return label, cfg.azimuth_deg, status.value, mets, None
-    except Exception as exc:  # per-scenario isolation: record and continue
-        return label, cfg.azimuth_deg, "error", None, str(exc)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            status, mets = _run_and_write(
+                label,
+                cfg,
+                os.path.join(out_dir, f"{label}.traj.csv"),
+                os.path.join(out_dir, f"{label}.metrics.json"),
+            )
+            result = label, cfg.azimuth_deg, status.value, mets, None
+        except Exception as exc:  # per-scenario isolation: record and continue
+            result = label, cfg.azimuth_deg, "error", None, str(exc)
+    return (*result, [str(w.message) for w in caught])
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -136,17 +141,21 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     items = [(label, cfg, args.out_dir) for label, cfg in scenarios]
 
-    if args.jobs > 1:
+    # A pool forks all its workers up front; never start more than there is work.
+    jobs = min(args.jobs, len(items))
+    if jobs > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_batch_worker, items))
     else:
         results = [_batch_worker(item) for item in items]
 
     entries = []
     failed = False
-    for label, angle, status, mets, error in results:
+    for label, angle, status, mets, error, messages in results:
+        for msg in messages:
+            print(f"{label}: warning: {msg}", file=sys.stderr)
         print(_summary_line(label, status, mets, error))
         if status != RunStatus.INTERCEPTED.value:
             failed = True

@@ -1,13 +1,15 @@
 """Fixed-step RK4 integration of an engagement under a guidance law.
 
 The engine is law-agnostic: anything shaped like ``GuidanceLaw`` can be
-integrated.  All four Runge-Kutta stages call ``rates(t, y)``, which returns
-only the state derivatives and the shaping-feasibility flag, so guidance
-commands are re-evaluated at every stage and the closed loop is integrated
-as one smooth vector field rather than with a held command.  The full
-diagnostic record, ``evaluate(t, y)``, is built only for the rows that are
-logged (``log_row(t, y, eval)``): every ``log_stride``-th step plus the
-terminal or guard-trip row.
+integrated.  Every Runge-Kutta stage re-evaluates the guidance commands, so
+the closed loop is integrated as one smooth vector field rather than with a
+held command, and each step runs the control chain exactly four times.  The
+stages call ``rates(t, y)``, which returns only the state derivatives and
+the shaping-feasibility flag.  The full diagnostic record, ``evaluate(t, y)``,
+is built only for the rows that are logged (``log_row(t, y, eval)``): every
+``log_stride``-th step plus the terminal or guard-trip row.  On a logged
+step that record is built first, and its derivatives and feasibility serve
+as stage 1.
 
 A run terminates when the range first drops to the hit radius
 (``intercepted``, with the crossing time interpolated inside the final
@@ -32,7 +34,11 @@ from .logio import LogRow, TrajectoryLog
 
 class GuidanceLaw(Protocol):
     """What the engine needs of a law; ``rates`` and ``evaluate`` raise the
-    same ``GuardTrip``s and agree bit-for-bit on derivatives and feasibility."""
+    same ``GuardTrip``s and agree bit-for-bit on derivatives and feasibility.
+
+    The record ``evaluate`` returns carries ``derivs`` and ``feasible``; on a
+    logged step they are RK4 stage 1, so ``rates`` serves stages 2-4 there.
+    """
 
     state_size: int
     speed: float
@@ -97,11 +103,18 @@ class RunOutcome:
 
 
 def rk4_step(
-    law: GuidanceLaw, t: float, y: tuple[float, ...], dt: float
+    law: GuidanceLaw,
+    t: float,
+    y: tuple[float, ...],
+    dt: float,
+    stage1: tuple[tuple[float, ...], bool] | None = None,
 ) -> tuple[tuple[float, ...], bool]:
-    """One classical RK4 step; returns the new state and the stage-1 feasibility."""
+    """One classical RK4 step; returns the new state and the stage-1 feasibility.
+
+    ``stage1`` is ``law.rates(t, y)`` when the caller already has it.
+    """
     rates = law.rates
-    k1, feasible = rates(t, y)
+    k1, feasible = rates(t, y) if stage1 is None else stage1
     h2 = 0.5 * dt
     k2 = rates(t + h2, [yi + h2 * ki for yi, ki in zip(y, k1)])[0]
     k3 = rates(t + h2, [yi + h2 * ki for yi, ki in zip(y, k2)])[0]
@@ -153,10 +166,16 @@ def simulate(
         log.rows.append(law.log_row(t, y, ev))
         last_logged = step
 
+    log_stride = settings.log_stride
     while True:
         t = step * dt
         try:
-            y_new, feasible = rk4_step(law, t, y, dt)
+            if step % log_stride == 0:
+                ev = law.evaluate(t, y)
+                log_state(t, ev)
+                y_new, feasible = rk4_step(law, t, y, dt, (ev.derivs, ev.feasible))
+            else:
+                y_new, feasible = rk4_step(law, t, y, dt)
         except GuardTrip as trip:
             # Try to capture the last healthy state in the log before
             # reporting the trip; the pre-step state evaluated fine on the
@@ -186,9 +205,6 @@ def simulate(
                 msg = f"shaping demand clamped to zero lead at t={t:.3f} s (range-time error < 0)"
                 _warnings.warn(msg, InfeasibleShapingWarning, stacklevel=2)
                 log.warnings.append(msg)
-
-        if step % settings.log_stride == 0:
-            log_state(t, law.evaluate(t, y))
 
         if not all(map(math.isfinite, y_new)):
             return log, RunOutcome(

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GuardTrip
-from .kinematics import EPS_RANGE, lead_rate_planar, los_rates_planar
+from .kinematics import EPS_RANGE, lead_rate_planar, los_rates_planar_trig
 from .logio import LogRow
 from .saturation import EPS_DEN, SaturationParams, axis_brackets, clip_command
 from .shaping import ShapingParams, shaping_rates
@@ -139,7 +139,7 @@ class GuidancePlanar:
 
         sin_s = math.sin(sigma)
         cos_s = math.cos(sigma)
-        r_dot, theta_dot = los_rates_planar(r, sigma, v)
+        r_dot, theta_dot = los_rates_planar_trig(r, sin_s, cos_s, v)
         sigma_dot = lead_rate_planar(theta_dot, a_my, v)
 
         # --- Range-time error and shaped demand ---
@@ -230,19 +230,26 @@ class BaselinePlanar:
         if r < EPS_RANGE:
             raise GuardTrip("range-floor", t, f"r={r:.3e} m")
 
-        r_dot, theta_dot = los_rates_planar(r, sigma, v)
+        sin_s = math.sin(sigma)
+        r_dot, theta_dot = los_rates_planar_trig(r, sin_s, math.cos(sigma), v)
         z1 = v * (self.t_final - t) - r
         z1_dot = -v - r_dot
         # The demand rates only need z1 and z1_dot here; the second-derivative
         # slot feeds sigma_d_ddot, which this law never uses.
         sigma_d, sigma_d_dot, _, _, _, _, feasible = shaping_rates(z1, z1_dot, 0.0, self.shaping)
         z2 = sigma - sigma_d
-        a_raw = v * (sigma_d_dot - v * math.sin(sigma) / r - self.k2 * z2)
-        a_my = max(-self.a_clip, min(self.a_clip, a_raw))
+        a_raw = v * (sigma_d_dot - v * sin_s / r - self.k2 * z2)
+        a_my = self._clip(a_raw)
         sigma_dot = lead_rate_planar(theta_dot, a_my, v)
         return (r_dot, theta_dot, sigma_dot), feasible, a_my != a_raw, sigma_d, z1, z2, a_raw
 
     def log_row(self, t: float, y: tuple[float, float, float], ev: EvalPlanar) -> LogRow:
         r, theta, sigma = y
-        a_my = max(-self.a_clip, min(self.a_clip, ev.alpha_y))
-        return _planar_log_row(t, r, theta, sigma, a_my, ev, self.target)
+        return _planar_log_row(t, r, theta, sigma, self._clip(ev.alpha_y), ev, self.target)
+
+    def _clip(self, a: float) -> float:
+        """``a`` clipped to +-a_clip as max(-a_clip, min(a_clip, a)) would clip
+        it (NaN included), without the builtin calls."""
+        a_clip = self.a_clip
+        a = a if a < a_clip else a_clip
+        return a if a > -a_clip else -a_clip

@@ -38,8 +38,10 @@ def effective_lead(theta_m: float, psi_m: float) -> float:
     constraint applies to this combined angle, not to either component.
     """
     c = math.cos(theta_m) * math.cos(psi_m)
-    # Guard the inverse cosine against rounding just outside [-1, 1].
-    return math.acos(max(-1.0, min(1.0, c)))
+    # Guard the inverse cosine against rounding just outside [-1, 1], as
+    # max(-1.0, min(1.0, c)) would (NaN -> 1.0), without the builtin calls.
+    c = c if c < 1.0 else 1.0
+    return math.acos(c if c > -1.0 else -1.0)
 
 
 # --- Equations of motion ----------------------------------------------------
@@ -103,7 +105,12 @@ def heading_rates_3d_trig(
 
 def los_rates_planar(r: float, sigma: float, v: float) -> tuple[float, float]:
     """Range and LOS rates (r_dot, theta_dot) for planar flight."""
-    return -v * math.cos(sigma), -v * math.sin(sigma) / r
+    return los_rates_planar_trig(r, math.sin(sigma), math.cos(sigma), v)
+
+
+def los_rates_planar_trig(r: float, sin_s: float, cos_s: float, v: float) -> tuple[float, float]:
+    """``los_rates_planar`` from the sine and cosine of sigma."""
+    return -v * cos_s, -v * sin_s / r
 
 
 def lead_rate_planar(theta_dot: float, a_my: float, v: float) -> float:

@@ -126,13 +126,17 @@ def desired_lead(z1: float, params: ShapingParams) -> tuple[float, bool]:
     if z1 < 0.0:
         return 0.0, False
     c = 1.0 - params.k1 * sgmf(z1, params.phi)
-    return math.acos(max(-1.0, min(1.0, c))), True
+    # Clamp to [-1, 1] as max(-1.0, min(1.0, c)) would, NaN -> 1.0 included,
+    # without the builtin calls.
+    c = c if c < 1.0 else 1.0
+    return math.acos(c if c > -1.0 else -1.0), True
 
 
 def desired_heading(sigma_d: float) -> float:
     """Even two-axis split of a demanded lead: cos(sigma_d) = cos^2(heading)."""
     c = 2.0 * math.cos(sigma_d) - 1.0
-    return 0.5 * math.acos(max(-1.0, min(1.0, c)))
+    c = c if c < 1.0 else 1.0
+    return 0.5 * math.acos(c if c > -1.0 else -1.0)
 
 
 class ShapingRates(NamedTuple):
@@ -170,14 +174,18 @@ def shaping_rates(z1: float, z1_dot: float, z1_ddot: float, params: ShapingParam
     heading_d = desired_heading(sigma_d)
 
     s1, s2 = sgmf_derivatives(z1, params.phi)
-    sin_sd = max(math.sin(sigma_d), params.eps_sin)
+    eps_sin = params.eps_sin
+    # Floors as max(sin, eps_sin) would apply them (a NaN sine passes through).
+    sin_sd = math.sin(sigma_d)
+    sin_sd = eps_sin if eps_sin > sin_sd else sin_sd
     cos_sd = math.cos(sigma_d)
     sigma_d_dot = k1 * s1 * z1_dot / sin_sd
     sigma_d_ddot = (
         k1 * s2 * z1_dot**2 + k1 * s1 * z1_ddot - sigma_d_dot**2 * cos_sd
     ) / sin_sd
 
-    sin_2h = max(math.sin(2.0 * heading_d), params.eps_sin)
+    sin_2h = math.sin(2.0 * heading_d)
+    sin_2h = eps_sin if eps_sin > sin_2h else sin_2h
     cos_2h = math.cos(2.0 * heading_d)
     heading_d_dot = sigma_d_dot * sin_sd / sin_2h
     heading_d_ddot = (

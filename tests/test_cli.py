@@ -210,6 +210,83 @@ def test_batch_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
     assert not out_dir.exists()  # nothing ran
 
 
+class _InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: records the worker count it
+    was asked for and maps in this process, so no process ever starts."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(_InProcessPool, "requested", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    return _InProcessPool
+
+
+def _warning_micro_runs(monkeypatch):
+    """Stub ``run_scenario``: each scenario warns with its own t_final and
+    runs the 0.5 km micro-engagement instead of the preset's long one."""
+    import warnings
+    from dataclasses import replace
+
+    from itcsim import cli
+    from itcsim.config import run_scenario
+
+    def fake(cfg):
+        warnings.warn(f"stub warning for tf={cfg.tf:g}", UserWarning)
+        micro = replace(cfg, mode="planar", tf=2.0, initial_x_km=-0.5,
+                        elevation_deg=0.0, azimuth_deg=0.0)
+        return run_scenario(micro)
+
+    monkeypatch.setattr(cli, "run_scenario", fake)
+
+
+def test_batch_jobs_capped_at_scenario_count(tmp_path, monkeypatch, in_process_pool):
+    _warning_micro_runs(monkeypatch)
+    code = main(["batch", "--preset", "fig2-tf-sweep", "--out-dir", str(tmp_path / "a"),
+                 "--jobs", "500"])
+    assert code == EXIT_OK
+    assert in_process_pool.requested == [3]  # three scenarios, not 500 workers
+    # One scenario needs no pool at all.
+    code = main(["batch", "--preset", "fig4-rollcoupled", "--out-dir", str(tmp_path / "b"),
+                 "--jobs", "500"])
+    assert code == EXIT_OK
+    assert in_process_pool.requested == [3]
+    assert (tmp_path / "b" / "rollcoupled.traj.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_warnings_are_labelled_in_scenario_order(
+    tmp_path, monkeypatch, capsys, in_process_pool, jobs
+):
+    _warning_micro_runs(monkeypatch)
+    code = main(["batch", "--preset", "fig2-tf-sweep", "--out-dir", str(tmp_path), "--jobs", jobs])
+    assert code == EXIT_OK
+    # The micro-engagement's own clamp warning repeats word for word in
+    # every scenario; each one is still reported under its label.
+    clamp = "warning: shaping demand clamped to zero lead at t=0.132 s (range-time error < 0)"
+    assert capsys.readouterr().err.splitlines() == [
+        line
+        for tf in (45, 50, 55)
+        for line in (f"tf{tf}: warning: stub warning for tf={tf}", f"tf{tf}: {clamp}")
+    ]
+
+
 def test_batch_writes_per_run_outputs_and_report(tmp_path, capsys):
     out_dir = tmp_path / "batch"
     code = main([

@@ -9,10 +9,11 @@ detection, a harmonic oscillator for integrator accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
+from itcsim.config import ScenarioConfig
 from itcsim.engine import RunStatus, SimSettings, rk4_step, simulate
 from itcsim.errors import (
     ConfigError,
@@ -90,6 +91,10 @@ def test_rk4_step_basics():
     law = _MiniLaw(lambda t, y: (1.0,))
     y_new, _ = rk4_step(law, 0.0, (0.0,), 0.125)
     assert y_new[0] == pytest.approx(0.125, rel=1e-15)
+    # A supplied stage 1 replaces the first rates call, flag included.
+    law = _CountingLaw(lambda t, y: (1.0,))
+    assert rk4_step(law, 0.0, (0.0,), 0.125, ((1.0,), False)) == (y_new, False)
+    assert law.rate_calls == 3
 
 
 def test_rk4_accuracy_harmonic_oscillator():
@@ -232,7 +237,8 @@ class _CountingLaw(_MiniLaw):
 
 
 def test_diagnostics_only_for_logged_rows():
-    """Every RK4 stage uses ``rates``; ``evaluate`` runs once per logged row."""
+    """Exactly four chain evaluations per step: ``evaluate`` runs once per
+    logged row and supplies stage 1 of a logged step, ``rates`` the rest."""
     law = _CountingLaw(lambda t, y: (-1.0,), t_final=100.0)
     log, out = simulate(law, (55.5,), SimSettings(dt=1.0, log_stride=10))
     assert out.status is RunStatus.INTERCEPTED
@@ -241,7 +247,53 @@ def test_diagnostics_only_for_logged_rows():
     # Steps 0, 10, ..., 50 by stride plus the terminal row at step 55.
     assert len(log.rows) == 7
     assert law.eval_calls == len(log.rows)
-    assert law.rate_calls == 4 * steps
+    # The six stride-logged steps take stage 1 from their evaluate call.
+    assert law.rate_calls + 6 == 4 * steps
+
+
+def test_logged_step_guard_trip_keeps_one_pre_step_row():
+    """A trip in a later stage of a logged step leaves that step's row once."""
+    def f(t, y):
+        if t >= 2.5:
+            raise GuardTrip("test-guard", t, "synthetic")
+        return (-1.0,)
+
+    law = _CountingLaw(f, t_final=10.0)
+    log, out = simulate(law, (100.0,), SimSettings(dt=0.5, log_stride=4))
+    assert out.status is RunStatus.GUARD_TRIPPED
+    assert out.final_time == 2.0
+    assert [row.t for row in log.rows] == [0.0, 2.0]
+    assert law.eval_calls == 2
+
+
+def _hex_row(row: LogRow) -> list[str]:
+    return [v.hex() for v in row.values()]
+
+
+@pytest.mark.filterwarnings("ignore::itcsim.errors.InfeasibleShapingWarning")
+def test_logging_does_not_perturb_the_trajectory():
+    """Stage 1 of a logged step comes from ``evaluate``, of any other step
+    from ``rates``; the two agree bit-for-bit, so a short 3D engagement
+    ends the same and logs the same bits whatever the stride.  At 0.5 km
+    the law runs through the blend layer into the clamp and times out, so
+    the comparison covers both demand regimes and the forced final row."""
+    base = ScenarioConfig(
+        tf=2.3, initial_x_km=-0.5, elevation_deg=-10.0, azimuth_deg=10.0,
+        bound_mode="roll-coupled",
+    )
+    runs = {}
+    for stride in (1, 7):
+        cfg = replace(base, log_stride=stride)
+        runs[stride] = simulate(cfg.make_law(), cfg.initial_state(), cfg.sim_settings())
+    (dense, out_dense), (sparse, out_sparse) = runs[1], runs[7]
+    assert out_dense.status is RunStatus.TIMEOUT
+    assert repr(out_dense) == repr(out_sparse)
+    assert dense.warnings == sparse.warnings and len(dense.warnings) == 1
+    steps = len(dense.rows) - 1  # stride 1: a row per step plus the terminal row
+    assert len(sparse.rows) == (steps - 1) // 7 + 2
+    for i, row in enumerate(sparse.rows[:-1]):
+        assert _hex_row(row) == _hex_row(dense.rows[7 * i])
+    assert _hex_row(sparse.rows[-1]) == _hex_row(dense.rows[-1])
 
 
 def test_log_meta_records_law_and_dt():

@@ -9,6 +9,7 @@ sharing the same lead demand as the shaped law.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -143,6 +144,19 @@ def test_baseline_clip():
     # The same state through the unclipped law is not capped.
     free = BaselinePlanar(speed=250.0, t_final=50.0, shaping=_shaping())
     assert not free.evaluate(T_REF, y).capped
+
+
+def test_baseline_clip_matches_builtin_min_max():
+    """The clip in the chain and in ``log_row`` gives max(-a, min(a, x)) bits
+    on the edges, at +-inf and for NaN, with and without a finite clip."""
+    y = Y_REF[:3]
+    values = (0.0, -0.0, 1.0, -1.0, 98.1, -98.1, 1e308, math.inf, -math.inf, math.nan)
+    for a_clip in (math.inf, 98.1):
+        law = BaselinePlanar(speed=250.0, t_final=50.0, shaping=_shaping(), a_clip=a_clip)
+        ev = law.evaluate(T_REF, y)
+        for a in values:
+            row = law.log_row(T_REF, y, replace(ev, alpha_y=a))
+            assert repr(row.a_my) == repr(max(-a_clip, min(a_clip, a))), (a_clip, a)
 
 
 def test_log_row_mapping():

@@ -89,6 +89,23 @@ def test_effective_lead_clamps_roundoff():
     assert effective_lead(math.pi, 0.0) == pytest.approx(math.pi, rel=REL)
 
 
+def test_effective_lead_clamp_matches_builtin_min_max():
+    def old(theta_m, psi_m):
+        c = math.cos(theta_m) * math.cos(psi_m)
+        return math.acos(max(-1.0, min(1.0, c)))
+
+    angles = (0.0, -0.0, 1e-9, 0.3, math.pi / 2, math.pi, -math.pi, math.nan)
+    for a in angles:
+        for b in angles:
+            assert repr(effective_lead(a, b)) == repr(old(a, b)), (a, b)
+    assert effective_lead(math.nan, 0.0) == 0.0  # min(1.0, nan) is 1.0
+    for bad in (math.inf, -math.inf):  # cos() rejects both forms alike
+        with pytest.raises(ValueError):
+            old(bad, 0.0)
+        with pytest.raises(ValueError):
+            effective_lead(bad, 0.0)
+
+
 def test_heading_rates_acceleration_channels():
     # Flat geometry: pitch channel is a_mz / v, yaw channel is a_my / (v cos thetaM).
     theta_m_dot, psi_m_dot = heading_rates_3d(

@@ -195,3 +195,45 @@ def test_shaping_rates_small_demand_floor_keeps_rates_finite():
     # |sigma_d_dot| <= k1 * s'(z1) * |z1_dot| / eps_sin
     cap = p.k1 * SGMF_D1_0 * 10.0 / p.eps_sin
     assert abs(sh.sigma_d_dot) <= cap * (1.0 + 1e-12)
+
+
+# --- clamps: conditional expressions with the builtin min/max results ---------
+
+CLAMP_GAINS = (0.49, 0.0, 2.0, 2.5, -0.5, math.inf, -math.inf, math.nan)
+CLAMP_ERRORS = (0.0, 5e-324, 150.0, 300.0, 1e9, math.inf, math.nan)
+
+
+def _old_desired_lead(z1, params):
+    if z1 < 0.0:
+        return 0.0, False
+    c = 1.0 - params.k1 * sgmf(z1, params.phi)
+    return math.acos(max(-1.0, min(1.0, c))), True
+
+
+def _old_desired_heading(sigma_d):
+    c = 2.0 * math.cos(sigma_d) - 1.0
+    return 0.5 * math.acos(max(-1.0, min(1.0, c)))
+
+
+def test_desired_lead_clamp_matches_builtin_min_max():
+    """Unvalidated gains drive the cosine argument onto the +-1 edges, past
+    them, to +-inf and to NaN; every case gives the builtin-clamp bits."""
+    for k1 in CLAMP_GAINS:
+        p = ShapingParams(k1=k1)
+        for z1 in CLAMP_ERRORS:
+            assert repr(desired_lead(z1, p)) == repr(_old_desired_lead(z1, p)), (k1, z1)
+    # k1 = 2 parks the argument on -1 exactly: the demand is pi.
+    assert desired_lead(math.inf, ShapingParams(k1=2.0)) == (math.pi, True)
+    # A NaN argument clamps to 1 as min(1.0, nan) does: zero demand.
+    assert desired_lead(math.nan, _params()) == (0.0, True)
+
+
+def test_desired_heading_clamp_matches_builtin_min_max():
+    for sigma_d in (0.0, -0.0, 1.0, math.pi / 2, math.pi, -math.pi, 4.0, math.nan):
+        assert repr(desired_heading(sigma_d)) == repr(_old_desired_heading(sigma_d)), sigma_d
+    assert desired_heading(math.nan) == 0.0
+    for sigma_d in (math.inf, -math.inf):  # cos() rejects both forms alike
+        with pytest.raises(ValueError):
+            _old_desired_heading(sigma_d)
+        with pytest.raises(ValueError):
+            desired_heading(sigma_d)
