@@ -74,16 +74,25 @@ def _summary_line(label: str, status: str, metrics: Metrics | None, error: str |
 
 
 def _run_and_write(
-    label: str, cfg: ScenarioConfig, traj_path: str, metrics_path: str
+    label: str, cfg: ScenarioConfig, traj_path: str, metrics_path: str, caught: list[str]
 ) -> tuple[RunStatus, Metrics]:
-    """Simulate one scenario, write its trajectory CSV and metrics JSON."""
-    log, outcome, mets = run_scenario(cfg)
+    """Simulate one scenario, write its trajectory CSV and metrics JSON; the
+    run's warnings go to ``caught`` as messages before anything is written."""
+    with warnings.catch_warnings(record=True) as recorded:
+        log, outcome, mets = run_scenario(cfg)
+    caught.extend(str(w.message) for w in recorded)
     write_trajectory_csv(log, traj_path)
     payload: dict[str, object] = {"label": label, "status": outcome.status.value}
     payload.update(mets.to_dict())
     payload["warnings"] = list(log.warnings)
     write_metrics_json(payload, metrics_path)
     return outcome.status, mets
+
+
+def _print_warnings(label: str, messages: list[str]) -> None:
+    """The one way a command reports a run's warnings: labelled, on stderr."""
+    for msg in messages:
+        print(f"{label}: warning: {msg}", file=sys.stderr)
 
 
 # --- run ------------------------------------------------------------------------
@@ -108,7 +117,11 @@ def _compose_config(args: argparse.Namespace) -> tuple[str, ScenarioConfig]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     label, cfg = _compose_config(args)
-    status, mets = _run_and_write(label, cfg, args.out_traj, args.out_metrics)
+    messages: list[str] = []
+    try:
+        status, mets = _run_and_write(label, cfg, args.out_traj, args.out_metrics, messages)
+    finally:
+        _print_warnings(label, messages)
     print(_summary_line(label, status.value, mets, None))
     return _STATUS_EXIT[status]
 
@@ -122,18 +135,19 @@ def _batch_worker(
     """Run one batch scenario; the warnings it raised come back as messages,
     so the parent reports them in scenario order whatever process ran it."""
     label, cfg, out_dir = item
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            status, mets = _run_and_write(
-                label,
-                cfg,
-                os.path.join(out_dir, f"{label}.traj.csv"),
-                os.path.join(out_dir, f"{label}.metrics.json"),
-            )
-            result = label, cfg.azimuth_deg, status.value, mets, None
-        except Exception as exc:  # per-scenario isolation: record and continue
-            result = label, cfg.azimuth_deg, "error", None, str(exc)
-    return (*result, [str(w.message) for w in caught])
+    messages: list[str] = []
+    try:
+        status, mets = _run_and_write(
+            label,
+            cfg,
+            os.path.join(out_dir, f"{label}.traj.csv"),
+            os.path.join(out_dir, f"{label}.metrics.json"),
+            messages,
+        )
+        result = label, cfg.azimuth_deg, status.value, mets, None
+    except Exception as exc:  # per-scenario isolation: record and continue
+        result = label, cfg.azimuth_deg, "error", None, str(exc)
+    return (*result, messages)
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -154,8 +168,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     entries = []
     failed = False
     for label, angle, status, mets, error, messages in results:
-        for msg in messages:
-            print(f"{label}: warning: {msg}", file=sys.stderr)
+        _print_warnings(label, messages)
         print(_summary_line(label, status, mets, error))
         if status != RunStatus.INTERCEPTED.value:
             failed = True

@@ -231,57 +231,45 @@ class ScenarioConfig:
 # --- Key table -----------------------------------------------------------------
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
 def _parse_k1(text: str) -> float | str:
     return "auto" if text == "auto" else float(text)
 
 
 # canonical key -> (ScenarioConfig field, parser)
 KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "scenario.mode": ("mode", _parse_str),
-    "scenario.law": ("law", _parse_str),
-    "scenario.speed": ("speed", _parse_float),
-    "scenario.tf": ("tf", _parse_float),
-    "geometry.initialXKm": ("initial_x_km", _parse_float),
-    "geometry.initialYKm": ("initial_y_km", _parse_float),
-    "geometry.initialZKm": ("initial_z_km", _parse_float),
-    "geometry.targetXKm": ("target_x_km", _parse_float),
-    "geometry.targetYKm": ("target_y_km", _parse_float),
-    "geometry.targetZKm": ("target_z_km", _parse_float),
-    "launch.elevationDeg": ("elevation_deg", _parse_float),
-    "launch.azimuthDeg": ("azimuth_deg", _parse_float),
+    "scenario.mode": ("mode", str),
+    "scenario.law": ("law", str),
+    "scenario.speed": ("speed", float),
+    "scenario.tf": ("tf", float),
+    "geometry.initialXKm": ("initial_x_km", float),
+    "geometry.initialYKm": ("initial_y_km", float),
+    "geometry.initialZKm": ("initial_z_km", float),
+    "geometry.targetXKm": ("target_x_km", float),
+    "geometry.targetYKm": ("target_y_km", float),
+    "geometry.targetZKm": ("target_z_km", float),
+    "launch.elevationDeg": ("elevation_deg", float),
+    "launch.azimuthDeg": ("azimuth_deg", float),
     "gains.k1": ("k1", _parse_k1),
-    "gains.k2": ("k2", _parse_float),
-    "gains.k3": ("k3", _parse_float),
-    "gains.k4": ("k4", _parse_float),
-    "gains.ky": ("ky", _parse_float),
-    "gains.kz": ("kz", _parse_float),
-    "baseline.aClipG": ("a_clip_g", _parse_float),
-    "shaping.phi": ("phi", _parse_float),
-    "shaping.sigmaMaxDeg": ("sigma_max_deg", _parse_float),
-    "shaping.epsSin": ("eps_sin", _parse_float),
-    "saturation.n": ("n", _parse_int),
-    "saturation.rho": ("rho", _parse_float),
-    "saturation.boundMode": ("bound_mode", _parse_str),
-    "saturation.aMaxG": ("a_max_g", _parse_float),
-    "saturation.aMaxLG": ("a_max_l_g", _parse_float),
-    "saturation.g": ("g", _parse_float),
-    "saturation.bCap": ("b_cap", _parse_float),
-    "sim.dt": ("dt", _parse_float),
-    "sim.hitRadius": ("hit_radius", _parse_float),
-    "sim.tMaxFactor": ("t_max_factor", _parse_float),
-    "sim.logStride": ("log_stride", _parse_int),
+    "gains.k2": ("k2", float),
+    "gains.k3": ("k3", float),
+    "gains.k4": ("k4", float),
+    "gains.ky": ("ky", float),
+    "gains.kz": ("kz", float),
+    "baseline.aClipG": ("a_clip_g", float),
+    "shaping.phi": ("phi", float),
+    "shaping.sigmaMaxDeg": ("sigma_max_deg", float),
+    "shaping.epsSin": ("eps_sin", float),
+    "saturation.n": ("n", int),
+    "saturation.rho": ("rho", float),
+    "saturation.boundMode": ("bound_mode", str),
+    "saturation.aMaxG": ("a_max_g", float),
+    "saturation.aMaxLG": ("a_max_l_g", float),
+    "saturation.g": ("g", float),
+    "saturation.bCap": ("b_cap", float),
+    "sim.dt": ("dt", float),
+    "sim.hitRadius": ("hit_radius", float),
+    "sim.tMaxFactor": ("t_max_factor", float),
+    "sim.logStride": ("log_stride", int),
 }
 
 _LOWER_TO_KEY = {k.lower(): k for k in KEYS}

@@ -4,12 +4,13 @@ The engine is law-agnostic: anything shaped like ``GuidanceLaw`` can be
 integrated.  Every Runge-Kutta stage re-evaluates the guidance commands, so
 the closed loop is integrated as one smooth vector field rather than with a
 held command, and each step runs the control chain exactly four times.  The
-stages call ``rates(t, y)``, which returns only the state derivatives and
-the shaping-feasibility flag.  The full diagnostic record, ``evaluate(t, y)``,
-is built only for the rows that are logged (``log_row(t, y, eval)``): every
-``log_stride``-th step plus the terminal or guard-trip row.  On a logged
-step that record is built first, and its derivatives and feasibility serve
-as stage 1.
+stages call ``rates(t, y)``, the law's control chain; of the tuple it
+returns the engine reads only item 0, the state derivatives, and item 1,
+the shaping-feasibility flag.  The full diagnostic record, ``evaluate(t,
+y)``, is built only for the rows that are logged (``log_row(t, y, eval)``):
+every ``log_stride``-th step plus the terminal or guard-trip row.  Its
+items 0 and 1 are the same two values, so on a logged step the record is
+built first and serves as stage 1 itself.
 
 A run terminates when the range first drops to the hit radius
 (``intercepted``, with the crossing time interpolated inside the final
@@ -33,22 +34,24 @@ from .logio import LogRow, TrajectoryLog
 
 
 class GuidanceLaw(Protocol):
-    """What the engine needs of a law; ``rates`` and ``evaluate`` raise the
-    same ``GuardTrip``s and agree bit-for-bit on derivatives and feasibility.
+    """What the engine needs of a law.
 
-    The record ``evaluate`` returns carries ``derivs`` and ``feasible``; on a
-    logged step they are RK4 stage 1, so ``rates`` serves stages 2-4 there.
+    ``rates`` and ``evaluate`` both return a tuple whose item 0 is the state
+    derivatives and item 1 the shaping feasibility; the engine reads no
+    other item and no field name.  The two raise the same ``GuardTrip``s and
+    agree bit-for-bit on those items, so an ``evaluate`` record is RK4 stage
+    1 of a logged step and ``rates`` serves every other stage.
     """
 
     state_size: int
     speed: float
     t_final: float
 
-    def rates(self, t: float, y: tuple[float, ...]) -> tuple[tuple[float, ...], bool]: ...
+    def rates(self, t: float, y: tuple[float, ...]) -> tuple: ...
 
-    def evaluate(self, t: float, y: tuple[float, ...]) -> object: ...
+    def evaluate(self, t: float, y: tuple[float, ...]) -> tuple: ...
 
-    def log_row(self, t: float, y: tuple[float, ...], ev: object) -> LogRow: ...
+    def log_row(self, t: float, y: tuple[float, ...], ev: tuple) -> LogRow: ...
 
 
 @dataclass(frozen=True)
@@ -107,14 +110,15 @@ def rk4_step(
     t: float,
     y: tuple[float, ...],
     dt: float,
-    stage1: tuple[tuple[float, ...], bool] | None = None,
+    stage1: tuple | None = None,
 ) -> tuple[tuple[float, ...], bool]:
     """One classical RK4 step; returns the new state and the stage-1 feasibility.
 
-    ``stage1`` is ``law.rates(t, y)`` when the caller already has it.
+    ``stage1`` is ``law.rates(t, y)`` or ``law.evaluate(t, y)`` when the
+    caller already has it; only its items 0 and 1 are read.
     """
     rates = law.rates
-    k1, feasible = rates(t, y) if stage1 is None else stage1
+    k1, feasible = (rates(t, y) if stage1 is None else stage1)[:2]
     h2 = 0.5 * dt
     k2 = rates(t + h2, [yi + h2 * ki for yi, ki in zip(y, k1)])[0]
     k3 = rates(t + h2, [yi + h2 * ki for yi, ki in zip(y, k2)])[0]
@@ -161,7 +165,7 @@ def simulate(
     was_feasible = True
     warned_infeasible = False
 
-    def log_state(t: float, ev: object) -> None:
+    def log_state(t: float, ev: tuple) -> None:
         nonlocal last_logged
         log.rows.append(law.log_row(t, y, ev))
         last_logged = step
@@ -173,7 +177,7 @@ def simulate(
             if step % log_stride == 0:
                 ev = law.evaluate(t, y)
                 log_state(t, ev)
-                y_new, feasible = rk4_step(law, t, y, dt, (ev.derivs, ev.feasible))
+                y_new, feasible = rk4_step(law, t, y, dt, ev)
             else:
                 y_new, feasible = rk4_step(law, t, y, dt)
         except GuardTrip as trip:
@@ -243,8 +247,7 @@ def simulate(
         flyby = r_new > r_prev and r_min < 10.0 * settings.hit_radius
         if flyby or t_new >= t_max:
             try:
-                if last_logged != step:
-                    log_state(t_new, law.evaluate(t_new, y))
+                log_state(t_new, law.evaluate(t_new, y))
             except GuardTrip:
                 pass
             if flyby:

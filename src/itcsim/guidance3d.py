@@ -28,7 +28,7 @@ whenever the command cap and shaping guards are inactive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GuardTrip
 from .kinematics import (
@@ -39,12 +39,14 @@ from .saturation import EPS_DEN, SaturationParams, axis_brackets, clip_command
 from .shaping import ShapingParams, shaping_rates
 
 
-@dataclass
-class Eval3D:
-    """One evaluation of the 3D law: state derivatives plus diagnostics."""
+class Eval3D(NamedTuple):
+    """One evaluation of the 3D law: state derivatives plus diagnostics.
 
-    # Derivatives of (r, theta, psi, theta_m, psi_m, a_my, a_mz).  The fields
-    # up to a_z_max come in the order ``Guidance3D._chain`` returns them.
+    The fields up to a_z_max are ``Guidance3D.rates``'s tuple, in its order;
+    items 0 and 1 (``derivs``, ``feasible``) are all the integrator reads.
+    """
+
+    # Derivatives of (r, theta, psi, theta_m, psi_m, a_my, a_mz).
     derivs: tuple[float, float, float, float, float, float, float]
     feasible: bool
     capped: bool
@@ -73,9 +75,9 @@ class Guidance3D:
     """Closed-loop evaluation of the 3D impact-time guidance law.
 
     Bundles the engagement constants (speed, commanded impact time) with the
-    shaping, gain and actuator parameter blocks; ``rates`` maps a state tuple
-    to its derivative tuple and ``evaluate`` adds every intermediate the logs
-    and tests need.
+    shaping, gain and actuator parameter blocks; ``rates`` runs the control
+    chain on a state tuple and ``evaluate`` adds the diagnostics the logs and
+    tests need.
     """
 
     state_size = 7
@@ -102,29 +104,21 @@ class Guidance3D:
         self.kz = kz
         self.target = target
 
-    def rates(
-        self, t: float, y: tuple[float, float, float, float, float, float, float]
-    ) -> tuple[tuple[float, ...], bool]:
-        """State derivatives and shaping feasibility: the integrator's hot path."""
-        return self._chain(t, y)[:2]
-
     def evaluate(
         self, t: float, y: tuple[float, float, float, float, float, float, float]
     ) -> Eval3D:
         """Derivatives plus every diagnostic the logs and tests read."""
-        out = self._chain(t, y)
+        out = self.rates(t, y)
         z3, z4, zy, zz = out[5:9]
-        return Eval3D(
-            *out,
-            sigma=effective_lead(y[3], y[4]),
-            lyapunov_z=0.5 * (z3 * z3 + zz * zz),
-            lyapunov_y=0.5 * (z4 * z4 + zy * zy),
-        )
+        sigma = effective_lead(y[3], y[4])
+        lyapunov_z = 0.5 * (z3 * z3 + zz * zz)
+        lyapunov_y = 0.5 * (z4 * z4 + zy * zy)
+        return Eval3D(*out, sigma, lyapunov_z, lyapunov_y)
 
-    def _chain(self, t: float, y: tuple[float, ...]) -> tuple:
-        """The control chain, written once for ``rates`` and ``evaluate``: a
-        flat tuple of the ``Eval3D`` fields up to a_z_max, so the hot path
-        builds no record."""
+    def rates(self, t: float, y: tuple[float, ...]) -> tuple:
+        """The control chain, the integrator's hot path: a flat tuple of the
+        ``Eval3D`` fields up to a_z_max, led by the state derivatives and
+        the shaping feasibility, so no record is built per stage."""
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
         v = self.speed
         if r < EPS_RANGE:
@@ -241,29 +235,9 @@ class Guidance3D:
     ) -> LogRow:
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
         px, py, pz = inertial_position(r, theta, psi, self.target)
+        # In COLUMNS order; z2 is a planar-only column.
         return LogRow(
-            t=t,
-            r=r,
-            theta=theta,
-            psi=psi,
-            theta_m=theta_m,
-            psi_m=psi_m,
-            sigma=ev.sigma,
-            a_my=a_my,
-            a_mz=a_mz,
-            b_y=ev.b_y,
-            b_z=ev.b_z,
-            z1=ev.z1,
-            z2=0.0,
-            z3=ev.z3,
-            z4=ev.z4,
-            zy=ev.zy,
-            zz=ev.zz,
-            a_y_max=ev.a_y_max,
-            a_z_max=ev.a_z_max,
-            lyapunov_z=ev.lyapunov_z,
-            lyapunov_y=ev.lyapunov_y,
-            x=px,
-            y=py,
-            z=pz,
+            t, r, theta, psi, theta_m, psi_m, ev.sigma, a_my, a_mz, ev.b_y, ev.b_z,
+            ev.z1, 0.0, ev.z3, ev.z4, ev.zy, ev.zz, ev.a_y_max, ev.a_z_max,
+            ev.lyapunov_z, ev.lyapunov_y, px, py, pz,
         )

@@ -20,7 +20,7 @@ exactly what makes it a fair efficiency benchmark for the compensated law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GuardTrip
 from .kinematics import EPS_RANGE, lead_rate_planar, los_rates_planar_trig
@@ -44,42 +44,22 @@ def _planar_log_row(
     state naming) and the engagement plane is taken as z = target z for the
     position columns.
     """
+    # In COLUMNS order; the zeros are the 3D-only columns.
     return LogRow(
-        t=t,
-        r=r,
-        theta=theta,
-        psi=0.0,
-        theta_m=0.0,
-        psi_m=0.0,
-        sigma=sigma,
-        a_my=a_my,
-        a_mz=0.0,
-        b_y=ev.b_y,
-        b_z=0.0,
-        z1=ev.z1,
-        z2=ev.z2,
-        z3=0.0,
-        z4=0.0,
-        zy=ev.zy,
-        zz=0.0,
-        a_y_max=ev.a_y_max,
-        a_z_max=0.0,
-        lyapunov_z=0.0,
-        lyapunov_y=ev.lyapunov_y,
-        x=target[0] - r * math.cos(theta),
-        y=target[1] - r * math.sin(theta),
-        z=target[2],
+        t, r, theta, 0.0, 0.0, 0.0, sigma, a_my, 0.0, ev.b_y, 0.0,
+        ev.z1, ev.z2, 0.0, 0.0, ev.zy, 0.0, ev.a_y_max, 0.0, 0.0, ev.lyapunov_y,
+        target[0] - r * math.cos(theta), target[1] - r * math.sin(theta), target[2],
     )
 
 
-@dataclass
-class EvalPlanar:
+class EvalPlanar(NamedTuple):
     """One evaluation of a planar law: derivatives plus diagnostics.
 
     ``derivs`` covers (r, theta, sigma, a_my) for the compensated law and
     (r, theta, sigma) for the baseline, whose acceleration is not a state.
-    The fields up to a_y_max come in the order ``GuidancePlanar._chain``
-    returns them.
+    The fields up to a_y_max are ``GuidancePlanar.rates``'s tuple, in its
+    order; items 0 and 1 (``derivs``, ``feasible``) are all the integrator
+    reads.
     """
 
     derivs: tuple[float, ...]
@@ -119,19 +99,16 @@ class GuidancePlanar:
         self.ky = ky
         self.target = target
 
-    def rates(self, t: float, y: tuple[float, ...]) -> tuple[tuple[float, ...], bool]:
-        """State derivatives and shaping feasibility: the integrator's hot path."""
-        return self._chain(t, y)[:2]
-
     def evaluate(self, t: float, y: tuple[float, float, float, float]) -> EvalPlanar:
         """Derivatives plus every diagnostic the logs and tests read."""
-        out = self._chain(t, y)
+        out = self.rates(t, y)
         z2, zy = out[5:7]
         return EvalPlanar(*out, lyapunov_y=0.5 * (z2 * z2 + zy * zy))
 
-    def _chain(self, t: float, y: tuple[float, ...]) -> tuple:
-        """The control chain, written once for ``rates`` and ``evaluate``: a
-        flat tuple of the ``EvalPlanar`` fields up to a_y_max."""
+    def rates(self, t: float, y: tuple[float, ...]) -> tuple:
+        """The control chain, the integrator's hot path: a flat tuple of the
+        ``EvalPlanar`` fields up to a_y_max, led by the state derivatives and
+        the shaping feasibility."""
         r, _theta, sigma, a_my = y
         v = self.speed
         if r < EPS_RANGE:
@@ -210,20 +187,16 @@ class BaselinePlanar:
         self.a_clip = a_clip
         self.target = target
 
-    def rates(self, t: float, y: tuple[float, ...]) -> tuple[tuple[float, ...], bool]:
-        """State derivatives and shaping feasibility: the integrator's hot path."""
-        return self._chain(t, y)[:2]
-
     def evaluate(self, t: float, y: tuple[float, float, float]) -> EvalPlanar:
         """Derivatives plus every diagnostic the logs and tests read."""
-        derivs, feasible, capped, sigma_d, z1, z2, a_raw = self._chain(t, y)
+        derivs, feasible, capped, sigma_d, z1, z2, a_raw = self.rates(t, y)
         return EvalPlanar(
             derivs, feasible, capped, sigma_d, z1, z2, zy=0.0, alpha_y=a_raw, alpha_y_dot=0.0,
             b_y=a_raw, a_y_max=self.a_clip, lyapunov_y=0.5 * z2 * z2,
         )
 
-    def _chain(self, t: float, y: tuple[float, ...]) -> tuple:
-        """The control chain, written once for ``rates`` and ``evaluate``:
+    def rates(self, t: float, y: tuple[float, ...]) -> tuple:
+        """The control chain, the integrator's hot path:
         (derivs, feasible, capped, sigma_d, z1, z2, raw acceleration)."""
         r, _theta, sigma = y
         v = self.speed

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 # Column order of the trajectory CSV.  Vz/Vy are the quadratic error forms
 # of the vertical and horizontal guidance channels; x/y/z the inertial
@@ -46,9 +46,9 @@ COLUMNS = (
 )
 
 
-@dataclass
-class LogRow:
-    """One sampled instant of a run, in the shared column schema."""
+class LogRow(NamedTuple):
+    """One sampled instant of a run, in the shared column schema: the tuple
+    is one CSV row in ``COLUMNS`` order."""
 
     t: float
     r: float
@@ -75,33 +75,10 @@ class LogRow:
     y: float
     z: float
 
-    def values(self) -> tuple[float, ...]:
-        return (
-            self.t,
-            self.r,
-            self.theta,
-            self.psi,
-            self.theta_m,
-            self.psi_m,
-            self.sigma,
-            self.a_my,
-            self.a_mz,
-            self.b_y,
-            self.b_z,
-            self.z1,
-            self.z2,
-            self.z3,
-            self.z4,
-            self.zy,
-            self.zz,
-            self.a_y_max,
-            self.a_z_max,
-            self.lyapunov_z,
-            self.lyapunov_y,
-            self.x,
-            self.y,
-            self.z,
-        )
+    def values(self) -> LogRow:
+        """The row itself; kept for callers written against the record
+        form, such as ``perfbench/run.py`` reading re-read rows."""
+        return self
 
 
 @dataclass
@@ -111,11 +88,6 @@ class TrajectoryLog:
     rows: list[LogRow] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     meta: dict[str, object] = field(default_factory=dict)
-
-    def column(self, name: str) -> list[float]:
-        """One column as a list, by CSV header name."""
-        idx = COLUMNS.index(name)
-        return [row.values()[idx] for row in self.rows]
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -136,7 +108,7 @@ def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
         fh.write(",".join(COLUMNS) + "\r\n")
         write, fmt = fh.write, _ROW_FORMAT.format
         for row in log.rows:
-            write(fmt(*row.values()))
+            write(fmt(*row))
 
 
 def read_trajectory_csv(path: str) -> TrajectoryLog:
@@ -148,7 +120,7 @@ def read_trajectory_csv(path: str) -> TrajectoryLog:
         if tuple(header) != COLUMNS:
             raise ValueError(f"unexpected trajectory columns: {header}")
         for rec in reader:
-            log.rows.append(LogRow(*(float(v) for v in rec)))
+            log.rows.append(LogRow._make(map(float, rec)))
     return log
 
 

@@ -184,7 +184,11 @@ def axis_brackets(
         c = math.hypot(a_my, a_mz) / params.a_max
         bracket = 1.0 - c**n
         return bracket, bracket, a_y_max, a_z_max
-    c = max(abs(a_my) / a_y_max, abs(a_mz) / a_z_max)
+    # The larger axis fraction as max(c_y, c_z) would pick it (NaN
+    # included), without the builtin call.
+    c_y = abs(a_my) / a_y_max
+    c_z = abs(a_mz) / a_z_max
+    c = c_z if c_z > c_y else c_y
     bracket = 1.0 - c**n
     return bracket, bracket, a_y_max, a_z_max
 

@@ -468,7 +468,7 @@ class _PlanarSection:
 
     def rates(self, t, y):
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
-        pl_derivs, feasible = self.planar.rates(t, (r, psi, psi_m, a_my))
+        pl_derivs, feasible = self.planar.rates(t, (r, psi, psi_m, a_my))[:2]
         r_dot, theta_dot, psi_dot = los_rates_3d(r, theta, theta_m, psi_m, self.speed)
         theta_m_dot, psi_m_dot = heading_rates_3d(
             theta, theta_m, psi_m, theta_dot, psi_dot, a_my, a_mz, self.speed

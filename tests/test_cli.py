@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -65,6 +66,24 @@ def test_run_writes_trajectory_and_metrics(tmp_path, micro_cfg, capsys):
 
     out = capsys.readouterr().out
     assert "intercepted" in out and "impact=" in out
+
+
+def test_run_warnings_are_labelled(tmp_path, micro_cfg, capsys):
+    """``run`` reports a warning as ``batch`` does, ``<label>: warning:``
+    on stderr, and not through the default format with a source line."""
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        code = main([
+            "run", "--config", str(micro_cfg),
+            "--out-traj", str(tmp_path / "t.csv"), "--out-metrics", str(tmp_path / "m.json"),
+        ])
+    assert code == EXIT_OK
+    assert leaked == []
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "run: warning: shaping demand clamped to zero lead at t=0.132 s (range-time error < 0)"
+    ]
+    assert "config.py:" not in err
 
 
 def test_run_preset_composes_with_config_overrides(tmp_path, capsys):

@@ -9,7 +9,8 @@ detection, a harmonic oscillator for integrator accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 
@@ -33,8 +34,7 @@ def _row(t: float, r: float) -> LogRow:
     return LogRow(t=t, r=r, **vals)
 
 
-@dataclass
-class _Ev:
+class _Ev(NamedTuple):
     derivs: tuple[float, ...]
     feasible: bool = True
 

@@ -40,14 +40,7 @@ def test_columns_match_row_values():
     assert len(row.values()) == len(COLUMNS)
     assert row.values()[0] == 1.0
     assert row.values()[-1] == 24.0
-
-
-def test_column_accessor():
-    log = TrajectoryLog(rows=[_row(t=0.0, sigma=0.5), _row(t=1.0, sigma=-0.25)])
-    assert log.column("t") == [0.0, 1.0]
-    assert log.column("sigma") == [0.5, -0.25]
-    with pytest.raises(ValueError):
-        log.column("nonexistent")
+    assert row.values() is row  # the row is its own CSV tuple
 
 
 def test_trajectory_csv_bytes_match_csv_writer(tmp_path):

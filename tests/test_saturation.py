@@ -177,6 +177,29 @@ def test_axis_brackets_shared_fraction_under_scheduled_bounds():
         assert by <= saturation_bracket(a_mz, az, 2) + 1e-12
 
 
+def test_wing_tail_brackets_match_builtin_max():
+    """The wing-tail shared fraction gives the bits of the builtin
+    max(|a_my|/A_y, |a_mz|/A_z) on equal fractions, at +-inf and for NaN."""
+    p = _params(mode=BoundMode.WING_TAIL, a_max_l=9.81)
+
+    def old(a_my, a_mz):
+        a_y_max, a_z_max = axis_bounds(a_my, a_mz, p)
+        c = max(abs(a_my) / a_y_max, abs(a_mz) / a_z_max)
+        bracket = 1.0 - c**p.n
+        return bracket, bracket, a_y_max, a_z_max
+
+    values = (0.0, -0.0, 30.0, -30.0, 97.0, math.inf, -math.inf, math.nan)
+    for a_my in values:
+        for a_mz in values:
+            assert repr(axis_brackets(a_my, a_mz, p)) == repr(old(a_my, a_mz)), (a_my, a_mz)
+    # Equal fractions; and a_my = inf makes A_y, so the first fraction, NaN
+    # while the second is 0, where max keeps its first argument.
+    by, _, ay, _ = axis_brackets(30.0, -30.0, p)
+    assert by == saturation_bracket(30.0, ay, p.n)
+    assert math.isnan(axis_brackets(math.inf, 0.0, p)[0])
+    assert axis_brackets(0.0, math.inf, p)[0] == 1.0
+
+
 def test_clip_command():
     p = _params(b_cap=5000.0)
     assert clip_command(123.0, p) == 123.0
