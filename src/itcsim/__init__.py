@@ -32,7 +32,7 @@ from .logio import (
 )
 from .metrics import CompareEntry, Metrics, compare_report, control_effort, interception_metrics
 from .presets import PRESET_NAMES, preset_scenarios
-from .saturation import BoundMode, SaturationParams, axis_bounds, saturation_rate
+from .saturation import BoundMode, SaturationParams, saturation_rate
 from .shaping import ShapingParams, desired_heading, desired_lead, sgmf, shaping_rates
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __all__ = [
     "SimulationWarning",
     "TrajectoryLog",
     "ValidationError",
-    "axis_bounds",
     "compare_report",
     "control_effort",
     "desired_heading",

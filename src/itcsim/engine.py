@@ -142,7 +142,7 @@ def simulate(
     if len(y0) != law.state_size:
         raise ConfigError(f"initial state has {len(y0)} components, law expects {law.state_size}")
 
-    log = TrajectoryLog(meta={"law": type(law).__name__, "dt": settings.dt})
+    log = TrajectoryLog()
     dt = settings.dt
     t_max = settings.t_max_factor * law.t_final
     y = tuple(float(v) for v in y0)
@@ -165,32 +165,19 @@ def simulate(
     was_feasible = True
     warned_infeasible = False
 
-    def log_state(t: float, ev: tuple) -> None:
-        nonlocal last_logged
-        log.rows.append(law.log_row(t, y, ev))
-        last_logged = step
-
     log_stride = settings.log_stride
     while True:
         t = step * dt
         try:
             if step % log_stride == 0:
                 ev = law.evaluate(t, y)
-                log_state(t, ev)
+                log.rows.append(law.log_row(t, y, ev))
+                last_logged = step
                 y_new, feasible = rk4_step(law, t, y, dt, ev)
             else:
                 y_new, feasible = rk4_step(law, t, y, dt)
         except GuardTrip as trip:
-            # Try to capture the last healthy state in the log before
-            # reporting the trip; the pre-step state evaluated fine on the
-            # previous iteration, so a second failure here means the trip
-            # is at the step boundary itself and the log just ends early.
-            try:
-                if last_logged != step:
-                    log_state(t, law.evaluate(t, y))
-            except GuardTrip:
-                pass
-            return log, RunOutcome(
+            outcome = RunOutcome(
                 status=RunStatus.GUARD_TRIPPED,
                 impact_time=None,
                 miss_distance=r_min,
@@ -198,6 +185,7 @@ def simulate(
                 guard=trip.guard,
                 message=str(trip),
             )
+            break
 
         if feasible != was_feasible:
             was_feasible = feasible
@@ -211,6 +199,7 @@ def simulate(
                 log.warnings.append(msg)
 
         if not all(map(math.isfinite, y_new)):
+            # No row for a non-finite state: the log ends with the rows it has.
             return log, RunOutcome(
                 status=RunStatus.GUARD_TRIPPED,
                 impact_time=None,
@@ -232,24 +221,17 @@ def simulate(
             # Linear-in-range interpolation of the crossing instant.
             frac = (r_prev - settings.hit_radius) / (r_prev - r_new)
             impact = t_new - dt + frac * dt
-            try:
-                log_state(t_new, law.evaluate(t_new, y))
-            except GuardTrip:
-                pass
-            return log, RunOutcome(
+            outcome = RunOutcome(
                 status=RunStatus.INTERCEPTED,
                 impact_time=impact,
                 miss_distance=r_new,
                 final_time=t_new,
                 message=f"range crossed {settings.hit_radius} m at t={impact:.4f} s",
             )
+            break
 
         flyby = r_new > r_prev and r_min < 10.0 * settings.hit_radius
         if flyby or t_new >= t_max:
-            try:
-                log_state(t_new, law.evaluate(t_new, y))
-            except GuardTrip:
-                pass
             if flyby:
                 msg = (
                     f"flyby: range increasing at t={t_new:.4f} s after closest "
@@ -260,10 +242,22 @@ def simulate(
                     f"no interception by t={t_new:.2f} s; closest approach "
                     f"{r_min:.2f} m at t={t_r_min:.2f} s"
                 )
-            return log, RunOutcome(
+            outcome = RunOutcome(
                 status=RunStatus.TIMEOUT,
                 impact_time=None,
                 miss_distance=r_min,
                 final_time=t_new,
                 message=msg,
             )
+            break
+
+    # Log the end state (the post-step state, or the pre-step state of a
+    # guard trip) unless its row is already there.  After a trip that state
+    # evaluated fine on the previous iteration, so a second trip here means
+    # the trip is at the step boundary itself and the log just ends early.
+    if last_logged != step:
+        try:
+            log.rows.append(law.log_row(outcome.final_time, y, law.evaluate(outcome.final_time, y)))
+        except GuardTrip:
+            pass
+    return log, outcome

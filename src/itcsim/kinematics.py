@@ -47,52 +47,31 @@ def effective_lead(theta_m: float, psi_m: float) -> float:
 # --- Equations of motion ----------------------------------------------------
 
 
-def los_rates_3d(
-    r: float, theta: float, theta_m: float, psi_m: float, v: float
-) -> tuple[float, float, float]:
-    """Range and LOS angular rates (r_dot, theta_dot, psi_dot) for 3D flight."""
-    cos_t, sin_pm, cos_pm = math.cos(theta), math.sin(psi_m), math.cos(psi_m)
-    return los_rates_3d_trig(r, cos_t, math.sin(theta_m), math.cos(theta_m), sin_pm, cos_pm, v)
-
-
 def los_rates_3d_trig(
     r: float, cos_t: float, sin_tm: float, cos_tm: float, sin_pm: float, cos_pm: float, v: float
 ) -> tuple[float, float, float]:
-    """``los_rates_3d`` from the sines and cosines of theta, theta_m and psi_m."""
+    """Range and LOS angular rates (r_dot, theta_dot, psi_dot) for 3D flight.
+
+    Takes the cosine of theta and the sines and cosines of theta_m and
+    psi_m, which the caller has already computed.
+    """
     r_dot = -v * cos_tm * cos_pm
     theta_dot = -v * sin_tm / r
     psi_dot = -v * cos_tm * sin_pm / (r * cos_t)
     return r_dot, theta_dot, psi_dot
 
 
-def heading_rates_3d(
-    theta: float,
-    theta_m: float,
-    psi_m: float,
-    theta_dot: float,
-    psi_dot: float,
-    a_my: float,
-    a_mz: float,
-    v: float,
+def heading_rates_3d_trig(
+    sin_t: float, cos_t: float, cos_tm: float, tan_tm: float, sin_pm: float, cos_pm: float,
+    theta_dot: float, psi_dot: float, a_my: float, a_mz: float, v: float,
 ) -> tuple[float, float]:
     """Lead-angle rates (theta_m_dot, psi_m_dot) under lateral accelerations.
 
     The lead angles are measured against the rotating LOS frame, so the LOS
     rates appear as kinematic coupling terms alongside the acceleration
-    commands.
+    commands.  Takes the trig of theta, theta_m and psi_m; ``tan_tm`` is
+    ``math.tan(theta_m)``, which sin/cos can miss by an ulp.
     """
-    return heading_rates_3d_trig(
-        math.sin(theta), math.cos(theta), math.cos(theta_m), math.tan(theta_m),
-        math.sin(psi_m), math.cos(psi_m), theta_dot, psi_dot, a_my, a_mz, v,
-    )
-
-
-def heading_rates_3d_trig(
-    sin_t: float, cos_t: float, cos_tm: float, tan_tm: float, sin_pm: float, cos_pm: float,
-    theta_dot: float, psi_dot: float, a_my: float, a_mz: float, v: float,
-) -> tuple[float, float]:
-    """``heading_rates_3d`` from the trig of theta, theta_m and psi_m
-    (``tan_tm`` is ``math.tan(theta_m)``, which sin/cos can miss by an ulp)."""
     theta_m_dot = a_mz / v - psi_dot * sin_t * sin_pm - theta_dot * cos_pm
     psi_m_dot = (
         a_my / (v * cos_tm)
@@ -103,13 +82,9 @@ def heading_rates_3d_trig(
     return theta_m_dot, psi_m_dot
 
 
-def los_rates_planar(r: float, sigma: float, v: float) -> tuple[float, float]:
-    """Range and LOS rates (r_dot, theta_dot) for planar flight."""
-    return los_rates_planar_trig(r, math.sin(sigma), math.cos(sigma), v)
-
-
 def los_rates_planar_trig(r: float, sin_s: float, cos_s: float, v: float) -> tuple[float, float]:
-    """``los_rates_planar`` from the sine and cosine of sigma."""
+    """Range and LOS rates (r_dot, theta_dot) for planar flight, from the
+    sine and cosine of sigma."""
     return -v * cos_s, -v * sin_s / r
 
 

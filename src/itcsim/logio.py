@@ -87,7 +87,6 @@ class TrajectoryLog:
 
     rows: list[LogRow] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    meta: dict[str, object] = field(default_factory=dict)
 
 
 # --- CSV ----------------------------------------------------------------------

@@ -14,16 +14,21 @@ uncapped feedback command can grow without bound exactly when the bracket
 shrinks, which would both defeat the barrier and make the system arbitrarily
 stiff to integrate.
 
-Three bound schedules are supported:
+Three bound schedules are supported; ||a|| is the resultant of the two
+channel accelerations:
 
-- constant:     both axes get the same fixed bound.
-- roll-coupled: a shared resultant limit is split between the axes in
-                proportion to the current acceleration direction, as for an
-                airframe whose single lift vector is rolled to point the
-                resultant.
-- wing-tail:    each axis bound interpolates between a small dedicated-
+- constant:     both axes get the same fixed bound a_max.
+- roll-coupled: A_axis = a_max * |a_axis| / ||a|| splits a shared resultant
+                limit between the axes in proportion to the current
+                direction, as for an airframe whose single lift vector is
+                rolled to point the resultant.
+- wing-tail:    A_axis = a_max_l + (a_max - a_max_l) * |a_axis| / ||a||
+                interpolates each axis bound between a small dedicated-
                 surface limit and the full limit as that axis comes to
                 dominate the resultant.
+
+A resultant below EPS_RESULTANT has no direction; both axes then get the
+even split |a_axis| / ||a|| = 1/sqrt(2), the limit of any fixed direction.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ EPS_RESULTANT = 1e-6
 # the actuator state cannot actually reach its bound, so a trip indicates a
 # mis-set scenario.
 EPS_DEN = 1e-6
+
+_SQRT2 = math.sqrt(2.0)
 
 
 class BoundMode(str, Enum):
@@ -86,72 +93,19 @@ class SaturationParams:
             raise ConfigError(f"command cap b_cap must be > 0, got {self.b_cap}", field="b_cap")
 
 
-# --- Bound schedules ---------------------------------------------------------
-
-
-def roll_coupled_bounds(a_my: float, a_mz: float, a_max: float) -> tuple[float, float]:
-    """Split a shared resultant bound in proportion to the current direction.
-
-    A_y = a_max * |a_my| / ||a||, A_z = a_max * |a_mz| / ||a||.  When the
-    resultant is too small to define a direction the bound is split evenly,
-    which is the limit of any fixed direction and keeps the split continuous
-    in practice.
-    """
-    mag = math.hypot(a_my, a_mz)
-    if mag < EPS_RESULTANT:
-        even = a_max / math.sqrt(2.0)
-        return even, even
-    return a_max * abs(a_my) / mag, a_max * abs(a_mz) / mag
-
-
-def wing_tail_bounds(
-    a_my: float, a_mz: float, a_max_l: float, a_max: float
-) -> tuple[float, float]:
-    """Interpolate each axis bound between a_max_l and a_max by direction.
-
-    A_axis = a_max_l + (a_max - a_max_l) * |a_axis| / ||a||; an axis carrying
-    the whole resultant gets the full bound, an idle axis the lower one.
-    """
-    mag = math.hypot(a_my, a_mz)
-    if mag < EPS_RESULTANT:
-        even = a_max_l + (a_max - a_max_l) / math.sqrt(2.0)
-        return even, even
-    span = a_max - a_max_l
-    return a_max_l + span * abs(a_my) / mag, a_max_l + span * abs(a_mz) / mag
-
-
-def axis_bounds(a_my: float, a_mz: float, params: SaturationParams) -> tuple[float, float]:
-    """Current per-axis acceleration bounds (A_y, A_z) under the schedule."""
-    if params.mode is BoundMode.CONSTANT:
-        return params.a_max, params.a_max
-    if params.mode is BoundMode.ROLL_COUPLED:
-        return roll_coupled_bounds(a_my, a_mz, params.a_max)
-    return wing_tail_bounds(a_my, a_mz, params.a_max_l, params.a_max)
-
-
 # --- Channel dynamics ---------------------------------------------------------
 
 
-def bound_ratio_power(a: float, a_axis_max: float, n: int) -> float:
-    """(a / a_axis_max)**n with the degenerate zero-bound case guarded.
-
-    The roll-coupled schedule drives an axis bound to zero exactly when that
-    axis acceleration is zero; the ratio is then 0/0 and its true limit is
-    zero (the axis carries none of the resultant), so that is what we return.
-    """
-    if a_axis_max < EPS_RESULTANT * EPS_RESULTANT:
-        return 0.0
-    return (a / a_axis_max) ** n
-
-
-def saturation_bracket(a: float, a_axis_max: float, n: int) -> float:
-    """Input-effectiveness factor 1 - (a / a_axis_max)**n."""
-    return 1.0 - bound_ratio_power(a, a_axis_max, n)
-
-
 def saturation_rate(a: float, b: float, a_axis_max: float, params: SaturationParams) -> float:
-    """Time derivative of one acceleration channel under command ``b``."""
-    return saturation_bracket(a, a_axis_max, params.n) * b - params.rho * a
+    """Time derivative of one acceleration channel under command ``b``.
+
+    A bound below EPS_RESULTANT**2 counts as zero.  The roll-coupled
+    schedule drives an axis bound to zero exactly when that axis carries
+    none of the resultant; the ratio a / a_axis_max is then 0/0 and its
+    true limit is zero, so the bracket is 1.
+    """
+    ratio = 0.0 if a_axis_max < EPS_RESULTANT * EPS_RESULTANT else (a / a_axis_max) ** params.n
+    return (1.0 - ratio) * b - params.rho * a
 
 
 def axis_brackets(
@@ -159,31 +113,41 @@ def axis_brackets(
 ) -> tuple[float, float, float, float]:
     """Input-effectiveness brackets and bounds (bracket_y, bracket_z, A_y, A_z).
 
-    Constant bounds are independent per-axis barriers.  Under a
-    direction-dependent schedule the two channels share the most-binding
-    saturation fraction instead: an independent barrier is not forward-
-    invariant there, because the dominant axis can sit on its bound while
-    the other axis accelerates, rotating the resultant and dropping the
-    dominant axis's bound onto its own state.  Sharing the binding fraction
-    freezes the direction as the boundary is approached (both channels
-    decay by the same leak), which keeps every axis inside its scheduled
-    bound pointwise.  For the roll-coupled schedule the shared form is
-    algebraically identical to the per-axis one (both ratios reduce to
-    resultant / a_max).
+    Constant bounds are independent per-axis barriers 1 - (a / A)^n; a bound
+    below EPS_RESULTANT**2 gives bracket 1, as in ``saturation_rate``.
+    Under a direction-dependent schedule the two channels share the
+    most-binding saturation fraction instead: an independent barrier is not
+    forward-invariant there, because the dominant axis can sit on its bound
+    while the other axis accelerates, rotating the resultant and dropping
+    the dominant axis's bound onto its own state.  Sharing the binding
+    fraction freezes the direction as the boundary is approached (both
+    channels decay by the same leak), which keeps every axis inside its
+    scheduled bound pointwise.  For the roll-coupled schedule the shared
+    fraction ||a|| / a_max is algebraically each per-axis ratio.
     """
-    a_y_max, a_z_max = axis_bounds(a_my, a_mz, params)
+    mode = params.mode
+    a_max = params.a_max
     n = params.n
-    if params.mode is BoundMode.CONSTANT:
-        return (
-            1.0 - bound_ratio_power(a_my, a_y_max, n),
-            1.0 - bound_ratio_power(a_mz, a_z_max, n),
-            a_y_max,
-            a_z_max,
-        )
-    if params.mode is BoundMode.ROLL_COUPLED:
-        c = math.hypot(a_my, a_mz) / params.a_max
-        bracket = 1.0 - c**n
+    if mode is BoundMode.CONSTANT:
+        if a_max < EPS_RESULTANT * EPS_RESULTANT:
+            return 1.0, 1.0, a_max, a_max
+        return 1.0 - (a_my / a_max) ** n, 1.0 - (a_mz / a_max) ** n, a_max, a_max
+    mag = math.hypot(a_my, a_mz)
+    if mode is BoundMode.ROLL_COUPLED:
+        if mag < EPS_RESULTANT:
+            a_y_max = a_z_max = a_max / _SQRT2
+        else:
+            a_y_max = a_max * abs(a_my) / mag
+            a_z_max = a_max * abs(a_mz) / mag
+        bracket = 1.0 - (mag / a_max) ** n
         return bracket, bracket, a_y_max, a_z_max
+    a_max_l = params.a_max_l
+    if mag < EPS_RESULTANT:
+        a_y_max = a_z_max = a_max_l + (a_max - a_max_l) / _SQRT2
+    else:
+        span = a_max - a_max_l
+        a_y_max = a_max_l + span * abs(a_my) / mag
+        a_z_max = a_max_l + span * abs(a_mz) / mag
     # The larger axis fraction as max(c_y, c_z) would pick it (NaN
     # included), without the builtin call.
     c_y = abs(a_my) / a_y_max

@@ -2,8 +2,11 @@
 
 The full-length engagements (50+ second flights at millisecond steps) are
 expensive, so each one is run exactly once per pytest session and shared by
-every test that inspects it.  Runs happen with library warnings suppressed;
-tests that assert warning behaviour build their own small scenarios.
+every test that inspects it.  The preset sweeps are independent engagements
+and run on a process pool with one worker per CPU; single runs stay
+in-process, where C1 times the nominal run.  Runs happen with library
+warnings suppressed; tests that assert warning behaviour build their own
+small scenarios.
 
 Acceptance tests register one line per criterion through the
 ``criterion_recorder`` fixture; the collected lines are printed in a
@@ -13,8 +16,11 @@ pass/fail line per acceptance criterion.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import pytest
@@ -47,6 +53,13 @@ def run_bundle(label: str, cfg: ScenarioConfig) -> RunBundle:
     return RunBundle(label, cfg, log, outcome, mets, elapsed)
 
 
+def run_bundles(pairs: list[tuple[str, ScenarioConfig]]) -> list[RunBundle]:
+    """``run_bundle`` for each (label, cfg) pair on a process pool, in order."""
+    workers = min(os.cpu_count() or 1, len(pairs))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(run_bundle, *zip(*pairs)))
+
+
 @pytest.fixture(scope="session")
 def nominal_run() -> RunBundle:
     """Head-on 10 km engagement, 50 s impact time, constant bounds."""
@@ -62,12 +75,12 @@ def nominal_half_dt_run(nominal_run: RunBundle) -> RunBundle:
 
 @pytest.fixture(scope="session")
 def tf_sweep_runs() -> list[RunBundle]:
-    return [run_bundle(label, cfg) for label, cfg in preset_scenarios("fig2-tf-sweep")]
+    return run_bundles(preset_scenarios("fig2-tf-sweep"))
 
 
 @pytest.fixture(scope="session")
 def heading_sweep_runs() -> list[RunBundle]:
-    return [run_bundle(label, cfg) for label, cfg in preset_scenarios("fig3-heading-sweep")]
+    return run_bundles(preset_scenarios("fig3-heading-sweep"))
 
 
 @pytest.fixture(scope="session")
@@ -85,7 +98,7 @@ def wingtail_run() -> RunBundle:
 @pytest.fixture(scope="session")
 def planar_compare_runs() -> list[RunBundle]:
     """Twelve planar runs: six impact-time/heading rows, shaped and baseline."""
-    return [run_bundle(label, cfg) for label, cfg in preset_scenarios("fig6-planar-compare")]
+    return run_bundles(preset_scenarios("fig6-planar-compare"))
 
 
 # --- acceptance criterion bookkeeping -------------------------------------

@@ -18,7 +18,7 @@ import pytest
 
 from itcsim.engine import RunStatus, rk4_step
 from itcsim.guidance_planar import GuidancePlanar
-from itcsim.kinematics import effective_lead, heading_rates_3d, los_rates_3d
+from itcsim.kinematics import effective_lead, heading_rates_3d_trig, los_rates_3d_trig
 from itcsim.presets import PLANAR_COMPARE_ROWS
 from itcsim.saturation import SaturationParams, saturation_rate
 from itcsim.shaping import desired_heading, desired_lead, shaping_rates
@@ -469,9 +469,15 @@ class _PlanarSection:
     def rates(self, t, y):
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
         pl_derivs, feasible = self.planar.rates(t, (r, psi, psi_m, a_my))[:2]
-        r_dot, theta_dot, psi_dot = los_rates_3d(r, theta, theta_m, psi_m, self.speed)
-        theta_m_dot, psi_m_dot = heading_rates_3d(
-            theta, theta_m, psi_m, theta_dot, psi_dot, a_my, a_mz, self.speed
+        sin_t, cos_t = math.sin(theta), math.cos(theta)
+        sin_tm, cos_tm = math.sin(theta_m), math.cos(theta_m)
+        sin_pm, cos_pm = math.sin(psi_m), math.cos(psi_m)
+        r_dot, theta_dot, psi_dot = los_rates_3d_trig(
+            r, cos_t, sin_tm, cos_tm, sin_pm, cos_pm, self.speed
+        )
+        theta_m_dot, psi_m_dot = heading_rates_3d_trig(
+            sin_t, cos_t, cos_tm, math.tan(theta_m), sin_pm, cos_pm,
+            theta_dot, psi_dot, a_my, a_mz, self.speed,
         )
         return (r_dot, theta_dot, psi_dot, theta_m_dot, psi_m_dot, pl_derivs[3], 0.0), feasible
 

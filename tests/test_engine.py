@@ -179,10 +179,16 @@ def test_guard_trip_reports_and_logs_last_state():
 
 
 def test_nonfinite_state_is_a_guard():
-    law = _MiniLaw(lambda t, y: (math.nan,), t_final=1.0)
-    log, out = simulate(law, (10.0,), SimSettings(dt=0.5))
-    assert out.status is RunStatus.GUARD_TRIPPED
-    assert out.guard == "nonfinite-state"
+    """The step from t=0.5 reaches a NaN stage at t=1.0.  The run reports
+    that step's start; the log keeps the rows it has, with no row for the
+    non-finite state and none added for the pre-step state."""
+    law = _MiniLaw(lambda t, y: (-1.0,) if t < 1.0 else (math.nan,), t_final=1.0)
+    for stride, times in ((1, [0.0, 0.5]), (10, [0.0])):
+        log, out = simulate(law, (10.0,), SimSettings(dt=0.5, log_stride=stride))
+        assert out.status is RunStatus.GUARD_TRIPPED
+        assert out.guard == "nonfinite-state"
+        assert out.final_time == 0.5
+        assert [row.t for row in log.rows] == times
 
 
 def test_unreachable_target_warns_up_front():
@@ -266,6 +272,29 @@ def test_logged_step_guard_trip_keeps_one_pre_step_row():
     assert law.eval_calls == 2
 
 
+@pytest.mark.parametrize("stride, times", [(3, [0.0, 1.5]), (4, [0.0])])
+def test_guard_trip_at_step_start_ends_the_log_at_the_last_row(stride, times):
+    """A trip at a step's own start state (stage 1 of the step from t=2.0;
+    stage 4 of the step before reaches t=2.0 with a larger u and passes)
+    trips again when the end row is evaluated; the second trip is dropped
+    and the log ends at the last row logged before it.  Stride 3 trips in
+    ``rates``, stride 4 in the logged step's own ``evaluate``."""
+    def f(t, y):
+        if t >= 2.0 and y[1] < 7.4:
+            raise GuardTrip("test-guard", t, "synthetic")
+        return (-1.0, y[1])
+
+    law = _CountingLaw(f, state_size=2, t_final=10.0)
+    log, out = simulate(law, (100.0, 1.0), SimSettings(dt=0.5, log_stride=stride))
+    assert out.status is RunStatus.GUARD_TRIPPED
+    assert out.guard == "test-guard"
+    assert out.final_time == 2.0
+    assert [row.t for row in log.rows] == times
+    # One evaluate per logged row, the tripping one at step 4 (stride 4 only)
+    # and the end-row attempt.
+    assert law.eval_calls == len(times) + 1 + (stride == 4)
+
+
 def _hex_row(row: LogRow) -> list[str]:
     return [v.hex() for v in row.values()]
 
@@ -294,10 +323,3 @@ def test_logging_does_not_perturb_the_trajectory():
     for i, row in enumerate(sparse.rows[:-1]):
         assert _hex_row(row) == _hex_row(dense.rows[7 * i])
     assert _hex_row(sparse.rows[-1]) == _hex_row(dense.rows[-1])
-
-
-def test_log_meta_records_law_and_dt():
-    law = _MiniLaw(lambda t, y: (-1.0,), t_final=100.0)
-    log, _ = simulate(law, (5.0,), SimSettings(dt=1.0))
-    assert log.meta["law"] == "_MiniLaw"
-    assert log.meta["dt"] == 1.0

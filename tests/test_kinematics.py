@@ -14,11 +14,11 @@ import pytest
 
 from itcsim.kinematics import (
     effective_lead,
-    heading_rates_3d,
+    heading_rates_3d_trig,
     inertial_position,
     lead_rate_planar,
-    los_rates_3d,
-    los_rates_planar,
+    los_rates_3d_trig,
+    los_rates_planar_trig,
 )
 
 REL = 1e-12
@@ -32,13 +32,35 @@ THETADOT_PL = -0.004341204441673259
 LEAD_10_10 = 0.24619691677893205    # effective lead for thetaM=-10deg, psiM=10deg
 
 
+# The rate functions take the trig the guidance laws have already computed;
+# these take the angles and compute it the same way.
+
+
+def _los_rates_3d(r, theta, theta_m, psi_m, v):
+    return los_rates_3d_trig(
+        r, math.cos(theta), math.sin(theta_m), math.cos(theta_m),
+        math.sin(psi_m), math.cos(psi_m), v,
+    )
+
+
+def _heading_rates_3d(theta, theta_m, psi_m, theta_dot, psi_dot, a_my, a_mz, v):
+    return heading_rates_3d_trig(
+        math.sin(theta), math.cos(theta), math.cos(theta_m), math.tan(theta_m),
+        math.sin(psi_m), math.cos(psi_m), theta_dot, psi_dot, a_my, a_mz, v,
+    )
+
+
+def _los_rates_planar(r, sigma, v):
+    return los_rates_planar_trig(r, math.sin(sigma), math.cos(sigma), v)
+
+
 def test_collision_course_rates_are_exactly_zero():
-    r_dot, theta_dot, psi_dot = los_rates_3d(10000.0, 0.0, 0.0, 0.0, 250.0)
+    r_dot, theta_dot, psi_dot = _los_rates_3d(10000.0, 0.0, 0.0, 0.0, 250.0)
     assert r_dot == -250.0
     assert theta_dot == 0.0
     assert psi_dot == 0.0
 
-    theta_m_dot, psi_m_dot = heading_rates_3d(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 250.0)
+    theta_m_dot, psi_m_dot = _heading_rates_3d(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 250.0)
     assert theta_m_dot == 0.0
     assert psi_m_dot == 0.0
 
@@ -46,14 +68,14 @@ def test_collision_course_rates_are_exactly_zero():
 def test_los_rates_3d_frozen_values():
     theta_m = math.radians(-10.0)
     psi_m = math.radians(10.0)
-    r_dot, theta_dot, psi_dot = los_rates_3d(10000.0, 0.0, theta_m, psi_m, 250.0)
+    r_dot, theta_dot, psi_dot = _los_rates_3d(10000.0, 0.0, theta_m, psi_m, 250.0)
     assert r_dot == pytest.approx(RDOT_3D, rel=REL)
     assert theta_dot == pytest.approx(THETADOT_3D, rel=REL)
     assert psi_dot == pytest.approx(PSIDOT_3D, rel=REL)
 
 
 def test_los_rates_planar_frozen_values():
-    r_dot, theta_dot = los_rates_planar(10000.0, math.radians(10.0), 250.0)
+    r_dot, theta_dot = _los_rates_planar(10000.0, math.radians(10.0), 250.0)
     assert r_dot == pytest.approx(RDOT_PL, rel=REL)
     assert theta_dot == pytest.approx(THETADOT_PL, rel=REL)
 
@@ -108,7 +130,7 @@ def test_effective_lead_clamp_matches_builtin_min_max():
 
 def test_heading_rates_acceleration_channels():
     # Flat geometry: pitch channel is a_mz / v, yaw channel is a_my / (v cos thetaM).
-    theta_m_dot, psi_m_dot = heading_rates_3d(
+    theta_m_dot, psi_m_dot = _heading_rates_3d(
         0.0, 0.0, 0.0, 0.0, 0.0, 10.0, 98.1, 250.0
     )
     assert theta_m_dot == 98.1 / 250.0
@@ -117,7 +139,7 @@ def test_heading_rates_acceleration_channels():
 
 def test_heading_rates_los_coupling_terms():
     # Pure LOS rotation, velocity on the LOS: the lead angles co-rotate.
-    theta_m_dot, psi_m_dot = heading_rates_3d(
+    theta_m_dot, psi_m_dot = _heading_rates_3d(
         0.2, 0.0, 0.0, 0.003, -0.004, 0.0, 0.0, 250.0
     )
     # theta_m_dot = -psi_dot sin(theta) sin(psi_m) - theta_dot cos(psi_m)
@@ -155,13 +177,13 @@ def test_planar_section_is_bitwise_exact():
         a_my = rng.uniform(-98.1, 98.1)
         v = rng.uniform(50.0, 400.0)
 
-        r_dot3, theta_dot3, psi_dot3 = los_rates_3d(r, 0.0, 0.0, sigma, v)
-        r_dot2, theta_dot2 = los_rates_planar(r, sigma, v)
+        r_dot3, theta_dot3, psi_dot3 = _los_rates_3d(r, 0.0, 0.0, sigma, v)
+        r_dot2, theta_dot2 = _los_rates_planar(r, sigma, v)
         assert r_dot3 == r_dot2
         assert theta_dot3 == 0.0
         assert psi_dot3 == theta_dot2
 
-        theta_m_dot, psi_m_dot = heading_rates_3d(
+        theta_m_dot, psi_m_dot = _heading_rates_3d(
             0.0, 0.0, sigma, theta_dot3, psi_dot3, a_my, 0.0, v
         )
         assert theta_m_dot == 0.0

@@ -14,16 +14,12 @@ import pytest
 
 from itcsim.errors import ConfigError
 from itcsim.saturation import (
+    EPS_RESULTANT,
     BoundMode,
     SaturationParams,
-    axis_bounds,
     axis_brackets,
-    bound_ratio_power,
     clip_command,
-    roll_coupled_bounds,
-    saturation_bracket,
     saturation_rate,
-    wing_tail_bounds,
 )
 
 REL = 1e-12
@@ -38,6 +34,46 @@ def _params(**kw) -> SaturationParams:
     p = SaturationParams(**kw)
     p.validate()
     return p
+
+
+# The bound schedules and the per-axis bracket as separate functions, the
+# form ``axis_brackets`` folded into one dispatch; the fold keeps their bits.
+
+
+def _split_bounds(a_my, a_mz, p):
+    if p.mode is BoundMode.CONSTANT:
+        return p.a_max, p.a_max
+    mag = math.hypot(a_my, a_mz)
+    if p.mode is BoundMode.ROLL_COUPLED:
+        if mag < EPS_RESULTANT:
+            even = p.a_max / math.sqrt(2.0)
+            return even, even
+        return p.a_max * abs(a_my) / mag, p.a_max * abs(a_mz) / mag
+    if mag < EPS_RESULTANT:
+        even = p.a_max_l + (p.a_max - p.a_max_l) / math.sqrt(2.0)
+        return even, even
+    span = p.a_max - p.a_max_l
+    return p.a_max_l + span * abs(a_my) / mag, p.a_max_l + span * abs(a_mz) / mag
+
+
+def _bracket(a, a_axis_max, n):
+    if a_axis_max < EPS_RESULTANT * EPS_RESULTANT:
+        return 1.0 - 0.0
+    return 1.0 - (a / a_axis_max) ** n
+
+
+def _split_brackets(a_my, a_mz, p):
+    a_y_max, a_z_max = _split_bounds(a_my, a_mz, p)
+    if p.mode is BoundMode.CONSTANT:
+        return _bracket(a_my, a_y_max, p.n), _bracket(a_mz, a_z_max, p.n), a_y_max, a_z_max
+    if p.mode is BoundMode.ROLL_COUPLED:
+        c = math.hypot(a_my, a_mz) / p.a_max
+    else:
+        c_y = abs(a_my) / a_y_max
+        c_z = abs(a_mz) / a_z_max
+        c = c_z if c_z > c_y else c_y
+    bracket = 1.0 - c**p.n
+    return bracket, bracket, a_y_max, a_z_max
 
 
 def test_params_validation_rejects_bad_values():
@@ -81,25 +117,28 @@ def test_saturation_rate_odd_symmetry():
 
 
 def test_bracket_and_ratio_guard():
-    assert saturation_bracket(0.0, 98.1, 2) == 1.0
-    assert saturation_bracket(98.1, 98.1, 2) == pytest.approx(0.0, abs=1e-15)
-    assert bound_ratio_power(49.05, 98.1, 2) == pytest.approx(0.25, rel=REL)
-    # Negative acceleration, even exponent: same ratio.
-    assert bound_ratio_power(-49.05, 98.1, 2) == pytest.approx(0.25, rel=REL)
-    # Degenerate zero bound reports zero ratio instead of dividing.
-    assert bound_ratio_power(0.0, 0.0, 2) == 0.0
+    p = _params()
+    by, bz = axis_brackets(0.0, 98.1, p)[:2]
+    assert by == 1.0
+    assert bz == pytest.approx(0.0, abs=1e-15)
+    # Ratio 0.25; a negative acceleration with an even exponent gives the same.
+    assert axis_brackets(49.05, -49.05, p)[:2] == pytest.approx((0.75, 0.75), rel=REL)
+    # A degenerate zero bound counts as a zero ratio instead of dividing.
+    assert saturation_rate(0.0, 5.0, 0.0, p) == 5.0
+    assert axis_brackets(1e-7, -30.0, _params(a_max=1e-13)) == (1.0, 1.0, 1e-13, 1e-13)
 
 
 def test_roll_coupled_bounds_split():
+    rc = _params(mode=BoundMode.ROLL_COUPLED)
     # One axis carrying everything gets the whole resultant bound.
-    ay, az = roll_coupled_bounds(50.0, 0.0, 98.1)
+    ay, az = axis_brackets(50.0, 0.0, rc)[2:]
     assert ay == pytest.approx(98.1, rel=REL)
     assert az == 0.0
-    ay, az = roll_coupled_bounds(0.0, -30.0, 98.1)
+    ay, az = axis_brackets(0.0, -30.0, rc)[2:]
     assert ay == 0.0
     assert az == pytest.approx(98.1, rel=REL)
     # Degenerate resultant splits evenly.
-    ay, az = roll_coupled_bounds(0.0, 0.0, 98.1)
+    ay, az = axis_brackets(0.0, 0.0, rc)[2:]
     assert ay == az == pytest.approx(RC_EVEN, rel=REL)
     # The split preserves the resultant bound: A_y^2 + A_z^2 = a_max^2.
     rng = random.Random(5)
@@ -108,34 +147,45 @@ def test_roll_coupled_bounds_split():
         a_mz = rng.uniform(-98.0, 98.0)
         if math.hypot(a_my, a_mz) < 1.0:
             continue
-        ay, az = roll_coupled_bounds(a_my, a_mz, 98.1)
+        ay, az = axis_brackets(a_my, a_mz, rc)[2:]
         assert ay >= 0.0 and az >= 0.0
         assert math.hypot(ay, az) == pytest.approx(98.1, rel=REL)
 
 
 def test_wing_tail_bounds_interpolation():
+    wt = _params(mode=BoundMode.WING_TAIL, a_max_l=9.81)
     # Whole resultant on one axis: full bound there, lower bound on the idle axis.
-    ay, az = wing_tail_bounds(42.0, 0.0, 9.81, 98.1)
+    ay, az = axis_brackets(42.0, 0.0, wt)[2:]
     assert ay == pytest.approx(98.1, rel=REL)
     assert az == pytest.approx(9.81, rel=REL)
     # Degenerate resultant: even interpolation (5g upper, 1g lower bound).
-    ay, az = wing_tail_bounds(0.0, 0.0, 9.81, 49.05)
+    wt_5g = _params(mode=BoundMode.WING_TAIL, a_max_l=9.81, a_max=49.05)
+    ay, az = axis_brackets(0.0, 0.0, wt_5g)[2:]
     assert ay == az == pytest.approx(WT_EVEN, rel=REL)
     # Bounds always stay inside [a_max_l, a_max].
     rng = random.Random(6)
     for _ in range(100):
-        ay, az = wing_tail_bounds(rng.uniform(-98, 98), rng.uniform(-98, 98), 9.81, 98.1)
+        ay, az = axis_brackets(rng.uniform(-98, 98), rng.uniform(-98, 98), wt)[2:]
         assert 9.81 - 1e-12 <= ay <= 98.1 + 1e-12
         assert 9.81 - 1e-12 <= az <= 98.1 + 1e-12
 
 
-def test_axis_bounds_dispatch():
-    const = _params(mode=BoundMode.CONSTANT)
-    assert axis_bounds(10.0, 20.0, const) == (98.1, 98.1)
-    rc = _params(mode=BoundMode.ROLL_COUPLED)
-    assert axis_bounds(10.0, 20.0, rc) == roll_coupled_bounds(10.0, 20.0, 98.1)
-    wt = _params(mode=BoundMode.WING_TAIL, a_max_l=9.81)
-    assert axis_bounds(10.0, 20.0, wt) == wing_tail_bounds(10.0, 20.0, 9.81, 98.1)
+def test_axis_brackets_match_the_split_schedules():
+    """One dispatch gives the bits of the separate bound schedules and
+    per-axis bracket, for every mode, on the even-split threshold, on
+    signed zeros, at +-inf and for NaN, and below the zero-bound guard."""
+    schedules = [
+        _params(n=n, mode=mode, a_max_l=9.81) for n in (2, 4) for mode in BoundMode
+    ] + [_params(a_max=1e-13)]
+    values = (0.0, -0.0, 1e-7, -1e-7, 30.0, -30.0, 97.0, math.inf, -math.inf, math.nan)
+    rng = random.Random(17)
+    points = [(a, b) for a in values for b in values] + [
+        (rng.uniform(-120.0, 120.0), rng.uniform(-120.0, 120.0)) for _ in range(2000)
+    ]
+    for p in schedules:
+        for a_my, a_mz in points:
+            got = repr(axis_brackets(a_my, a_mz, p))
+            assert got == repr(_split_brackets(a_my, a_mz, p)), (p, a_my, a_mz)
 
 
 def test_axis_brackets_constant_mode_is_per_axis():
@@ -166,15 +216,15 @@ def test_axis_brackets_shared_fraction_under_scheduled_bounds():
         expect = 1.0 - (math.hypot(a_my, a_mz) / 98.1) ** 2
         assert by == pytest.approx(expect, rel=1e-9, abs=1e-12)
         if abs(a_my) > 1.0:
-            assert by == pytest.approx(saturation_bracket(a_my, ay, 2), rel=1e-9)
+            assert by == pytest.approx(_bracket(a_my, ay, 2), rel=1e-9)
 
         by, bz, ay, az = axis_brackets(a_my, a_mz, wt)
         assert by == bz
         # Wing-tail: shared bracket equals the smaller per-axis bracket.
-        per_axis = min(saturation_bracket(a_my, ay, 2), saturation_bracket(a_mz, az, 2))
+        per_axis = min(_bracket(a_my, ay, 2), _bracket(a_mz, az, 2))
         assert by == pytest.approx(per_axis, rel=1e-9, abs=1e-12)
-        assert by <= saturation_bracket(a_my, ay, 2) + 1e-12
-        assert by <= saturation_bracket(a_mz, az, 2) + 1e-12
+        assert by <= _bracket(a_my, ay, 2) + 1e-12
+        assert by <= _bracket(a_mz, az, 2) + 1e-12
 
 
 def test_wing_tail_brackets_match_builtin_max():
@@ -183,7 +233,7 @@ def test_wing_tail_brackets_match_builtin_max():
     p = _params(mode=BoundMode.WING_TAIL, a_max_l=9.81)
 
     def old(a_my, a_mz):
-        a_y_max, a_z_max = axis_bounds(a_my, a_mz, p)
+        a_y_max, a_z_max = _split_bounds(a_my, a_mz, p)
         c = max(abs(a_my) / a_y_max, abs(a_mz) / a_z_max)
         bracket = 1.0 - c**p.n
         return bracket, bracket, a_y_max, a_z_max
@@ -195,7 +245,7 @@ def test_wing_tail_brackets_match_builtin_max():
     # Equal fractions; and a_my = inf makes A_y, so the first fraction, NaN
     # while the second is 0, where max keeps its first argument.
     by, _, ay, _ = axis_brackets(30.0, -30.0, p)
-    assert by == saturation_bracket(30.0, ay, p.n)
+    assert by == _bracket(30.0, ay, p.n)
     assert math.isnan(axis_brackets(math.inf, 0.0, p)[0])
     assert axis_brackets(0.0, math.inf, p)[0] == 1.0
 
