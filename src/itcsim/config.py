@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping
 
 from .engine import SimSettings, simulate
 from .errors import ConfigError, ParseError, ValidationError
 from .guidance3d import Guidance3D
 from .guidance_planar import BaselinePlanar, GuidancePlanar
+from .kinematics import EPS_COS
 from .logio import TrajectoryLog
 from .metrics import Metrics, interception_metrics
 from .saturation import BoundMode, SaturationParams
@@ -28,6 +29,16 @@ ENV_PREFIX = "ITCSIM_"
 
 MODES = ("3d", "planar")
 LAWS = ("proposed", "baseline")
+
+
+def _parse_k1(text: str) -> float | str:
+    return "auto" if text == "auto" else float(text)
+
+
+def _key(key: str, default: object, parse: Callable[[str], object] | None = None):
+    """A ``ScenarioConfig`` field with its config-file key and value parser
+    (the type of the default unless given)."""
+    return field(default=default, metadata={"key": key, "parse": parse or type(default)})
 
 
 @dataclass(frozen=True)
@@ -40,39 +51,39 @@ class ScenarioConfig:
     acceleration limit.  ``k1 = "auto"`` resolves to 1 - cos(sigma_max) - 0.01.
     """
 
-    mode: str = "3d"
-    law: str = "proposed"
-    speed: float = 250.0
-    tf: float = 50.0
-    initial_x_km: float = -10.0
-    initial_y_km: float = 0.0
-    initial_z_km: float = 0.0
-    target_x_km: float = 0.0
-    target_y_km: float = 0.0
-    target_z_km: float = 0.0
-    elevation_deg: float = -10.0
-    azimuth_deg: float = 10.0
-    k1: float | str = "auto"
-    k2: float = 1.0
-    k3: float = 1.0
-    k4: float = 1.0
-    ky: float = 7.0
-    kz: float = 7.0
-    phi: float = 300.0
-    sigma_max_deg: float = 60.0
-    eps_sin: float = 1e-3
-    n: int = 2
-    rho: float = 0.1
-    bound_mode: str = "constant"
-    a_max_g: float = 10.0
-    a_max_l_g: float = 1.0
-    g: float = 9.81
-    b_cap: float = 5000.0
-    dt: float = 1e-3
-    hit_radius: float = 1.0
-    t_max_factor: float = 1.5
-    log_stride: int = 10
-    a_clip_g: float = math.inf
+    mode: str = _key("scenario.mode", "3d")
+    law: str = _key("scenario.law", "proposed")
+    speed: float = _key("scenario.speed", 250.0)
+    tf: float = _key("scenario.tf", 50.0)
+    initial_x_km: float = _key("geometry.initialXKm", -10.0)
+    initial_y_km: float = _key("geometry.initialYKm", 0.0)
+    initial_z_km: float = _key("geometry.initialZKm", 0.0)
+    target_x_km: float = _key("geometry.targetXKm", 0.0)
+    target_y_km: float = _key("geometry.targetYKm", 0.0)
+    target_z_km: float = _key("geometry.targetZKm", 0.0)
+    elevation_deg: float = _key("launch.elevationDeg", -10.0)
+    azimuth_deg: float = _key("launch.azimuthDeg", 10.0)
+    k1: float | str = _key("gains.k1", "auto", _parse_k1)
+    k2: float = _key("gains.k2", 1.0)
+    k3: float = _key("gains.k3", 1.0)
+    k4: float = _key("gains.k4", 1.0)
+    ky: float = _key("gains.ky", 7.0)
+    kz: float = _key("gains.kz", 7.0)
+    a_clip_g: float = _key("baseline.aClipG", math.inf)
+    phi: float = _key("shaping.phi", 300.0)
+    sigma_max_deg: float = _key("shaping.sigmaMaxDeg", 60.0)
+    eps_sin: float = _key("shaping.epsSin", 1e-3)
+    n: int = _key("saturation.n", 2)
+    rho: float = _key("saturation.rho", 0.1)
+    bound_mode: str = _key("saturation.boundMode", "constant")
+    a_max_g: float = _key("saturation.aMaxG", 10.0)
+    a_max_l_g: float = _key("saturation.aMaxLG", 1.0)
+    g: float = _key("saturation.g", 9.81)
+    b_cap: float = _key("saturation.bCap", 5000.0)
+    dt: float = _key("sim.dt", 1e-3)
+    hit_radius: float = _key("sim.hitRadius", 1.0)
+    t_max_factor: float = _key("sim.tMaxFactor", 1.5)
+    log_stride: int = _key("sim.logStride", 10)
 
     # --- Resolved views -------------------------------------------------
 
@@ -187,25 +198,14 @@ class ScenarioConfig:
             raise ValidationError(f"scenario.law must be one of {LAWS}, got '{self.law}'")
         if self.law == "baseline" and self.mode != "planar":
             raise ValidationError("scenario.law = baseline requires scenario.mode = planar")
-        if self.speed <= 0.0:
-            raise ValidationError(f"scenario.speed must be > 0, got {self.speed}")
-        if self.tf <= 0.0:
-            raise ValidationError(f"scenario.tf must be > 0, got {self.tf}")
-        for key, val in (
-            ("gains.k2", self.k2),
-            ("gains.k3", self.k3),
-            ("gains.k4", self.k4),
-            ("gains.ky", self.ky),
-            ("gains.kz", self.kz),
-        ):
-            if val <= 0.0:
-                raise ValidationError(f"{key} must be > 0, got {val}")
-        if self.g <= 0.0:
-            raise ValidationError(f"saturation.g must be > 0, got {self.g}")
-        if self.bound_mode not in tuple(m.value for m in BoundMode):
+        for name in ("speed", "tf", "k2", "k3", "k4", "ky", "kz", "g"):
+            value = getattr(self, name)
+            if value <= 0.0:
+                raise ValidationError(f"{_FIELD_TO_KEY[name]} must be > 0, got {value}")
+        bound_modes = tuple(m.value for m in BoundMode)
+        if self.bound_mode not in bound_modes:
             raise ValidationError(
-                f"saturation.boundMode must be one of "
-                f"{tuple(m.value for m in BoundMode)}, got '{self.bound_mode}'"
+                f"saturation.boundMode must be one of {bound_modes}, got '{self.bound_mode}'"
             )
         if self.a_clip_g <= 0.0:
             raise ValidationError(f"baseline.aClipG must be > 0 (inf for no clip), got {self.a_clip_g}")
@@ -218,6 +218,13 @@ class ScenarioConfig:
         dz = (self.target_z_km - self.initial_z_km) * 1e3
         if math.sqrt(dx * dx + dy * dy + dz * dz) < 1.0:
             raise ValidationError("geometry.initial*/target*: initial range is below 1 m")
+        # The 3D law's polar guard would trip on the first row of a vertical
+        # line of sight; the same test here names the keys instead.
+        if self.mode == "3d" and abs(math.cos(self.initial_state()[1])) < EPS_COS:
+            raise ValidationError(
+                f"geometry.initial*/target*: line of sight is vertical "
+                f"(|cos(theta0)| < {EPS_COS:g})"
+            )
         for params in (self.shaping_params(), self.saturation_params(), self.sim_settings()):
             try:
                 params.validate()
@@ -230,48 +237,10 @@ class ScenarioConfig:
 
 # --- Key table -----------------------------------------------------------------
 
-
-def _parse_k1(text: str) -> float | str:
-    return "auto" if text == "auto" else float(text)
-
-
-# canonical key -> (ScenarioConfig field, parser)
+# canonical key -> (ScenarioConfig field, parser), in field order
 KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "scenario.mode": ("mode", str),
-    "scenario.law": ("law", str),
-    "scenario.speed": ("speed", float),
-    "scenario.tf": ("tf", float),
-    "geometry.initialXKm": ("initial_x_km", float),
-    "geometry.initialYKm": ("initial_y_km", float),
-    "geometry.initialZKm": ("initial_z_km", float),
-    "geometry.targetXKm": ("target_x_km", float),
-    "geometry.targetYKm": ("target_y_km", float),
-    "geometry.targetZKm": ("target_z_km", float),
-    "launch.elevationDeg": ("elevation_deg", float),
-    "launch.azimuthDeg": ("azimuth_deg", float),
-    "gains.k1": ("k1", _parse_k1),
-    "gains.k2": ("k2", float),
-    "gains.k3": ("k3", float),
-    "gains.k4": ("k4", float),
-    "gains.ky": ("ky", float),
-    "gains.kz": ("kz", float),
-    "baseline.aClipG": ("a_clip_g", float),
-    "shaping.phi": ("phi", float),
-    "shaping.sigmaMaxDeg": ("sigma_max_deg", float),
-    "shaping.epsSin": ("eps_sin", float),
-    "saturation.n": ("n", int),
-    "saturation.rho": ("rho", float),
-    "saturation.boundMode": ("bound_mode", str),
-    "saturation.aMaxG": ("a_max_g", float),
-    "saturation.aMaxLG": ("a_max_l_g", float),
-    "saturation.g": ("g", float),
-    "saturation.bCap": ("b_cap", float),
-    "sim.dt": ("dt", float),
-    "sim.hitRadius": ("hit_radius", float),
-    "sim.tMaxFactor": ("t_max_factor", float),
-    "sim.logStride": ("log_stride", int),
+    f.metadata["key"]: (f.name, f.metadata["parse"]) for f in fields(ScenarioConfig)
 }
-
 _LOWER_TO_KEY = {k.lower(): k for k in KEYS}
 _FIELD_TO_KEY = {f: k for k, (f, _) in KEYS.items()}
 # Parameter-object fields whose config field carries a unit suffix.
@@ -345,15 +314,10 @@ def load_config(
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Render every key explicitly; parsing the result reproduces ``cfg``."""
-    by_field = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     lines = []
-    for key, (field_name, _) in KEYS.items():
-        value = by_field[field_name]
-        if isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
+    for key, (name, _) in KEYS.items():
+        value = getattr(cfg, name)
+        lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,9 @@ step), when the range starts growing again after a closest approach inside
 ten hit radii (a near-miss flyby, reported as ``timeout`` with the miss
 distance at closest approach), when simulated time exceeds
 ``t_max_factor`` times the commanded impact time (``timeout``), or when a
-numerical guard fires (``guard-tripped``).
+numerical guard fires (``guard-tripped``).  A chain that overflows a float
+(``OverflowError``, e.g. a huge saturation exponent) ends the run as the
+guard ``overflow``.
 """
 
 from __future__ import annotations
@@ -162,21 +164,20 @@ def simulate(
     t_r_min = 0.0
     step = 0
     last_logged = -1
-    was_feasible = True
     warned_infeasible = False
 
     log_stride = settings.log_stride
     while True:
         t = step * dt
         try:
+            ev = None
             if step % log_stride == 0:
                 ev = law.evaluate(t, y)
                 log.rows.append(law.log_row(t, y, ev))
                 last_logged = step
-                y_new, feasible = rk4_step(law, t, y, dt, ev)
-            else:
-                y_new, feasible = rk4_step(law, t, y, dt)
-        except GuardTrip as trip:
+            y_new, feasible = rk4_step(law, t, y, dt, ev)
+        except (GuardTrip, OverflowError) as exc:
+            trip = exc if isinstance(exc, GuardTrip) else GuardTrip("overflow", t, str(exc))
             outcome = RunOutcome(
                 status=RunStatus.GUARD_TRIPPED,
                 impact_time=None,
@@ -187,16 +188,14 @@ def simulate(
             )
             break
 
-        if feasible != was_feasible:
-            was_feasible = feasible
-            # Report the first clamp only; a run hovering at the feasibility
-            # boundary would otherwise flood the warning list, and the logged
-            # z1 column already carries the step-by-step detail.
-            if not was_feasible and not warned_infeasible:
-                warned_infeasible = True
-                msg = f"shaping demand clamped to zero lead at t={t:.3f} s (range-time error < 0)"
-                _warnings.warn(msg, InfeasibleShapingWarning, stacklevel=2)
-                log.warnings.append(msg)
+        # Report the first clamp only; a run hovering at the feasibility
+        # boundary would otherwise flood the warning list, and the logged z1
+        # column already carries the step-by-step detail.
+        if not feasible and not warned_infeasible:
+            warned_infeasible = True
+            msg = f"shaping demand clamped to zero lead at t={t:.3f} s (range-time error < 0)"
+            _warnings.warn(msg, InfeasibleShapingWarning, stacklevel=2)
+            log.warnings.append(msg)
 
         if not all(map(math.isfinite, y_new)):
             # No row for a non-finite state: the log ends with the rows it has.
@@ -258,6 +257,6 @@ def simulate(
     if last_logged != step:
         try:
             log.rows.append(law.log_row(outcome.final_time, y, law.evaluate(outcome.final_time, y)))
-        except GuardTrip:
+        except (GuardTrip, OverflowError):
             pass
     return log, outcome

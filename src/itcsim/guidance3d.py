@@ -28,6 +28,7 @@ whenever the command cap and shaping guards are inactive.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import GuardTrip
@@ -71,6 +72,7 @@ class Eval3D(NamedTuple):
     lyapunov_y: float
 
 
+@dataclass(frozen=True)
 class Guidance3D:
     """Closed-loop evaluation of the 3D impact-time guidance law.
 
@@ -82,27 +84,15 @@ class Guidance3D:
 
     state_size = 7
 
-    def __init__(
-        self,
-        speed: float,
-        t_final: float,
-        shaping: ShapingParams,
-        sat: SaturationParams,
-        k3: float = 1.0,
-        k4: float = 1.0,
-        ky: float = 7.0,
-        kz: float = 7.0,
-        target: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    ) -> None:
-        self.speed = speed
-        self.t_final = t_final
-        self.shaping = shaping
-        self.sat = sat
-        self.k3 = k3
-        self.k4 = k4
-        self.ky = ky
-        self.kz = kz
-        self.target = target
+    speed: float
+    t_final: float
+    shaping: ShapingParams
+    sat: SaturationParams
+    k3: float = 1.0
+    k4: float = 1.0
+    ky: float = 7.0
+    kz: float = 7.0
+    target: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def evaluate(
         self, t: float, y: tuple[float, float, float, float, float, float, float]

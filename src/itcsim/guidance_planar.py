@@ -20,6 +20,7 @@ exactly what makes it a fair efficiency benchmark for the compensated law.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import GuardTrip
@@ -76,28 +77,19 @@ class EvalPlanar(NamedTuple):
     lyapunov_y: float
 
 
+@dataclass(frozen=True)
 class GuidancePlanar:
     """Closed-loop evaluation of the planar impact-time guidance law."""
 
     state_size = 4
 
-    def __init__(
-        self,
-        speed: float,
-        t_final: float,
-        shaping: ShapingParams,
-        sat: SaturationParams,
-        k2: float = 1.0,
-        ky: float = 7.0,
-        target: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    ) -> None:
-        self.speed = speed
-        self.t_final = t_final
-        self.shaping = shaping
-        self.sat = sat
-        self.k2 = k2
-        self.ky = ky
-        self.target = target
+    speed: float
+    t_final: float
+    shaping: ShapingParams
+    sat: SaturationParams
+    k2: float = 1.0
+    ky: float = 7.0
+    target: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def evaluate(self, t: float, y: tuple[float, float, float, float]) -> EvalPlanar:
         """Derivatives plus every diagnostic the logs and tests read."""
@@ -161,6 +153,7 @@ class GuidancePlanar:
         return _planar_log_row(t, r, theta, sigma, a_my, ev, self.target)
 
 
+@dataclass(frozen=True)
 class BaselinePlanar:
     """Planar backstepping with an ideal actuator and optional hard clip.
 
@@ -171,21 +164,12 @@ class BaselinePlanar:
 
     state_size = 3
 
-    def __init__(
-        self,
-        speed: float,
-        t_final: float,
-        shaping: ShapingParams,
-        k2: float = 1.0,
-        a_clip: float = math.inf,
-        target: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    ) -> None:
-        self.speed = speed
-        self.t_final = t_final
-        self.shaping = shaping
-        self.k2 = k2
-        self.a_clip = a_clip
-        self.target = target
+    speed: float
+    t_final: float
+    shaping: ShapingParams
+    k2: float = 1.0
+    a_clip: float = math.inf
+    target: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def evaluate(self, t: float, y: tuple[float, float, float]) -> EvalPlanar:
         """Derivatives plus every diagnostic the logs and tests read."""

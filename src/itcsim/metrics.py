@@ -8,13 +8,18 @@ simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .logio import TrajectoryLog
 
 # Bound comparisons use a small float tolerance so a value sitting exactly
 # on its bound after rounding does not count as a violation.
 BOUND_TOL = 1e-9
+
+
+def _json(key: str):
+    """A ``Metrics`` field with its metrics-JSON key."""
+    return field(metadata={"key": key})
 
 
 @dataclass
@@ -26,34 +31,21 @@ class Metrics:
     the hit radius.
     """
 
-    miss_distance: float
-    impact_time: float | None
-    impact_time_error: float | None
-    control_effort: float
-    max_lead: float
-    max_ay: float
-    max_az: float
-    terminal_lead: float
-    terminal_ay: float
-    terminal_az: float
-    fov_violations: int
-    accel_violations: int
+    miss_distance: float = _json("missDistance")
+    impact_time: float | None = _json("impactTime")
+    impact_time_error: float | None = _json("impactTimeError")
+    control_effort: float = _json("controlEffort")
+    max_lead: float = _json("maxLead")
+    max_ay: float = _json("maxAy")
+    max_az: float = _json("maxAz")
+    terminal_lead: float = _json("terminalLead")
+    terminal_ay: float = _json("terminalAy")
+    terminal_az: float = _json("terminalAz")
+    fov_violations: int = _json("fovViolations")
+    accel_violations: int = _json("accelViolations")
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "missDistance": self.miss_distance,
-            "impactTime": self.impact_time,
-            "impactTimeError": self.impact_time_error,
-            "controlEffort": self.control_effort,
-            "maxLead": self.max_lead,
-            "maxAy": self.max_ay,
-            "maxAz": self.max_az,
-            "terminalLead": self.terminal_lead,
-            "terminalAy": self.terminal_ay,
-            "terminalAz": self.terminal_az,
-            "fovViolations": self.fov_violations,
-            "accelViolations": self.accel_violations,
-        }
+        return {f.metadata["key"]: getattr(self, f.name) for f in fields(self)}
 
 
 def control_effort(log: TrajectoryLog) -> float:

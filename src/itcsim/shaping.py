@@ -72,6 +72,15 @@ class ShapingParams:
             )
         if self.phi <= 0.0:
             raise ConfigError(f"boundary layer phi must be > 0, got {self.phi}", field="phi")
+        try:
+            cube = self.phi**3  # the sigmoid divides by it
+        except OverflowError:
+            cube = math.inf
+        if not 0.0 < cube < math.inf:
+            raise ConfigError(
+                f"boundary layer phi**3 must be a positive finite float, got phi = {self.phi}",
+                field="phi",
+            )
         if not 0.0 < self.eps_sin < 0.1:
             raise ConfigError(
                 f"rate-guard floor eps_sin must be in (0, 0.1), got {self.eps_sin}", field="eps_sin"

@@ -160,6 +160,41 @@ def test_run_guard_trip_exit_code(tmp_path, micro_cfg):
     assert payload["status"] == "guard-tripped"
 
 
+def test_run_vertical_line_of_sight_is_a_config_error(tmp_path, capsys):
+    """A 3D start straight below the target would trip the polar guard on
+    its first row and leave no row to score; validation names the keys."""
+    cfg = tmp_path / "vertical.cfg"
+    cfg.write_text("geometry.initialXKm = 0\ngeometry.initialZKm = -10\n")
+    code = main([
+        "run", "--config", str(cfg),
+        "--out-traj", str(tmp_path / "t.csv"),
+        "--out-metrics", str(tmp_path / "m.json"),
+    ])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("itcsim: config error: geometry.initial*/target*: line of sight")
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "m.json").exists()
+
+
+def test_run_overflow_is_a_guard_trip(tmp_path, capsys):
+    """A saturation exponent of 1e6 overflows (a/A)**n in an RK4 stage of
+    the step from t = 0.08 s; the run ends as a guard trip with its rows."""
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("saturation.n = 1000000\n")
+    code = main([
+        "run", "--config", str(cfg),
+        "--out-traj", str(tmp_path / "t.csv"),
+        "--out-metrics", str(tmp_path / "m.json"),
+    ])
+    assert code == EXIT_GUARD
+    payload = json.loads((tmp_path / "m.json").read_text())
+    assert payload["status"] == "guard-tripped"
+    log = read_trajectory_csv(str(tmp_path / "t.csv"))
+    assert [row.t for row in log.rows] == pytest.approx([0.01 * i for i in range(9)])
+    assert "guard-tripped" in capsys.readouterr().out
+
+
 def test_run_unwritable_output_path(tmp_path, micro_cfg, capsys):
     code = main([
         "run", "--config", str(micro_cfg),

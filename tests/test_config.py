@@ -167,6 +167,8 @@ def test_validation_messages_name_the_key():
         (dict(a_clip_g=math.nan), "aClipG"),
         (dict(mode="planar", initial_z_km=1.0), "initialZKm"),
         (dict(initial_x_km=0.0), "initial range"),
+        (dict(initial_x_km=0.0, initial_z_km=-10.0), r"geometry\.initial\*/target\*: line of"),
+        (dict(initial_x_km=1e-13, initial_z_km=-10.0), r"geometry\.initial\*/target\*: line of"),
     ]
     for overrides, fragment in cases:
         cfg = replace(ScenarioConfig(), **overrides)
@@ -182,6 +184,8 @@ def test_owner_rule_errors_name_the_config_key():
         (dict(k1=0.6), "gains.k1 = 0.6"),
         (dict(sigma_max_deg=0.5), "gains.k1 = auto"),
         (dict(phi=0.0), "shaping.phi = 0.0"),
+        (dict(phi=1e103), "shaping.phi = 1e+103"),
+        (dict(phi=1e-110), "shaping.phi = 1e-110"),
         (dict(eps_sin=0.5), "shaping.epsSin = 0.5"),
         (dict(n=3), "saturation.n = 3"),
         (dict(rho=0.0), "saturation.rho = 0.0"),

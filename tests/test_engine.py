@@ -295,6 +295,26 @@ def test_guard_trip_at_step_start_ends_the_log_at_the_last_row(stride, times):
     assert law.eval_calls == len(times) + 1 + (stride == 4)
 
 
+@pytest.mark.parametrize("stride, times", [(3, [0.0, 1.5]), (4, [0.0])])
+def test_overflow_ends_the_run_as_a_guard_trip(stride, times):
+    """A chain that overflows a float ends the run as the guard ``overflow``
+    with the rows it has, like a ``GuardTrip`` at the same state: the
+    end-row re-evaluation overflows again and is dropped."""
+    def f(t, y):
+        if t >= 2.0 and y[1] < 7.4:
+            return (-1.0, 1e300**2)
+        return (-1.0, y[1])
+
+    law = _CountingLaw(f, state_size=2, t_final=10.0)
+    log, out = simulate(law, (100.0, 1.0), SimSettings(dt=0.5, log_stride=stride))
+    assert out.status is RunStatus.GUARD_TRIPPED
+    assert out.guard == "overflow"
+    assert out.message.startswith("guard 'overflow' tripped at t=2.000000 s: ")
+    assert out.final_time == 2.0
+    assert [row.t for row in log.rows] == times
+    assert law.eval_calls == len(times) + 1 + (stride == 4)
+
+
 def _hex_row(row: LogRow) -> list[str]:
     return [v.hex() for v in row.values()]
 
