@@ -10,15 +10,7 @@ scenario configuration with presets for the standard study cases.
 
 from .config import ScenarioConfig, load_config, run_scenario, serialize_config
 from .engine import RunOutcome, RunStatus, SimSettings, simulate
-from .errors import (
-    ConfigError,
-    GuardTrip,
-    InfeasibleScenarioWarning,
-    InfeasibleShapingWarning,
-    ParseError,
-    SimulationWarning,
-    ValidationError,
-)
+from .errors import ConfigError, GuardTrip, ParseError, ValidationError
 from .guidance3d import Guidance3D
 from .guidance_planar import BaselinePlanar, GuidancePlanar
 from .kinematics import effective_lead, inertial_position
@@ -30,7 +22,7 @@ from .logio import (
     write_metrics_json,
     write_trajectory_csv,
 )
-from .metrics import CompareEntry, Metrics, compare_report, control_effort, interception_metrics
+from .metrics import Metrics, compare_report, control_effort, interception_metrics
 from .presets import PRESET_NAMES, preset_scenarios
 from .saturation import BoundMode, SaturationParams, saturation_rate
 from .shaping import ShapingParams, desired_heading, desired_lead, sgmf, shaping_rates
@@ -41,13 +33,10 @@ __all__ = [
     "BaselinePlanar",
     "BoundMode",
     "COLUMNS",
-    "CompareEntry",
     "ConfigError",
     "GuardTrip",
     "Guidance3D",
     "GuidancePlanar",
-    "InfeasibleScenarioWarning",
-    "InfeasibleShapingWarning",
     "LogRow",
     "Metrics",
     "ParseError",
@@ -58,7 +47,6 @@ __all__ = [
     "ScenarioConfig",
     "ShapingParams",
     "SimSettings",
-    "SimulationWarning",
     "TrajectoryLog",
     "ValidationError",
     "compare_report",

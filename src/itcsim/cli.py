@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from dataclasses import replace
 from typing import Sequence
 
@@ -17,7 +16,7 @@ from .config import ScenarioConfig, load_config, run_scenario
 from .engine import RunStatus
 from .errors import ConfigError
 from .logio import write_metrics_json, write_report_csv, write_trajectory_csv
-from .metrics import REPORT_HEADER, CompareEntry, Metrics, compare_report
+from .metrics import REPORT_HEADER, Metrics, compare_report
 from .presets import PRESET_NAMES, preset_scenarios
 
 EXIT_OK = 0
@@ -77,10 +76,9 @@ def _run_and_write(
     label: str, cfg: ScenarioConfig, traj_path: str, metrics_path: str, caught: list[str]
 ) -> tuple[RunStatus, Metrics]:
     """Simulate one scenario, write its trajectory CSV and metrics JSON; the
-    run's warnings go to ``caught`` as messages before anything is written."""
-    with warnings.catch_warnings(record=True) as recorded:
-        log, outcome, mets = run_scenario(cfg)
-    caught.extend(str(w.message) for w in recorded)
+    run's warnings go to ``caught`` before anything is written."""
+    log, outcome, mets = run_scenario(cfg)
+    caught.extend(log.warnings)
     write_trajectory_csv(log, traj_path)
     payload: dict[str, object] = {"label": label, "status": outcome.status.value}
     payload.update(mets.to_dict())
@@ -132,8 +130,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _batch_worker(
     item: tuple[str, ScenarioConfig, str],
 ) -> tuple[str, float, str, Metrics | None, str | None, list[str]]:
-    """Run one batch scenario; the warnings it raised come back as messages,
-    so the parent reports them in scenario order whatever process ran it."""
+    """Run one batch scenario; its warnings come back as messages, so the
+    parent reports them in scenario order whatever process ran it."""
     label, cfg, out_dir = item
     messages: list[str] = []
     try:
@@ -165,7 +163,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     else:
         results = [_batch_worker(item) for item in items]
 
-    entries = []
+    runs = []
     failed = False
     for label, angle, status, mets, error, messages in results:
         _print_warnings(label, messages)
@@ -173,10 +171,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         if status != RunStatus.INTERCEPTED.value:
             failed = True
         if mets is not None:
-            entries.append(CompareEntry(label=label, initial_angle_deg=angle, metrics=mets))
-    if entries:
+            runs.append((label, angle, mets))
+    if runs:
         write_report_csv(
-            os.path.join(args.out_dir, "report.csv"), REPORT_HEADER, compare_report(entries)
+            os.path.join(args.out_dir, "report.csv"), REPORT_HEADER, compare_report(runs)
         )
     return EXIT_ERROR if failed else EXIT_OK
 

@@ -29,6 +29,9 @@ ENV_PREFIX = "ITCSIM_"
 
 MODES = ("3d", "planar")
 LAWS = ("proposed", "baseline")
+# Longest run and largest log a config may ask for.
+MAX_STEPS = 10_000_000
+MAX_LOG_ROWS = 1_000_000
 
 
 def _parse_k1(text: str) -> float | str:
@@ -216,8 +219,13 @@ class ScenarioConfig:
         dx = (self.target_x_km - self.initial_x_km) * 1e3
         dy = (self.target_y_km - self.initial_y_km) * 1e3
         dz = (self.target_z_km - self.initial_z_km) * 1e3
-        if math.sqrt(dx * dx + dy * dy + dz * dz) < 1.0:
+        r0 = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if r0 < 1.0:
             raise ValidationError("geometry.initial*/target*: initial range is below 1 m")
+        if self.hit_radius >= r0:
+            raise ValidationError(
+                f"sim.hitRadius = {self.hit_radius}: must be below the initial range {r0:.1f} m"
+            )
         # The 3D law's polar guard would trip on the first row of a vertical
         # line of sight; the same test here names the keys instead.
         if self.mode == "3d" and abs(math.cos(self.initial_state()[1])) < EPS_COS:
@@ -233,6 +241,19 @@ class ScenarioConfig:
                 raise ValidationError(
                     f"{_FIELD_TO_KEY[name]} = {getattr(self, name)}: {exc}"
                 ) from None
+        # Bound a run's length and its log (about 750 B a logged row) at the
+        # timeout; ceil(steps) > N exactly when steps > N for a whole N.
+        steps = self.t_max_factor * self.tf / self.dt
+        if steps > MAX_STEPS:
+            raise ValidationError(
+                f"sim.dt = {self.dt}: a run of up to {steps:.3g} steps "
+                f"(sim.tMaxFactor * scenario.tf / sim.dt) exceeds the {MAX_STEPS:g}-step limit"
+            )
+        if steps / self.log_stride > MAX_LOG_ROWS:
+            raise ValidationError(
+                f"sim.logStride = {self.log_stride}: a log of up to {steps / self.log_stride:.3g} "
+                f"rows exceeds the {MAX_LOG_ROWS:g}-row limit"
+            )
 
 
 # --- Key table -----------------------------------------------------------------

@@ -21,17 +21,19 @@ distance at closest approach), when simulated time exceeds
 numerical guard fires (``guard-tripped``).  A chain that overflows a float
 (``OverflowError``, e.g. a huge saturation exponent) ends the run as the
 guard ``overflow``.
+
+A run's warnings (an unreachable impact time, the first shaping clamp) are
+messages in ``TrajectoryLog.warnings``; no Python warning is raised.
 """
 
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
 
-from .errors import ConfigError, GuardTrip, InfeasibleScenarioWarning, InfeasibleShapingWarning
+from .errors import ConfigError, GuardTrip
 from .logio import LogRow, TrajectoryLog
 
 
@@ -153,12 +155,10 @@ def simulate(
     # later than the commanded impact time, or the timing demand is already
     # unmeetable.
     if y[0] > law.speed * law.t_final:
-        msg = (
+        log.warnings.append(
             f"range {y[0]:.1f} m exceeds speed*t_final = {law.speed * law.t_final:.1f} m; "
             "impact-time target unreachable"
         )
-        _warnings.warn(msg, InfeasibleScenarioWarning, stacklevel=2)
-        log.warnings.append(msg)
 
     r_min = y[0]
     t_r_min = 0.0
@@ -193,9 +193,9 @@ def simulate(
         # column already carries the step-by-step detail.
         if not feasible and not warned_infeasible:
             warned_infeasible = True
-            msg = f"shaping demand clamped to zero lead at t={t:.3f} s (range-time error < 0)"
-            _warnings.warn(msg, InfeasibleShapingWarning, stacklevel=2)
-            log.warnings.append(msg)
+            log.warnings.append(
+                f"shaping demand clamped to zero lead at t={t:.3f} s (range-time error < 0)"
+            )
 
         if not all(map(math.isfinite, y_new)):
             # No row for a non-finite state: the log ends with the rows it has.

@@ -1,4 +1,4 @@
-"""Shared exception and warning types for the simulation package."""
+"""Shared exception types for the simulation package."""
 
 from __future__ import annotations
 
@@ -39,24 +39,3 @@ class GuardTrip(RuntimeError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-class SimulationWarning(UserWarning):
-    """Base class for non-fatal conditions detected during a run."""
-
-
-class InfeasibleShapingWarning(SimulationWarning):
-    """The range-to-go exceeds what the remaining flight time can cover.
-
-    The lead-shaping block clamps the desired lead angle to zero in this
-    regime; the run continues but the impact-time target may be missed.
-    """
-
-
-class InfeasibleScenarioWarning(SimulationWarning):
-    """The scenario as configured cannot meet its impact-time target.
-
-    Emitted before integration starts (for example when the straight-line
-    flight time to the target already exceeds the commanded impact time).
-    The run still executes so the user can inspect the trajectory.
-    """

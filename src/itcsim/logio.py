@@ -15,40 +15,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-# Column order of the trajectory CSV.  Vz/Vy are the quadratic error forms
-# of the vertical and horizontal guidance channels; x/y/z the inertial
-# interceptor position.
-COLUMNS = (
-    "t",
-    "r",
-    "theta",
-    "psi",
-    "thetaM",
-    "psiM",
-    "sigma",
-    "aMy",
-    "aMz",
-    "by",
-    "bz",
-    "z1",
-    "z2",
-    "z3",
-    "z4",
-    "zy",
-    "zz",
-    "aYMax",
-    "aZMax",
-    "Vz",
-    "Vy",
-    "x",
-    "y",
-    "z",
-)
-
-
 class LogRow(NamedTuple):
     """One sampled instant of a run, in the shared column schema: the tuple
-    is one CSV row in ``COLUMNS`` order."""
+    is one CSV row, under the header ``COLUMNS``."""
 
     t: float
     r: float
@@ -79,6 +48,24 @@ class LogRow(NamedTuple):
         """The row itself; kept for callers written against the record
         form, such as ``perfbench/run.py`` reading re-read rows."""
         return self
+
+
+# The trajectory CSV header: the ``LogRow`` field names, with these written
+# in the column style.  Vz/Vy are the quadratic error forms of the vertical
+# and horizontal guidance channels; x/y/z the inertial interceptor position.
+_HEADER = {
+    "theta_m": "thetaM",
+    "psi_m": "psiM",
+    "a_my": "aMy",
+    "a_mz": "aMz",
+    "b_y": "by",
+    "b_z": "bz",
+    "a_y_max": "aYMax",
+    "a_z_max": "aZMax",
+    "lyapunov_z": "Vz",
+    "lyapunov_y": "Vy",
+}
+COLUMNS = tuple(_HEADER.get(f, f) for f in LogRow._fields)
 
 
 @dataclass

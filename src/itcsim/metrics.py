@@ -117,32 +117,15 @@ def interception_metrics(
 
 # --- Comparison reports ---------------------------------------------------------
 
-
-@dataclass
-class CompareEntry:
-    """One labelled run feeding a comparison report."""
-
-    label: str
-    initial_angle_deg: float
-    metrics: Metrics
-
-
 REPORT_HEADER = ("label", "impactTime", "initialAngleDeg", "controlEffort")
 
 
-def compare_report(entries: list[CompareEntry]) -> list[tuple[str, float, float, float]]:
-    """Rows of (label, impact time, initial angle, effort) for a summary CSV."""
-    if not entries:
+def compare_report(runs: list[tuple[str, float, Metrics]]) -> list[tuple[str, float, float, float]]:
+    """Rows of (label, impact time, initial angle, effort) for a summary CSV,
+    from (label, initial angle in degrees, metrics) triples."""
+    if not runs:
         raise ValueError("comparison report of zero runs")
-    rows = []
-    for e in entries:
-        impact = e.metrics.impact_time
-        rows.append(
-            (
-                e.label,
-                math.nan if impact is None else impact,
-                e.initial_angle_deg,
-                e.metrics.control_effort,
-            )
-        )
-    return rows
+    return [
+        (label, math.nan if m.impact_time is None else m.impact_time, angle, m.control_effort)
+        for label, angle, m in runs
+    ]

@@ -22,8 +22,8 @@ psi_m_d = theta_m_d = arccos(2*cos(sigma_d) - 1) / 2, which reproduces the
 combined lead: cos(sigma_d) = cos^2(heading_d).
 
 Negative z1 means the target can no longer be reached in the remaining
-time even flying straight; the demand clamps to zero and the caller is
-warned rather than being handed a complex angle.
+time even flying straight; the demand clamps to zero (the engine logs the
+first clamp as a run warning) rather than handing back a complex angle.
 """
 
 from __future__ import annotations

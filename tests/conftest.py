@@ -4,9 +4,9 @@ The full-length engagements (50+ second flights at millisecond steps) are
 expensive, so each one is run exactly once per pytest session and shared by
 every test that inspects it.  The preset sweeps are independent engagements
 and run on a process pool with one worker per CPU; single runs stay
-in-process, where C1 times the nominal run.  Runs happen with library
-warnings suppressed; tests that assert warning behaviour build their own
-small scenarios.
+in-process, where C1 times the nominal run.  A run's warnings are the
+messages in its ``log.warnings``; tests that assert warning behaviour build
+their own small scenarios.
 
 Acceptance tests register one line per criterion through the
 ``criterion_recorder`` fixture; the collected lines are printed in a
@@ -19,7 +19,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -45,11 +44,9 @@ class RunBundle:
 
 
 def run_bundle(label: str, cfg: ScenarioConfig) -> RunBundle:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        start = time.perf_counter()
-        log, outcome, mets = run_scenario(cfg)
-        elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    log, outcome, mets = run_scenario(cfg)
+    elapsed = time.perf_counter() - start
     return RunBundle(label, cfg, log, outcome, mets, elapsed)
 
 

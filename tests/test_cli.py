@@ -8,6 +8,7 @@ acceptance suite.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -84,6 +85,21 @@ def test_run_warnings_are_labelled(tmp_path, micro_cfg, capsys):
         "run: warning: shaping demand clamped to zero lead at t=0.132 s (range-time error < 0)"
     ]
     assert "config.py:" not in err
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_run_warnings_do_not_depend_on_warning_filters(tmp_path, micro_cfg, action):
+    """A run's warnings are messages in its log, not Python warnings: the
+    interpreter's filters neither raise them as errors nor drop them."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "itcsim.cli", "run", "--config", str(micro_cfg),
+         "--out-traj", str(tmp_path / "t.csv"), "--out-metrics", str(tmp_path / "m.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONWARNINGS": action},
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == (
+        "run: warning: shaping demand clamped to zero lead at t=0.132 s (range-time error < 0)\n"
+    )
 
 
 def test_run_preset_composes_with_config_overrides(tmp_path, capsys):
@@ -228,6 +244,23 @@ def test_validate_rejects_infinite_env_override(micro_cfg, monkeypatch, capsys):
     assert "sim.hitRadius must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("sim.dt = 1e-9\n", "sim.dt = 1e-09: a run of up to 7.5e+10 steps"),
+        ("sim.dt = 1e-5\nsim.logStride = 1\n", "sim.logStride = 1: a log of up to 7.5e+06 rows"),
+    ],
+    ids=["steps", "rows"],
+)
+def test_validate_bounds_run_length(tmp_path, capsys, text, fragment):
+    """The nominal 75 s timeout caps a run at 1e7 steps and its log at 1e6 rows."""
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(text)
+    code = main(["validate", "--config", str(cfg)])
+    assert code == EXIT_ERROR
+    assert f"itcsim: config error: {fragment}" in capsys.readouterr().err
+
+
 def test_validate_missing_file(tmp_path, capsys):
     code = main(["validate", "--config", str(tmp_path / "nope.cfg")])
     assert code == EXIT_ERROR
@@ -293,19 +326,20 @@ def in_process_pool(monkeypatch):
 
 
 def _warning_micro_runs(monkeypatch):
-    """Stub ``run_scenario``: each scenario warns with its own t_final and
-    runs the 0.5 km micro-engagement instead of the preset's long one."""
-    import warnings
+    """Stub ``run_scenario``: each scenario runs the 0.5 km micro-engagement
+    instead of the preset's long one, with a first warning of its own that
+    names its t_final."""
     from dataclasses import replace
 
     from itcsim import cli
     from itcsim.config import run_scenario
 
     def fake(cfg):
-        warnings.warn(f"stub warning for tf={cfg.tf:g}", UserWarning)
         micro = replace(cfg, mode="planar", tf=2.0, initial_x_km=-0.5,
                         elevation_deg=0.0, azimuth_deg=0.0)
-        return run_scenario(micro)
+        log, outcome, mets = run_scenario(micro)
+        log.warnings.insert(0, f"stub warning for tf={cfg.tf:g}")
+        return log, outcome, mets
 
     monkeypatch.setattr(cli, "run_scenario", fake)
 

@@ -161,6 +161,7 @@ def test_validation_messages_name_the_key():
         (dict(dt=0.0), "sim.dt"),
         (dict(hit_radius=0.0), "hitRadius"),
         (dict(hit_radius=math.inf), "hitRadius"),
+        (dict(hit_radius=20000.0), r"sim\.hitRadius = 20000\.0: must be below the initial range"),
         (dict(t_max_factor=1.0), "tMaxFactor"),
         (dict(log_stride=0), "logStride"),
         (dict(a_clip_g=0.0), "aClipG"),

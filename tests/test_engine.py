@@ -16,12 +16,7 @@ import pytest
 
 from itcsim.config import ScenarioConfig
 from itcsim.engine import RunStatus, SimSettings, rk4_step, simulate
-from itcsim.errors import (
-    ConfigError,
-    GuardTrip,
-    InfeasibleScenarioWarning,
-    InfeasibleShapingWarning,
-)
+from itcsim.errors import ConfigError, GuardTrip
 from itcsim.logio import LogRow
 
 
@@ -194,8 +189,7 @@ def test_nonfinite_state_is_a_guard():
 def test_unreachable_target_warns_up_front():
     # 300 m to cover in 1 s at 250 m/s cannot meet the impact time.
     law = _MiniLaw(lambda t, y: (-1.0,), speed=250.0, t_final=1.0)
-    with pytest.warns(InfeasibleScenarioWarning, match="unreachable"):
-        log, out = simulate(law, (300.0,), SimSettings(dt=0.5))
+    log, out = simulate(law, (300.0,), SimSettings(dt=0.5))
     assert len(log.warnings) == 1
     assert "unreachable" in log.warnings[0]
 
@@ -210,8 +204,7 @@ def test_infeasible_shaping_warns_once_per_run():
         speed=250.0,
         feasible=lambda t: not (1.0 <= t < 2.0 or 3.0 <= t < 4.0),
     )
-    with pytest.warns(InfeasibleShapingWarning):
-        log, out = simulate(law, (40.0,), SimSettings(dt=0.25))
+    log, out = simulate(law, (40.0,), SimSettings(dt=0.25))
     assert out.status is RunStatus.TIMEOUT
     assert len(log.warnings) == 1
     assert "clamped" in log.warnings[0]
@@ -319,7 +312,6 @@ def _hex_row(row: LogRow) -> list[str]:
     return [v.hex() for v in row.values()]
 
 
-@pytest.mark.filterwarnings("ignore::itcsim.errors.InfeasibleShapingWarning")
 def test_logging_does_not_perturb_the_trajectory():
     """Stage 1 of a logged step comes from ``evaluate``, of any other step
     from ``rates``; the two agree bit-for-bit, so a short 3D engagement

@@ -9,7 +9,6 @@ import pytest
 from itcsim.logio import LogRow, TrajectoryLog
 from itcsim.metrics import (
     BOUND_TOL,
-    CompareEntry,
     REPORT_HEADER,
     compare_report,
     control_effort,
@@ -142,8 +141,7 @@ def test_compare_report():
         _log([_row(t=0.0, r=5.0), _row(t=1.0, r=0.5)]),
         t_final=1.0, sigma_max=1.0, hit_radius=1.0,
     )
-    entries = [CompareEntry(label="row", initial_angle_deg=10.0, metrics=m)]
-    rows = compare_report(entries)
+    rows = compare_report([("row", 10.0, m)])
     assert len(rows) == 1
     assert rows[0][0] == "row"
     assert rows[0][2] == 10.0
@@ -154,7 +152,7 @@ def test_compare_report():
         _log([_row(t=0.0, r=5.0), _row(t=1.0, r=4.0)]),
         t_final=1.0, sigma_max=1.0, hit_radius=1.0,
     )
-    rows = compare_report([CompareEntry(label="miss", initial_angle_deg=0.0, metrics=m_none)])
+    rows = compare_report([("miss", 0.0, m_none)])
     assert math.isnan(rows[0][1])
 
     with pytest.raises(ValueError, match="zero runs"):

@@ -7,13 +7,14 @@ Usage:
 Each preset runs through the itcsim CLI in a fresh temporary directory: the
 three single-run presets with ``itcsim run``, the others with
 ``itcsim batch --jobs 2``.  The output lists ``sha256  path`` for every file
-a preset wrote and for its stdout, then ``exit N  preset``.  Paths are
-relative to the temporary directory, so two checkouts that behave the same
-print the same text and ``diff`` of the two outputs is the byte-identity
-check.  ``--src`` points at the ``src`` directory of another checkout
-(default: this checkout's).  Every ``ITCSIM_*`` variable is removed from the
-environment of the runs.  stderr is left out: it holds warning text, not
-results.
+a preset wrote and for its stdout and stderr, then ``exit N  preset``.
+stderr holds the runs' labelled warnings, in scenario order whatever the job
+count, so it is as deterministic as the other outputs.  Paths are relative
+to the temporary directory, so two checkouts that behave the same print the
+same text and ``diff`` of the two outputs is the byte-identity check.
+``--src`` points at the ``src`` directory of another checkout (default: this
+checkout's).  Every ``ITCSIM_*`` variable is removed from the environment of
+the runs.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ def main() -> int:
             for path in sorted(out.iterdir()):
                 print(f"{_sha256(path.read_bytes())}  {preset}/{path.name}")
             print(f"{_sha256(proc.stdout)}  {preset}/stdout")
+            print(f"{_sha256(proc.stderr)}  {preset}/stderr")
             print(f"exit {proc.returncode}  {preset}")
     return 0
 
