@@ -81,6 +81,8 @@ def _run_and_write(
     caught.extend(log.warnings)
     write_trajectory_csv(log, traj_path)
     payload: dict[str, object] = {"label": label, "status": outcome.status.value}
+    if outcome.status is RunStatus.GUARD_TRIPPED:
+        payload["guard"] = outcome.guard
     payload.update(mets.to_dict())
     payload["warnings"] = list(log.warnings)
     write_metrics_json(payload, metrics_path)
@@ -129,7 +131,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _batch_worker(
     item: tuple[str, ScenarioConfig, str],
-) -> tuple[str, float, str, Metrics | None, str | None, list[str]]:
+) -> tuple[str, Metrics | None, str | None, list[str]]:
     """Run one batch scenario; its warnings come back as messages, so the
     parent reports them in scenario order whatever process ran it."""
     label, cfg, out_dir = item
@@ -142,10 +144,9 @@ def _batch_worker(
             os.path.join(out_dir, f"{label}.metrics.json"),
             messages,
         )
-        result = label, cfg.azimuth_deg, status.value, mets, None
+        return status.value, mets, None, messages
     except Exception as exc:  # per-scenario isolation: record and continue
-        result = label, cfg.azimuth_deg, "error", None, str(exc)
-    return (*result, messages)
+        return "error", None, str(exc), messages
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -154,6 +155,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     items = [(label, cfg, args.out_dir) for label, cfg in scenarios]
 
     # A pool forks all its workers up front; never start more than there is work.
+    # Both paths return the results in scenario order.
     jobs = min(args.jobs, len(items))
     if jobs > 1:
         import concurrent.futures
@@ -165,13 +167,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     runs = []
     failed = False
-    for label, angle, status, mets, error, messages in results:
+    for (label, cfg), (status, mets, error, messages) in zip(scenarios, results):
         _print_warnings(label, messages)
         print(_summary_line(label, status, mets, error))
         if status != RunStatus.INTERCEPTED.value:
             failed = True
         if mets is not None:
-            runs.append((label, angle, mets))
+            runs.append((label, cfg.azimuth_deg, mets))
     if runs:
         write_report_csv(
             os.path.join(args.out_dir, "report.csv"), REPORT_HEADER, compare_report(runs)

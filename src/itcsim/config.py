@@ -20,8 +20,7 @@ from .errors import ConfigError, ParseError, ValidationError
 from .guidance3d import Guidance3D
 from .guidance_planar import BaselinePlanar, GuidancePlanar
 from .kinematics import EPS_COS
-from .logio import TrajectoryLog
-from .metrics import Metrics, interception_metrics
+from .metrics import interception_metrics
 from .saturation import BoundMode, SaturationParams
 from .shaping import ShapingParams
 
@@ -220,8 +219,10 @@ class ScenarioConfig:
         dy = (self.target_y_km - self.initial_y_km) * 1e3
         dz = (self.target_z_km - self.initial_z_km) * 1e3
         r0 = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if r0 < 1.0:
-            raise ValidationError("geometry.initial*/target*: initial range is below 1 m")
+        if not 1.0 <= r0 < math.inf:
+            raise ValidationError(
+                f"geometry.initial*/target*: initial range must be >= 1 m and finite, got {r0:g} m"
+            )
         if self.hit_radius >= r0:
             raise ValidationError(
                 f"sim.hitRadius = {self.hit_radius}: must be below the initial range {r0:.1f} m"
@@ -361,17 +362,3 @@ def run_scenario(cfg: ScenarioConfig):
     )
     return log, outcome, mets
 
-
-__all__ = [
-    "ScenarioConfig",
-    "Metrics",
-    "TrajectoryLog",
-    "load_config",
-    "serialize_config",
-    "parse_config_text",
-    "env_overrides",
-    "apply_kv",
-    "run_scenario",
-    "ENV_PREFIX",
-    "KEYS",
-]

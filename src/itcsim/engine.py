@@ -160,15 +160,15 @@ def simulate(
             "impact-time target unreachable"
         )
 
-    r_min = y[0]
-    t_r_min = 0.0
-    step = 0
+    r_min, t_r_min = y[0], 0.0
+    step, t = 0, 0.0
     last_logged = -1
     warned_infeasible = False
+    status, impact, guard = RunStatus.TIMEOUT, None, None
 
+    hit_radius = settings.hit_radius
     log_stride = settings.log_stride
     while True:
-        t = step * dt
         try:
             ev = None
             if step % log_stride == 0:
@@ -178,14 +178,7 @@ def simulate(
             y_new, feasible = rk4_step(law, t, y, dt, ev)
         except (GuardTrip, OverflowError) as exc:
             trip = exc if isinstance(exc, GuardTrip) else GuardTrip("overflow", t, str(exc))
-            outcome = RunOutcome(
-                status=RunStatus.GUARD_TRIPPED,
-                impact_time=None,
-                miss_distance=r_min,
-                final_time=t,
-                guard=trip.guard,
-                message=str(trip),
-            )
+            status, guard, message = RunStatus.GUARD_TRIPPED, trip.guard, str(trip)
             break
 
         # Report the first clamp only; a run hovering at the feasibility
@@ -200,53 +193,35 @@ def simulate(
         if not all(map(math.isfinite, y_new)):
             # No row for a non-finite state: the log ends with the rows it has.
             return log, RunOutcome(
-                status=RunStatus.GUARD_TRIPPED,
-                impact_time=None,
-                miss_distance=r_min,
-                final_time=t,
-                guard="nonfinite-state",
-                message=f"non-finite state component after step at t={t:.6f} s",
+                RunStatus.GUARD_TRIPPED, None, r_min, t, "nonfinite-state",
+                f"non-finite state component after step at t={t:.6f} s",
             )
 
         step += 1
-        t_new = step * dt
+        t = step * dt
         r_prev, r_new = y[0], y_new[0]
         y = y_new
         if r_new < r_min:
             r_min = r_new
-            t_r_min = t_new
+            t_r_min = t
 
-        if r_new <= settings.hit_radius:
-            # Linear-in-range interpolation of the crossing instant.
-            frac = (r_prev - settings.hit_radius) / (r_prev - r_new)
-            impact = t_new - dt + frac * dt
-            outcome = RunOutcome(
-                status=RunStatus.INTERCEPTED,
-                impact_time=impact,
-                miss_distance=r_new,
-                final_time=t_new,
-                message=f"range crossed {settings.hit_radius} m at t={impact:.4f} s",
+        if r_new <= hit_radius:
+            # Linear-in-range crossing instant; the miss is the crossing step's range.
+            frac = (r_prev - hit_radius) / (r_prev - r_new)
+            impact = t - dt + frac * dt
+            status, r_min = RunStatus.INTERCEPTED, r_new
+            message = f"range crossed {hit_radius} m at t={impact:.4f} s"
+            break
+        if r_new > r_prev and r_min < 10.0 * hit_radius:
+            message = (
+                f"flyby: range increasing at t={t:.4f} s after closest "
+                f"approach {r_min:.3f} m at t={t_r_min:.4f} s"
             )
             break
-
-        flyby = r_new > r_prev and r_min < 10.0 * settings.hit_radius
-        if flyby or t_new >= t_max:
-            if flyby:
-                msg = (
-                    f"flyby: range increasing at t={t_new:.4f} s after closest "
-                    f"approach {r_min:.3f} m at t={t_r_min:.4f} s"
-                )
-            else:
-                msg = (
-                    f"no interception by t={t_new:.2f} s; closest approach "
-                    f"{r_min:.2f} m at t={t_r_min:.2f} s"
-                )
-            outcome = RunOutcome(
-                status=RunStatus.TIMEOUT,
-                impact_time=None,
-                miss_distance=r_min,
-                final_time=t_new,
-                message=msg,
+        if t >= t_max:
+            message = (
+                f"no interception by t={t:.2f} s; closest approach "
+                f"{r_min:.2f} m at t={t_r_min:.2f} s"
             )
             break
 
@@ -256,7 +231,7 @@ def simulate(
     # the trip is at the step boundary itself and the log just ends early.
     if last_logged != step:
         try:
-            log.rows.append(law.log_row(outcome.final_time, y, law.evaluate(outcome.final_time, y)))
+            log.rows.append(law.log_row(t, y, law.evaluate(t, y)))
         except (GuardTrip, OverflowError):
             pass
-    return log, outcome
+    return log, RunOutcome(status, impact, r_min, t, guard, message)

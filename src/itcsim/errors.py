@@ -33,9 +33,5 @@ class GuardTrip(RuntimeError):
 
     def __init__(self, guard: str, t: float, detail: str = "") -> None:
         self.guard = guard
-        self.t = t
-        self.detail = detail
         msg = f"guard '{guard}' tripped at t={t:.6f} s"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"{msg}: {detail}" if detail else msg)

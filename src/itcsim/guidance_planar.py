@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import GuardTrip
-from .kinematics import EPS_RANGE, lead_rate_planar, los_rates_planar_trig
+from .kinematics import EPS_RANGE, inertial_position, lead_rate_planar, los_rates_planar_trig
 from .logio import LogRow
 from .saturation import EPS_DEN, SaturationParams, axis_brackets, clip_command
 from .shaping import ShapingParams, shaping_rates
@@ -42,14 +42,14 @@ def _planar_log_row(
     """Planar run in the shared schema: 3D-only columns stay zero.
 
     The planar LOS angle goes in the ``theta`` column (matching the planar
-    state naming) and the engagement plane is taken as z = target z for the
-    position columns.
+    state naming); the position columns are ``inertial_position`` with that
+    angle as azimuth at zero elevation, in the plane z = target z.
     """
     # In COLUMNS order; the zeros are the 3D-only columns.
     return LogRow(
         t, r, theta, 0.0, 0.0, 0.0, sigma, a_my, 0.0, ev.b_y, 0.0,
         ev.z1, ev.z2, 0.0, 0.0, ev.zy, 0.0, ev.a_y_max, 0.0, 0.0, ev.lyapunov_y,
-        target[0] - r * math.cos(theta), target[1] - r * math.sin(theta), target[2],
+        *inertial_position(r, 0.0, theta, target),
     )
 
 

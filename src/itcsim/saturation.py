@@ -82,8 +82,14 @@ class SaturationParams:
             raise ConfigError(f"saturation exponent n must be even and >= 2, got {self.n}", field="n")
         if self.rho <= 0.0:
             raise ConfigError(f"saturation leak rate rho must be > 0, got {self.rho}", field="rho")
-        if self.a_max <= 0.0:
-            raise ConfigError(f"acceleration bound a_max must be > 0, got {self.a_max}", field="a_max")
+        # ``axis_brackets`` counts a smaller constant bound as zero, which
+        # would leave the channels unsaturated.
+        if self.a_max < EPS_RESULTANT * EPS_RESULTANT:
+            raise ConfigError(
+                f"acceleration bound a_max must be >= {EPS_RESULTANT * EPS_RESULTANT:g} m/s^2, "
+                f"got {self.a_max}",
+                field="a_max",
+            )
         if self.mode is BoundMode.WING_TAIL and not 0.0 < self.a_max_l <= self.a_max:
             raise ConfigError(
                 f"wing-tail lower bound a_max_l must be in (0, a_max], got {self.a_max_l}",

@@ -206,6 +206,7 @@ def test_run_overflow_is_a_guard_trip(tmp_path, capsys):
     assert code == EXIT_GUARD
     payload = json.loads((tmp_path / "m.json").read_text())
     assert payload["status"] == "guard-tripped"
+    assert payload["guard"] == "overflow"
     log = read_trajectory_csv(str(tmp_path / "t.csv"))
     assert [row.t for row in log.rows] == pytest.approx([0.01 * i for i in range(9)])
     assert "guard-tripped" in capsys.readouterr().out

@@ -168,6 +168,7 @@ def test_validation_messages_name_the_key():
         (dict(a_clip_g=math.nan), "aClipG"),
         (dict(mode="planar", initial_z_km=1.0), "initialZKm"),
         (dict(initial_x_km=0.0), "initial range"),
+        (dict(target_x_km=1e160), r"geometry\.initial\*/target\*: initial range"),
         (dict(initial_x_km=0.0, initial_z_km=-10.0), r"geometry\.initial\*/target\*: line of"),
         (dict(initial_x_km=1e-13, initial_z_km=-10.0), r"geometry\.initial\*/target\*: line of"),
     ]
@@ -191,6 +192,7 @@ def test_owner_rule_errors_name_the_config_key():
         (dict(n=3), "saturation.n = 3"),
         (dict(rho=0.0), "saturation.rho = 0.0"),
         (dict(a_max_g=0.0), "saturation.aMaxG = 0.0"),
+        (dict(a_max_g=1e-14), "saturation.aMaxG = 1e-14"),
         (dict(bound_mode="wing-tail", a_max_l_g=20.0), "saturation.aMaxLG = 20.0"),
         (dict(b_cap=0.0), "saturation.bCap = 0.0"),
         (dict(dt=0.0), "sim.dt = 0.0"),

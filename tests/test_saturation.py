@@ -125,7 +125,7 @@ def test_bracket_and_ratio_guard():
     assert axis_brackets(49.05, -49.05, p)[:2] == pytest.approx((0.75, 0.75), rel=REL)
     # A degenerate zero bound counts as a zero ratio instead of dividing.
     assert saturation_rate(0.0, 5.0, 0.0, p) == 5.0
-    assert axis_brackets(1e-7, -30.0, _params(a_max=1e-13)) == (1.0, 1.0, 1e-13, 1e-13)
+    assert axis_brackets(1e-7, -30.0, SaturationParams(a_max=1e-13)) == (1.0, 1.0, 1e-13, 1e-13)
 
 
 def test_roll_coupled_bounds_split():
@@ -176,7 +176,7 @@ def test_axis_brackets_match_the_split_schedules():
     signed zeros, at +-inf and for NaN, and below the zero-bound guard."""
     schedules = [
         _params(n=n, mode=mode, a_max_l=9.81) for n in (2, 4) for mode in BoundMode
-    ] + [_params(a_max=1e-13)]
+    ] + [SaturationParams(a_max=1e-13)]
     values = (0.0, -0.0, 1e-7, -1e-7, 30.0, -30.0, 97.0, math.inf, -math.inf, math.nan)
     rng = random.Random(17)
     points = [(a, b) for a in values for b in values] + [
