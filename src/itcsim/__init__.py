@@ -18,11 +18,12 @@ from .logio import (
     COLUMNS,
     LogRow,
     TrajectoryLog,
+    TrajectoryWriter,
     read_trajectory_csv,
     write_metrics_json,
     write_trajectory_csv,
 )
-from .metrics import Metrics, compare_report, control_effort, interception_metrics
+from .metrics import Metrics, MetricsFold, compare_report, control_effort, interception_metrics
 from .presets import PRESET_NAMES, preset_scenarios
 from .saturation import BoundMode, SaturationParams, saturation_rate
 from .shaping import ShapingParams, desired_heading, desired_lead, sgmf, shaping_rates
@@ -39,6 +40,7 @@ __all__ = [
     "GuidancePlanar",
     "LogRow",
     "Metrics",
+    "MetricsFold",
     "ParseError",
     "PRESET_NAMES",
     "RunOutcome",
@@ -48,6 +50,7 @@ __all__ = [
     "ShapingParams",
     "SimSettings",
     "TrajectoryLog",
+    "TrajectoryWriter",
     "ValidationError",
     "compare_report",
     "control_effort",

@@ -15,7 +15,10 @@ from typing import Sequence
 from .config import ScenarioConfig, load_config, run_scenario
 from .engine import RunStatus
 from .errors import ConfigError
-from .logio import write_metrics_json, write_report_csv, write_trajectory_csv
+# The commands stream each run into a TrajectoryWriter; perfbench/tracer.py
+# still wraps write_trajectory_csv under this module's name.
+from .logio import TrajectoryWriter, write_metrics_json, write_report_csv
+from .logio import write_trajectory_csv  # noqa: F401
 from .metrics import REPORT_HEADER, Metrics, compare_report
 from .presets import PRESET_NAMES, preset_scenarios
 
@@ -75,11 +78,13 @@ def _summary_line(label: str, status: str, metrics: Metrics | None, error: str |
 def _run_and_write(
     label: str, cfg: ScenarioConfig, traj_path: str, metrics_path: str, caught: list[str]
 ) -> tuple[RunStatus, Metrics]:
-    """Simulate one scenario, write its trajectory CSV and metrics JSON; the
-    run's warnings go to ``caught`` before anything is written."""
-    log, outcome, mets = run_scenario(cfg)
+    """Simulate one scenario, writing its trajectory CSV row by row as it
+    integrates, then its metrics JSON; the run's warnings go to ``caught``
+    before the metrics JSON is written.  The CSV is opened first, so an
+    unwritable path fails before the run starts."""
+    with TrajectoryWriter(traj_path) as sink:
+        log, outcome, mets = run_scenario(cfg, sink)
     caught.extend(log.warnings)
-    write_trajectory_csv(log, traj_path)
     payload: dict[str, object] = {"label": label, "status": outcome.status.value}
     if outcome.status is RunStatus.GUARD_TRIPPED:
         payload["guard"] = outcome.guard

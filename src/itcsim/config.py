@@ -15,12 +15,16 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping
 
-from .engine import SimSettings, simulate
+from .engine import RunOutcome, SimSettings, simulate
 from .errors import ConfigError, ParseError, ValidationError
 from .guidance3d import Guidance3D
 from .guidance_planar import BaselinePlanar, GuidancePlanar
 from .kinematics import EPS_COS
-from .metrics import interception_metrics
+from .logio import LogRow, RowSink, TrajectoryLog
+
+# run_scenario scores its rows with a MetricsFold as they come, and calls no
+# interception_metrics; perfbench/tracer.py still wraps that name here.
+from .metrics import Metrics, MetricsFold, interception_metrics  # noqa: F401
 from .saturation import BoundMode, SaturationParams
 from .shaping import ShapingParams
 
@@ -123,18 +127,24 @@ class ScenarioConfig:
     def target_m(self) -> tuple[float, float, float]:
         return (self.target_x_km * 1e3, self.target_y_km * 1e3, self.target_z_km * 1e3)
 
-    def initial_state(self) -> tuple[float, ...]:
+    def _line_of_sight(self) -> tuple[float, float, float, float]:
+        """Offsets dx, dy, dz from interceptor to target and the initial
+        range r0, m; a planar range lies in the x-y plane."""
         dx = (self.target_x_km - self.initial_x_km) * 1e3
         dy = (self.target_y_km - self.initial_y_km) * 1e3
         dz = (self.target_z_km - self.initial_z_km) * 1e3
         if self.mode == "planar":
-            r0 = math.hypot(dx, dy)
+            return dx, dy, dz, math.hypot(dx, dy)
+        return dx, dy, dz, math.sqrt(dx * dx + dy * dy + dz * dz)
+
+    def initial_state(self) -> tuple[float, ...]:
+        dx, dy, dz, r0 = self._line_of_sight()
+        if self.mode == "planar":
             theta0 = math.atan2(dy, dx)
             sigma0 = math.radians(self.azimuth_deg)
             if self.law == "baseline":
                 return (r0, theta0, sigma0)
             return (r0, theta0, sigma0, 0.0)
-        r0 = math.sqrt(dx * dx + dy * dy + dz * dz)
         theta0 = math.asin(dz / r0)
         psi0 = math.atan2(dy, dx)
         return (
@@ -215,10 +225,9 @@ class ScenarioConfig:
             raise ValidationError(
                 "geometry.initialZKm must equal geometry.targetZKm in planar mode"
             )
-        dx = (self.target_x_km - self.initial_x_km) * 1e3
-        dy = (self.target_y_km - self.initial_y_km) * 1e3
-        dz = (self.target_z_km - self.initial_z_km) * 1e3
-        r0 = math.sqrt(dx * dx + dy * dy + dz * dz)
+        # The range of the state initial_state builds, checked before its
+        # asin(dz / r0) can divide by zero.
+        r0 = self._line_of_sight()[3]
         if not 1.0 <= r0 < math.inf:
             raise ValidationError(
                 f"geometry.initial*/target*: initial range must be >= 1 m and finite, got {r0:g} m"
@@ -239,11 +248,15 @@ class ScenarioConfig:
                 params.validate()
             except ConfigError as exc:
                 name = _OWNER_FIELD.get(exc.field, exc.field)
-                raise ValidationError(
-                    f"{_FIELD_TO_KEY[name]} = {getattr(self, name)}: {exc}"
-                ) from None
-        # Bound a run's length and its log (about 750 B a logged row) at the
-        # timeout; ceil(steps) > N exactly when steps > N for a whole N.
+                culprit = f"{_FIELD_TO_KEY[name]} = {getattr(self, name)}"
+                if name in ("a_max_g", "a_max_l_g") and self._g_breaks(exc.field):
+                    culprit = (
+                        f"{_FIELD_TO_KEY[name]} × saturation.g = "
+                        f"{getattr(self, name)} × {self.g}"
+                    )
+                raise ValidationError(f"{culprit}: {exc}") from None
+        # Bound a run's length and its log (a 3D CSV row is about 470 B) at
+        # the timeout; ceil(steps) > N exactly when steps > N for a whole N.
         steps = self.t_max_factor * self.tf / self.dt
         if steps > MAX_STEPS:
             raise ValidationError(
@@ -255,6 +268,16 @@ class ScenarioConfig:
                 f"sim.logStride = {self.log_stride}: a log of up to {steps / self.log_stride:.3g} "
                 f"rows exceeds the {MAX_LOG_ROWS:g}-row limit"
             )
+
+    def _g_breaks(self, param: str) -> bool:
+        """Whether the bound ``param`` (``a_max`` or ``a_max_l``), which is
+        a g-unit key times ``saturation.g``, fails only because of g: with
+        the default g it passes."""
+        try:
+            replace(self, g=ScenarioConfig.g).saturation_params().validate()
+        except ConfigError as exc:
+            return exc.field != param
+        return True
 
 
 # --- Key table -----------------------------------------------------------------
@@ -346,19 +369,50 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 # --- Running -----------------------------------------------------------------
 
 
-def run_scenario(cfg: ScenarioConfig):
+class _Tee:
+    """A row sink that passes each row to two sinks, in order, ``CHUNK_ROWS``
+    rows at a time.  Holding one bounded chunk keeps memory flat however
+    long the run, and handing rows on in bursts keeps the scoring and
+    writing out of the integrator's loop, where it measured slower."""
+
+    CHUNK_ROWS = 1024
+
+    def __init__(self, first: RowSink, second: RowSink) -> None:
+        self._first, self._second = first.append, second.append
+        self._held: list[LogRow] = []
+
+    def append(self, row: LogRow) -> None:
+        held = self._held
+        held.append(row)
+        if len(held) == self.CHUNK_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        first, second = self._first, self._second
+        for row in self._held:
+            first(row)
+            second(row)
+        self._held.clear()
+
+
+def run_scenario(
+    cfg: ScenarioConfig, sink: RowSink | None = None
+) -> tuple[TrajectoryLog, RunOutcome, Metrics]:
     """Validate, simulate, and score one scenario.
 
-    Returns (log, outcome, metrics).
+    While the run integrates, each row is scored by a ``MetricsFold`` and
+    then appended to ``sink`` (a new list by default), in chunks of at most
+    ``_Tee.CHUNK_ROWS`` rows.  Returns (log, outcome, metrics);
+    ``log.rows`` is the sink.
     """
     cfg.validate()
     law = cfg.make_law()
-    log, outcome = simulate(law, cfg.initial_state(), cfg.sim_settings())
-    mets = interception_metrics(
-        log,
-        t_final=cfg.tf,
-        sigma_max=math.radians(cfg.sigma_max_deg),
-        hit_radius=cfg.hit_radius,
+    rows = [] if sink is None else sink
+    fold = MetricsFold(
+        t_final=cfg.tf, sigma_max=math.radians(cfg.sigma_max_deg), hit_radius=cfg.hit_radius
     )
-    return log, outcome, mets
+    tee = _Tee(fold, rows)
+    log, outcome = simulate(law, cfg.initial_state(), cfg.sim_settings(), tee)
+    tee.flush()
+    return replace(log, rows=rows), outcome, fold.metrics()
 

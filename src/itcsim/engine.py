@@ -12,6 +12,10 @@ every ``log_stride``-th step plus the terminal or guard-trip row.  Its
 items 0 and 1 are the same two values, so on a logged step the record is
 built first and serves as stage 1 itself.
 
+Each logged row goes to the row sink given to ``simulate`` (anything with
+``append``; a new list by default) as soon as it is built, so a caller can
+write or score the rows while the run integrates instead of holding them.
+
 A run terminates when the range first drops to the hit radius
 (``intercepted``, with the crossing time interpolated inside the final
 step), when the range starts growing again after a closest approach inside
@@ -34,7 +38,7 @@ from enum import Enum
 from typing import Protocol
 
 from .errors import ConfigError, GuardTrip
-from .logio import LogRow, TrajectoryLog
+from .logio import LogRow, RowSink, TrajectoryLog
 
 
 class GuidanceLaw(Protocol):
@@ -135,18 +139,24 @@ def rk4_step(
 
 
 def simulate(
-    law: GuidanceLaw, y0: tuple[float, ...], settings: SimSettings = SimSettings()
+    law: GuidanceLaw,
+    y0: tuple[float, ...],
+    settings: SimSettings = SimSettings(),
+    sink: RowSink | None = None,
 ) -> tuple[TrajectoryLog, RunOutcome]:
     """Integrate one engagement to termination.
 
     The state convention is fixed only in its first component: y[0] must be
     the range to target, which drives the interception and flyby logic.
+    Logged rows are appended to ``sink`` in time order; the returned log's
+    ``rows`` is that sink (a new list when none is given).
     """
     settings.validate()
     if len(y0) != law.state_size:
         raise ConfigError(f"initial state has {len(y0)} components, law expects {law.state_size}")
 
-    log = TrajectoryLog()
+    log = TrajectoryLog(rows=[] if sink is None else sink)
+    append_row = log.rows.append
     dt = settings.dt
     t_max = settings.t_max_factor * law.t_final
     y = tuple(float(v) for v in y0)
@@ -173,7 +183,7 @@ def simulate(
             ev = None
             if step % log_stride == 0:
                 ev = law.evaluate(t, y)
-                log.rows.append(law.log_row(t, y, ev))
+                append_row(law.log_row(t, y, ev))
                 last_logged = step
             y_new, feasible = rk4_step(law, t, y, dt, ev)
         except (GuardTrip, OverflowError) as exc:
@@ -231,7 +241,7 @@ def simulate(
     # the trip is at the step boundary itself and the log just ends early.
     if last_logged != step:
         try:
-            log.rows.append(law.log_row(t, y, law.evaluate(t, y)))
+            append_row(law.log_row(t, y, law.evaluate(t, y)))
         except (GuardTrip, OverflowError):
             pass
     return log, RunOutcome(status, impact, r_min, t, guard, message)

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Protocol
 
 class LogRow(NamedTuple):
     """One sampled instant of a run, in the shared column schema: the tuple
@@ -68,11 +68,22 @@ _HEADER = {
 COLUMNS = tuple(_HEADER.get(f, f) for f in LogRow._fields)
 
 
+class RowSink(Protocol):
+    """Where a run's rows go as the engine produces them: a list keeps
+    them, a ``TrajectoryWriter`` writes them, a ``MetricsFold`` scores them."""
+
+    def append(self, row: LogRow) -> None: ...
+
+
 @dataclass
 class TrajectoryLog:
-    """Sampled trajectory of one run plus any warnings it raised."""
+    """Sampled trajectory of one run plus any warnings it raised.
 
-    rows: list[LogRow] = field(default_factory=list)
+    ``rows`` is the sink the rows went to: a list of them unless the run
+    was given another sink.
+    """
+
+    rows: list[LogRow] | RowSink = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -88,13 +99,34 @@ def _fmt(x: float) -> str:
 _ROW_FORMAT = ",".join(["{:.17g}"] * len(COLUMNS)) + "\r\n"
 
 
+class TrajectoryWriter:
+    """A row sink that writes the trajectory CSV as the rows arrive.
+
+    Opening the file writes the header, so an unwritable path fails before
+    any row is produced.  Each row is written through the file's own
+    buffer, so the writer holds no rows.  Leaving the ``with`` block closes
+    the file.
+    """
+
+    def __init__(self, path: str) -> None:
+        self._fh = open(path, "w", newline="")
+        self._fh.write(",".join(COLUMNS) + "\r\n")
+
+    def append(self, row: LogRow) -> None:
+        self._fh.write(_ROW_FORMAT.format(*row))
+
+    def __enter__(self) -> TrajectoryWriter:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self._fh.close()
+
+
 def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
-    """Write the trajectory rows in the shared column schema."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(COLUMNS) + "\r\n")
-        write, fmt = fh.write, _ROW_FORMAT.format
+    """Write the trajectory rows of an in-memory log in the shared column schema."""
+    with TrajectoryWriter(path) as out:
         for row in log.rows:
-            write(fmt(*row))
+            out.append(row)
 
 
 def read_trajectory_csv(path: str) -> TrajectoryLog:

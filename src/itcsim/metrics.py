@@ -1,7 +1,8 @@
 """Interception and constraint metrics computed from trajectory logs.
 
-Everything here is a pure function of a log (plus a few scenario constants),
-so metrics can be recomputed from a written CSV without rerunning the
+Every metric is a fold over the logged rows in time order (``MetricsFold``)
+plus a few scenario constants: a run is scored while it integrates, and the
+same fold recomputes its metrics from a written CSV without rerunning the
 simulation.
 """
 
@@ -9,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import Iterable
 
-from .logio import TrajectoryLog
+from .logio import LogRow, TrajectoryLog
 
 # Bound comparisons use a small float tolerance so a value sitting exactly
 # on its bound after rounding does not count as a violation.
@@ -48,6 +50,84 @@ class Metrics:
         return {f.metadata["key"]: getattr(self, f.name) for f in fields(self)}
 
 
+class MetricsFold:
+    """The metrics of one run, folded one row at a time.
+
+    ``append`` takes the rows in time order, so a fold is a row sink the
+    engine can feed while it integrates; ``metrics()`` scores the rows seen
+    so far.  Only the first and last rows are kept.
+    """
+
+    def __init__(self, t_final: float, sigma_max: float, hit_radius: float) -> None:
+        self.t_final = t_final
+        self.sigma_max = sigma_max
+        self.hit_radius = hit_radius
+        self.first: LogRow | None = None
+        self.last: LogRow | None = None
+        self.impact_time: float | None = None
+        self.effort = 0.0
+        self.miss = self.max_lead = self.max_ay = self.max_az = 0.0
+        self.fov = self.accel = 0
+        self._last_sq = 0.0
+
+    def append(self, row: LogRow) -> None:
+        lead, ay, az = abs(row.sigma), abs(row.a_my), abs(row.a_mz)
+        sq = row.a_my**2 + row.a_mz**2
+        prev = self.last
+        if prev is None:
+            self.first = row
+            self.miss, self.max_lead, self.max_ay, self.max_az = row.r, lead, ay, az
+        else:
+            # The impact time is the first crossing of the hit radius,
+            # linearly interpolated between the bracketing rows.
+            hit = self.hit_radius
+            if self.impact_time is None and prev.r > hit >= row.r:
+                frac = (prev.r - hit) / (prev.r - row.r)
+                self.impact_time = prev.t + frac * (row.t - prev.t)
+            self.effort += 0.5 * (sq + self._last_sq) * (row.t - prev.t)
+            self.miss = min(self.miss, row.r)
+            self.max_lead = max(self.max_lead, lead)
+            self.max_ay = max(self.max_ay, ay)
+            self.max_az = max(self.max_az, az)
+        if lead > self.sigma_max + BOUND_TOL:
+            self.fov += 1
+        if ay > row.a_y_max + BOUND_TOL or az > row.a_z_max + BOUND_TOL:
+            self.accel += 1
+        self.last, self._last_sq = row, sq
+
+    def metrics(self) -> Metrics:
+        first, last = self.first, self.last
+        if first is None or last is None:
+            raise ValueError("metrics of an empty log")
+        # A log that starts inside the hit radius and never crosses it.
+        impact_time = self.impact_time
+        if impact_time is None and first.r <= self.hit_radius:
+            impact_time = first.t
+        return Metrics(
+            miss_distance=self.miss,
+            impact_time=impact_time,
+            impact_time_error=None if impact_time is None else impact_time - self.t_final,
+            control_effort=self.effort,
+            max_lead=self.max_lead,
+            max_ay=self.max_ay,
+            max_az=self.max_az,
+            terminal_lead=abs(last.sigma),
+            terminal_ay=abs(last.a_my),
+            terminal_az=abs(last.a_mz),
+            fov_violations=self.fov,
+            accel_violations=self.accel,
+        )
+
+
+def _fold(
+    rows: Iterable[LogRow], t_final: float, sigma_max: float, hit_radius: float
+) -> MetricsFold:
+    fold = MetricsFold(t_final, sigma_max, hit_radius)
+    for row in rows:
+        fold.append(row)
+    return fold
+
+
 def control_effort(log: TrajectoryLog) -> float:
     """Trapezoidal integral of the squared lateral acceleration, m^2/s^3.
 
@@ -56,14 +136,7 @@ def control_effort(log: TrajectoryLog) -> float:
     """
     if not log.rows:
         raise ValueError("control effort of an empty log")
-    total = 0.0
-    prev = log.rows[0]
-    prev_sq = prev.a_my**2 + prev.a_mz**2
-    for row in log.rows[1:]:
-        sq = row.a_my**2 + row.a_mz**2
-        total += 0.5 * (sq + prev_sq) * (row.t - prev.t)
-        prev, prev_sq = row, sq
-    return total
+    return _fold(log.rows, t_final=0.0, sigma_max=math.inf, hit_radius=0.0).effort
 
 
 def interception_metrics(
@@ -74,45 +147,10 @@ def interception_metrics(
     The impact time is the log's range crossing of ``hit_radius``, linearly
     interpolated between the bracketing rows; violation counts compare each
     row against the field of view and the per-row actuator bounds recorded
-    alongside it.
+    alongside it.  ``log.rows`` goes through the same ``MetricsFold`` that
+    scores a run while it integrates.
     """
-    if not log.rows:
-        raise ValueError("metrics of an empty log")
-
-    impact_time: float | None = None
-    prev = log.rows[0]
-    for row in log.rows[1:]:
-        if prev.r > hit_radius >= row.r:
-            frac = (prev.r - hit_radius) / (prev.r - row.r)
-            impact_time = prev.t + frac * (row.t - prev.t)
-            break
-        prev = row
-    if impact_time is None and log.rows[0].r <= hit_radius:
-        impact_time = log.rows[0].t
-
-    fov = 0
-    accel = 0
-    for row in log.rows:
-        if abs(row.sigma) > sigma_max + BOUND_TOL:
-            fov += 1
-        if abs(row.a_my) > row.a_y_max + BOUND_TOL or abs(row.a_mz) > row.a_z_max + BOUND_TOL:
-            accel += 1
-
-    last = log.rows[-1]
-    return Metrics(
-        miss_distance=min(row.r for row in log.rows),
-        impact_time=impact_time,
-        impact_time_error=None if impact_time is None else impact_time - t_final,
-        control_effort=control_effort(log),
-        max_lead=max(abs(row.sigma) for row in log.rows),
-        max_ay=max(abs(row.a_my) for row in log.rows),
-        max_az=max(abs(row.a_mz) for row in log.rows),
-        terminal_lead=abs(last.sigma),
-        terminal_ay=abs(last.a_my),
-        terminal_az=abs(last.a_mz),
-        fov_violations=fov,
-        accel_violations=accel,
-    )
+    return _fold(log.rows, t_final, sigma_max, hit_radius).metrics()
 
 
 # --- Comparison reports ---------------------------------------------------------

@@ -208,6 +208,46 @@ def test_owner_rule_errors_name_the_config_key():
     replace(ScenarioConfig(), mode="planar", law="baseline", a_clip_g=math.inf).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides, prefix",
+    [
+        (dict(g=1e-320), "saturation.aMaxG × saturation.g = 10.0 × 1e-320"),
+        (
+            dict(bound_mode="wing-tail", a_max_g=1e20, g=1e-30, a_max_l_g=1e-300),
+            "saturation.aMaxLG × saturation.g = 1e-300 × 1e-30",
+        ),
+        # A g-unit value that fails with the default g is blamed alone.
+        (dict(a_max_g=0.0, g=5.0), "saturation.aMaxG = 0.0"),
+    ],
+    ids=["aMaxG-product", "aMaxLG-product", "aMaxG-alone"],
+)
+def test_g_unit_bound_errors_name_the_product(overrides, prefix):
+    """A bound that fails only because of ``saturation.g`` names both keys
+    and both values, not just the g-unit key, whose value is fine."""
+    cfg = replace(ScenarioConfig(), **overrides)
+    with pytest.raises(ValidationError, match="^" + re.escape(prefix + ": ")):
+        cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # hypot(dx, dy) and sqrt(dx*dx + dy*dy) differ in the last bit here.
+        dict(mode="planar", initial_x_km=-6.663, initial_y_km=16.124),
+        dict(initial_x_km=-3.0, initial_y_km=2.5, initial_z_km=-4.0),
+    ],
+    ids=["planar", "3d"],
+)
+def test_validate_checks_the_range_of_the_initial_state(overrides):
+    """The initial range that validate bounds is ``initial_state()[0]`` bit
+    for bit: a hit radius equal to it is rejected, the next float below it
+    is not."""
+    cfg = replace(ScenarioConfig(), **overrides)
+    r0 = cfg.initial_state()[0]
+    with pytest.raises(ValidationError, match="must be below the initial range"):
+        replace(cfg, hit_radius=r0).validate()
+    replace(cfg, hit_radius=math.nextafter(r0, 0.0)).validate()
+
 def test_readme_config_docs_match_keys():
     text = README.read_text()
     example = re.search(r"```ini\n(.*?)```", text, re.S).group(1)

@@ -5,6 +5,8 @@
 module).  A renamed method or import would break only traced benchmark
 runs, so this runs the tracer, unchanged, on three short engagements: one
 3D, one planar with the proposed law and one planar with the baseline law.
+Each must also pass through the traced ``run_scenario`` and ``simulate``
+boundaries, so a CLI that stopped calling them would show.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ ENGAGEMENTS = {
 
 # The baseline law has no actuator model, so no saturation calls.
 LAYERS = ("shaping.shaping_rates", "saturation.axis_brackets", "saturation.clip_command")
+# The boundaries every run crosses: the CLI calls run_scenario through its own
+# module name, and run_scenario calls simulate through config's.
+BOUNDARIES = ("config.run_scenario", "engine.simulate")
 EXIT_FOR_STATUS = {"intercepted": EXIT_OK, "timeout": EXIT_TIMEOUT, "guard-tripped": EXIT_GUARD}
 
 
@@ -69,5 +74,5 @@ def test_tracer_wraps_the_law_and_layer_bindings(tmp_path, name):
 
     records = json.loads(trace.read_text())["records"]
     layers = LAYERS[:1] if name == "planar-baseline" else LAYERS
-    for record in (*law_records, *layers):
+    for record in (*BOUNDARIES, *law_records, *layers):
         assert records.get(record, [0])[0] > 0, record
