@@ -10,7 +10,11 @@ the shaping-feasibility flag.  The full diagnostic record, ``evaluate(t,
 y)``, is built only for the rows that are logged (``log_row(t, y, eval)``):
 every ``log_stride``-th step plus the terminal or guard-trip row.  Its
 items 0 and 1 are the same two values, so on a logged step the record is
-built first and serves as stage 1 itself.
+built first and serves as stage 1 itself.  The per-component stage
+arithmetic, each stage state ``y[i] + h * k[i]`` and the step update, is
+code generated once per state size on the first step of that size: the
+same expressions in the same order as a loop over the components, so the
+results are bit-identical, without the loop's per-component overhead.
 
 Each logged row goes to the row sink given to ``simulate`` (anything with
 ``append``; a new list by default) as soon as it is built, so a caller can
@@ -78,13 +82,19 @@ class SimSettings:
     log_stride: int = 10
 
     def validate(self) -> None:
-        if self.dt <= 0.0:
-            raise ConfigError(f"integration step dt must be > 0, got {self.dt}", field="dt")
-        if self.hit_radius <= 0.0:
-            raise ConfigError(f"hit radius must be > 0, got {self.hit_radius}", field="hit_radius")
-        if self.t_max_factor <= 1.0:
+        # Written as ranges so that NaN, which fails every comparison, fails too.
+        if not 0.0 < self.dt < math.inf:
             raise ConfigError(
-                f"t_max_factor must be > 1, got {self.t_max_factor}", field="t_max_factor"
+                f"integration step dt must be finite and > 0, got {self.dt}", field="dt"
+            )
+        if not 0.0 < self.hit_radius < math.inf:
+            raise ConfigError(
+                f"hit radius must be finite and > 0, got {self.hit_radius}", field="hit_radius"
+            )
+        if not 1.0 < self.t_max_factor < math.inf:
+            raise ConfigError(
+                f"t_max_factor must be finite and > 1, got {self.t_max_factor}",
+                field="t_max_factor",
             )
         if self.log_stride < 1:
             raise ConfigError(f"log stride must be >= 1, got {self.log_stride}", field="log_stride")
@@ -126,16 +136,37 @@ def rk4_step(
     caller already has it; only its items 0 and 1 are read.
     """
     rates = law.rates
-    k1, feasible = (rates(t, y) if stage1 is None else stage1)[:2]
+    stage, update = _STAGE_ARITHMETIC.get(len(y)) or _stage_arithmetic(len(y))
+    if stage1 is None:
+        stage1 = rates(t, y)
+    k1 = stage1[0]
     h2 = 0.5 * dt
-    k2 = rates(t + h2, [yi + h2 * ki for yi, ki in zip(y, k1)])[0]
-    k3 = rates(t + h2, [yi + h2 * ki for yi, ki in zip(y, k2)])[0]
-    k4 = rates(t + dt, [yi + dt * ki for yi, ki in zip(y, k3)])[0]
-    h6 = dt / 6.0
-    y_new = tuple(
-        [yi + h6 * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    k2 = rates(t + h2, stage(y, h2, k1))[0]
+    k3 = rates(t + h2, stage(y, h2, k2))[0]
+    k4 = rates(t + dt, stage(y, dt, k3))[0]
+    return update(y, dt / 6.0, k1, k2, k3, k4), stage1[1]
+
+
+# State size -> the (stage, update) pair ``_stage_arithmetic`` generated for it.
+_STAGE_ARITHMETIC: dict[int, tuple] = {}
+
+
+def _stage_arithmetic(n: int) -> tuple:
+    """Generate ``stage(y, h, k)``, the stage state ``y[i] + h * k[i]``, and
+    ``update(y, h6, k1, k2, k3, k4)``, the step result, for state size ``n``:
+    one tuple display each, with no ``zip`` or comprehension frame."""
+    stage = "".join(f"y[{i}] + h * k[{i}], " for i in range(n))
+    update = "".join(
+        f"y[{i}] + h6 * (k1[{i}] + 2.0 * k2[{i}] + 2.0 * k3[{i}] + k4[{i}]), " for i in range(n)
     )
-    return y_new, feasible
+    namespace: dict = {}
+    exec(
+        f"def stage(y, h, k):\n    return ({stage})\n"
+        f"def update(y, h6, k1, k2, k3, k4):\n    return ({update})\n",
+        namespace,
+    )
+    _STAGE_ARITHMETIC[n] = fns = namespace["stage"], namespace["update"]
+    return fns
 
 
 def simulate(

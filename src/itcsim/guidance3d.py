@@ -140,11 +140,21 @@ class Guidance3D:
             z1, z1_dot, z1_ddot, self.shaping
         )
 
+        # Products that several terms below share, each with its operands in
+        # the order every one of those terms multiplies them.
+        v_cos_tm = v * cos_tm
+        v_sin_tm = v * sin_tm
+        v_cos_tm_sin_pm = v_cos_tm * sin_pm
+        r_r = r * r
+        r_cos_t = r * cos_t
+        psi_dot_sin_t = psi_dot * sin_t
+        psi_dot_theta_dot = psi_dot * theta_dot
+
         # --- Heading errors and stabilizing accelerations ---
         z3 = theta_m - heading_d
         z4 = psi_m - heading_d
         bracket_az = (
-            psi_dot * sin_t * sin_pm + theta_dot * cos_pm + heading_d_dot - self.k3 * z3
+            psi_dot_sin_t * sin_pm + theta_dot * cos_pm + heading_d_dot - self.k3 * z3
         )
         alpha_z = v * bracket_az
         bracket_ay = (
@@ -154,18 +164,18 @@ class Guidance3D:
             + heading_d_dot
             - self.k4 * z4
         )
-        alpha_y = v * cos_tm * bracket_ay
+        alpha_y = v_cos_tm * bracket_ay
 
         zz = a_mz - alpha_z
         zy = a_my - alpha_y
 
         # --- Second derivatives needed by the input stage ---
-        theta_ddot = v * sin_tm * r_dot / (r * r) - v * cos_tm * theta_m_dot / r
+        theta_ddot = v_sin_tm * r_dot / r_r - v_cos_tm * theta_m_dot / r
         psi_ddot = (
-            v * cos_tm * sin_pm * r_dot / (r * r * cos_t)
-            - v * cos_tm * sin_pm * sin_t * theta_dot / (r * cos_t * cos_t)
-            - v * cos_tm * cos_pm * psi_m_dot / (r * cos_t)
-            + v * sin_tm * sin_pm * theta_m_dot / (r * cos_t)
+            v_cos_tm_sin_pm * r_dot / (r_r * cos_t)
+            - v_cos_tm_sin_pm * sin_t * theta_dot / (r_cos_t * cos_t)
+            - v_cos_tm * cos_pm * psi_m_dot / r_cos_t
+            + v_sin_tm * sin_pm * theta_m_dot / r_cos_t
         )
         z3_dot = theta_m_dot - heading_d_dot
         z4_dot = psi_m_dot - heading_d_dot
@@ -173,7 +183,7 @@ class Guidance3D:
         alpha_z_dot = v * (
             psi_ddot * sin_t * sin_pm
             + psi_dot * cos_t * theta_dot * sin_pm
-            + psi_dot * sin_t * cos_pm * psi_m_dot
+            + psi_dot_sin_t * cos_pm * psi_m_dot
             + theta_ddot * cos_pm
             - theta_dot * sin_pm * psi_m_dot
             + heading_d_ddot
@@ -183,8 +193,8 @@ class Guidance3D:
             -psi_ddot * tan_tm * cos_pm * sin_t
             - psi_dot * theta_m_dot * sec2_tm * cos_pm * sin_t
             + psi_dot * psi_m_dot * tan_tm * sin_pm * sin_t
-            - psi_dot * theta_dot * tan_tm * cos_pm * cos_t
-            - psi_dot * theta_dot * sin_t
+            - psi_dot_theta_dot * tan_tm * cos_pm * cos_t
+            - psi_dot_theta_dot * sin_t
             + psi_ddot * cos_t
             + theta_ddot * tan_tm * sin_pm
             + theta_dot * theta_m_dot * sec2_tm * sin_pm
@@ -192,7 +202,8 @@ class Guidance3D:
             + heading_d_ddot
             - self.k4 * z4_dot
         )
-        alpha_y_dot = -v * sin_tm * theta_m_dot * bracket_ay + v * cos_tm * bracket_ay_dot
+        # -(v * sin_tm) is (-v) * sin_tm bit for bit: IEEE negation is exact.
+        alpha_y_dot = -v_sin_tm * theta_m_dot * bracket_ay + v_cos_tm * bracket_ay_dot
 
         # --- Commanded actuator inputs through the saturation brackets ---
         sat = self.sat
@@ -203,7 +214,7 @@ class Guidance3D:
             raise GuardTrip("denominator-singular", t, f"vertical bracket={bracket_z:.3e}")
 
         raw_b_y = (
-            sat.rho * a_my + alpha_y_dot - z4 / (v * cos_tm) - self.ky * zy
+            sat.rho * a_my + alpha_y_dot - z4 / v_cos_tm - self.ky * zy
         ) / bracket_y
         raw_b_z = (sat.rho * a_mz + alpha_z_dot - z3 / v - self.kz * zz) / bracket_z
         b_y = clip_command(raw_b_y, sat)

@@ -42,6 +42,8 @@ from .errors import ConfigError
 # Resultants below this are treated as directionless when splitting a
 # shared bound between axes.
 EPS_RESULTANT = 1e-6
+# Bounds below this count as zero.
+_EPS_BOUND = EPS_RESULTANT * EPS_RESULTANT
 
 # Input-effectiveness brackets below this are reported by the guidance laws
 # as a numerical guard rather than divided by; with the command cap in place
@@ -84,9 +86,9 @@ class SaturationParams:
             raise ConfigError(f"saturation leak rate rho must be > 0, got {self.rho}", field="rho")
         # ``axis_brackets`` counts a smaller constant bound as zero, which
         # would leave the channels unsaturated.
-        if self.a_max < EPS_RESULTANT * EPS_RESULTANT:
+        if self.a_max < _EPS_BOUND:
             raise ConfigError(
-                f"acceleration bound a_max must be >= {EPS_RESULTANT * EPS_RESULTANT:g} m/s^2, "
+                f"acceleration bound a_max must be >= {_EPS_BOUND:g} m/s^2, "
                 f"got {self.a_max}",
                 field="a_max",
             )
@@ -110,7 +112,7 @@ def saturation_rate(a: float, b: float, a_axis_max: float, params: SaturationPar
     none of the resultant; the ratio a / a_axis_max is then 0/0 and its
     true limit is zero, so the bracket is 1.
     """
-    ratio = 0.0 if a_axis_max < EPS_RESULTANT * EPS_RESULTANT else (a / a_axis_max) ** params.n
+    ratio = 0.0 if a_axis_max < _EPS_BOUND else (a / a_axis_max) ** params.n
     return (1.0 - ratio) * b - params.rho * a
 
 
@@ -135,7 +137,7 @@ def axis_brackets(
     a_max = params.a_max
     n = params.n
     if mode is BoundMode.CONSTANT:
-        if a_max < EPS_RESULTANT * EPS_RESULTANT:
+        if a_max < _EPS_BOUND:
             return 1.0, 1.0, a_max, a_max
         return 1.0 - (a_my / a_max) ** n, 1.0 - (a_mz / a_max) ** n, a_max, a_max
     mag = math.hypot(a_my, a_mz)

@@ -24,6 +24,13 @@ combined lead: cos(sigma_d) = cos^2(heading_d).
 Negative z1 means the target can no longer be reached in the remaining
 time even flying straight; the demand clamps to zero (the engine logs the
 first clamp as a run warning) rather than handing back a complex angle.
+
+``sgmf``, ``sgmf_derivatives``, ``desired_lead`` and ``desired_heading`` are
+the reference forms of each piece.  ``shaping_rates``, the guidance laws'
+hot path, builds the flat demands outside the layer from them once per
+``ShapingParams``; inside the layer it computes the demand, its heading
+split and their rates in one pass that repeats the reference forms'
+operations in their order, so it is bit-identical to composing them.
 """
 
 from __future__ import annotations
@@ -89,6 +96,13 @@ class ShapingParams:
     def max_demand(self) -> float:
         """Largest lead angle the shaping can demand, rad (always < sigma_max)."""
         return math.acos(1.0 - self.k1)
+
+    @cached_property
+    def _layer_constants(self) -> tuple[float, float, float, float]:
+        """(phi**3, 2*phi**3, 2*phi, 3/(2*phi)), the sigmoid's constants,
+        each computed as ``sgmf`` and ``sgmf_derivatives`` compute it."""
+        phi = self.phi
+        return phi**3, 2.0 * phi**3, 2.0 * phi, 3.0 / (2.0 * phi)
 
     @cached_property
     def _flat_demands(self) -> tuple[ShapingRates, ShapingRates]:
@@ -172,34 +186,46 @@ def shaping_rates(z1: float, z1_dot: float, z1_ddot: float, params: ShapingParam
     come precomputed from ``params._flat_demands``.  Through zero demand the
     quotients by sin(sigma_d) are floored at EPS_SIN; the numerators vanish
     at the same order, so the floored rates stay bounded and correct in the
-    limit.
+    limit.  Inside the layer (and for a NaN z1) the sigmoid takes its cubic
+    branch, with its constants from ``params._layer_constants``.
     """
     if z1 > params.phi:
         return params._flat_demands[0]
     if z1 < 0.0:
         return params._flat_demands[1]
+    phi3, two_phi3, two_phi, three_two_phi = params._layer_constants
     k1 = params.k1
-    sigma_d, feasible = desired_lead(z1, params)
-    heading_d = desired_heading(sigma_d)
-
-    s1, s2 = sgmf_derivatives(z1, params.phi)
     eps_sin = params.eps_sin
-    # Floors as max(sin, eps_sin) would apply them (a NaN sine passes through).
+
+    # desired_lead, with sgmf's cubic branch.
+    c = 1.0 - k1 * (-(z1**3) / two_phi3 + 3.0 * z1 / two_phi)
+    c = c if c < 1.0 else 1.0
+    sigma_d = math.acos(c if c > -1.0 else -1.0)
+    # desired_heading, on the one cos(sigma_d).
+    cos_sd = math.cos(sigma_d)
+    c = 2.0 * cos_sd - 1.0
+    c = c if c < 1.0 else 1.0
+    heading_d = 0.5 * math.acos(c if c > -1.0 else -1.0)
+
+    # sgmf_derivatives; floors as max(sin, eps_sin) would apply them (a NaN
+    # sine passes through).
+    k1_s1 = k1 * (-3.0 * z1**2 / two_phi3 + three_two_phi)
+    s2 = -3.0 * z1 / phi3
     sin_sd = math.sin(sigma_d)
     sin_sd = eps_sin if eps_sin > sin_sd else sin_sd
-    cos_sd = math.cos(sigma_d)
-    sigma_d_dot = k1 * s1 * z1_dot / sin_sd
-    sigma_d_ddot = (
-        k1 * s2 * z1_dot**2 + k1 * s1 * z1_ddot - sigma_d_dot**2 * cos_sd
-    ) / sin_sd
+    sigma_d_dot = k1_s1 * z1_dot / sin_sd
+    sd_dot2_cos = sigma_d_dot**2 * cos_sd
+    sigma_d_ddot = (k1 * s2 * z1_dot**2 + k1_s1 * z1_ddot - sd_dot2_cos) / sin_sd
 
-    sin_2h = math.sin(2.0 * heading_d)
+    two_h = 2.0 * heading_d
+    sin_2h = math.sin(two_h)
     sin_2h = eps_sin if eps_sin > sin_2h else sin_2h
-    cos_2h = math.cos(2.0 * heading_d)
     heading_d_dot = sigma_d_dot * sin_sd / sin_2h
     heading_d_ddot = (
-        sigma_d_ddot * sin_sd + sigma_d_dot**2 * cos_sd - 2.0 * heading_d_dot**2 * cos_2h
+        sigma_d_ddot * sin_sd + sd_dot2_cos - 2.0 * heading_d_dot**2 * math.cos(two_h)
     ) / sin_2h
-    return ShapingRates(
-        sigma_d, sigma_d_dot, sigma_d_ddot, heading_d, heading_d_dot, heading_d_ddot, feasible
+    # tuple.__new__ skips the named tuple's Python-level __new__.
+    return tuple.__new__(
+        ShapingRates,
+        (sigma_d, sigma_d_dot, sigma_d_ddot, heading_d, heading_d_dot, heading_d_ddot, True),
     )

@@ -9,13 +9,16 @@ detection, a harmonic oscillator for integrator accuracy.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
 
 from itcsim.config import ScenarioConfig
-from itcsim.engine import RunStatus, SimSettings, rk4_step, simulate
+from itcsim.engine import (
+    _STAGE_ARITHMETIC, RunStatus, SimSettings, _stage_arithmetic, rk4_step, simulate,
+)
 from itcsim.errors import ConfigError, GuardTrip
 from itcsim.logio import LogRow
 
@@ -65,6 +68,15 @@ def test_settings_validation():
         SimSettings(t_max_factor=1.0).validate()
     with pytest.raises(ConfigError, match="stride"):
         SimSettings(log_stride=0).validate()
+    # NaN fails every comparison, so each bound is a range that excludes it.
+    for field in ("dt", "hit_radius", "t_max_factor"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError) as err:
+                SimSettings(**{field: value}).validate()
+            assert err.value.field == field, (field, value)
+    # simulate validates its settings before the first step.
+    with pytest.raises(ConfigError, match="hit radius"):
+        simulate(_MiniLaw(lambda t, y: (-1.0,)), (5.0,), SimSettings(hit_radius=math.inf))
 
 
 def test_state_size_mismatch():
@@ -90,6 +102,36 @@ def test_rk4_step_basics():
     law = _CountingLaw(lambda t, y: (1.0,))
     assert rk4_step(law, 0.0, (0.0,), 0.125, ((1.0,), False)) == (y_new, False)
     assert law.rate_calls == 3
+
+
+# Specials and subnormals mixed into the seeded stage-arithmetic operands.
+STAGE_SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e-308 / 3)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 7])
+def test_generated_stage_arithmetic_matches_the_comprehensions(n):
+    """The generated stage and update give, bit for bit, the ``zip``
+    comprehensions they replace, NaN, infinities, signed zeros and
+    subnormals included; size 1 is the state of the test laws above."""
+    stage, update = _stage_arithmetic(n)
+    assert _STAGE_ARITHMETIC[n] == (stage, update)
+    rng = random.Random(n)
+    for _ in range(300):
+        y, k1, k2, k3, k4 = (
+            tuple(
+                rng.choice(STAGE_SPECIALS) if rng.random() < 0.2 else rng.uniform(-1e3, 1e3)
+                for _ in range(n)
+            )
+            for _ in range(5)
+        )
+        h = rng.choice((1e-3, 0.5, 0.0, -0.0, 5e-324, 1e300, math.inf, math.nan))
+        want = tuple([yi + h * ki for yi, ki in zip(y, k1)])
+        assert repr(stage(y, h, k1)) == repr(want)
+        h6 = h / 6.0
+        want = tuple(
+            [yi + h6 * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        )
+        assert repr(update(y, h6, k1, k2, k3, k4)) == repr(want)
 
 
 def test_rk4_accuracy_harmonic_oscillator():

@@ -15,6 +15,7 @@ import pytest
 from itcsim.errors import ConfigError
 from itcsim.shaping import (
     ShapingParams,
+    ShapingRates,
     desired_heading,
     desired_lead,
     sgmf,
@@ -237,3 +238,73 @@ def test_desired_heading_clamp_matches_builtin_min_max():
             _old_desired_heading(sigma_d)
         with pytest.raises(ValueError):
             desired_heading(sigma_d)
+
+
+# --- the one-pass blend layer against the reference forms ---------------------
+
+
+def _composed_rates(z1, z1_dot, z1_ddot, params):
+    """The in-layer demand composed from ``desired_lead``, ``desired_heading``
+    and ``sgmf_derivatives``, with the rates as ``shaping_rates`` wrote them
+    before the composition became one pass."""
+    k1 = params.k1
+    sigma_d, feasible = desired_lead(z1, params)
+    heading_d = desired_heading(sigma_d)
+    s1, s2 = sgmf_derivatives(z1, params.phi)
+    eps_sin = params.eps_sin
+    sin_sd = math.sin(sigma_d)
+    sin_sd = eps_sin if eps_sin > sin_sd else sin_sd
+    cos_sd = math.cos(sigma_d)
+    sigma_d_dot = k1 * s1 * z1_dot / sin_sd
+    sigma_d_ddot = (
+        k1 * s2 * z1_dot**2 + k1 * s1 * z1_ddot - sigma_d_dot**2 * cos_sd
+    ) / sin_sd
+    sin_2h = math.sin(2.0 * heading_d)
+    sin_2h = eps_sin if eps_sin > sin_2h else sin_2h
+    cos_2h = math.cos(2.0 * heading_d)
+    heading_d_dot = sigma_d_dot * sin_sd / sin_2h
+    heading_d_ddot = (
+        sigma_d_ddot * sin_sd + sigma_d_dot**2 * cos_sd - 2.0 * heading_d_dot**2 * cos_2h
+    ) / sin_2h
+    return ShapingRates(
+        sigma_d, sigma_d_dot, sigma_d_ddot, heading_d, heading_d_dot, heading_d_ddot, feasible
+    )
+
+
+def _outcome(fn, *args):
+    """repr of the result and its type, or of the exception raised."""
+    try:
+        out = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return type(out), repr(tuple(out))
+
+
+LAYER_PARAMS = {
+    "default": ShapingParams(),
+    "phi-1e-3": ShapingParams(phi=1e-3),
+    "phi-1e30": ShapingParams(phi=1e30),
+    "eps_sin-1e-6": ShapingParams(eps_sin=1e-6),
+    "eps_sin-0.099": ShapingParams(eps_sin=0.099),
+    "k1-at-limit": ShapingParams(k1=math.nextafter(1.0 - math.cos(math.radians(60.0)), 0.0)),
+}
+LAYER_RATES = (0.0, 1e6, -1e6, math.nan)
+
+
+@pytest.mark.parametrize("name", list(LAYER_PARAMS))
+def test_one_pass_layer_matches_the_reference_forms(name):
+    """Every field bit for bit, and the record type, on the layer edges, the
+    smallest subnormal, NaN and a seeded grid of points inside the layer."""
+    p = LAYER_PARAMS[name]
+    p.validate()
+    phi = p.phi
+    rng = random.Random(20250619)
+    errors = [0.0, -0.0, 5e-324, phi / 2, phi, math.nextafter(phi, 0.0), math.nan]
+    errors += [rng.uniform(0.0, phi) for _ in range(24)]
+    for z1 in errors:
+        for z1_dot in LAYER_RATES:
+            for z1_ddot in LAYER_RATES:
+                got = _outcome(shaping_rates, z1, z1_dot, z1_ddot, p)
+                want = _outcome(_composed_rates, z1, z1_dot, z1_ddot, p)
+                assert got == want, (name, z1, z1_dot, z1_ddot)
+                assert got[0] is ShapingRates
