@@ -32,9 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import GuardTrip
-from .kinematics import (
-    EPS_COS, EPS_RANGE, effective_lead, heading_rates_3d_trig, inertial_position, los_rates_3d_trig,
-)
+from .kinematics import EPS_COS, EPS_RANGE, effective_lead, inertial_position
 from .logio import LogRow
 from .saturation import EPS_DEN, SaturationParams, axis_brackets, clip_command
 from .shaping import ShapingParams, shaping_rates
@@ -103,7 +101,8 @@ class Guidance3D:
         sigma = effective_lead(y[3], y[4])
         lyapunov_z = 0.5 * (z3 * z3 + zz * zz)
         lyapunov_y = 0.5 * (z4 * z4 + zy * zy)
-        return Eval3D(*out, sigma, lyapunov_z, lyapunov_y)
+        # tuple.__new__ skips the named tuple's Python-level __new__.
+        return tuple.__new__(Eval3D, (*out, sigma, lyapunov_z, lyapunov_y))
 
     def rates(self, t: float, y: tuple[float, ...]) -> tuple:
         """The control chain, the integrator's hot path: a flat tuple of the
@@ -125,11 +124,34 @@ class Guidance3D:
         cos_pm = math.cos(psi_m)
         sin_pm = math.sin(psi_m)
 
-        # --- Kinematics and current lead ---
-        r_dot, theta_dot, psi_dot = los_rates_3d_trig(r, cos_t, sin_tm, cos_tm, sin_pm, cos_pm, v)
-        theta_m_dot, psi_m_dot = heading_rates_3d_trig(
-            sin_t, cos_t, cos_tm, math.tan(theta_m), sin_pm, cos_pm,
-            theta_dot, psi_dot, a_my, a_mz, v,
+        # Products that several terms below share, each with its operands in
+        # the order every one of those terms multiplies them.  -(v * x) is
+        # (-v) * x bit for bit: IEEE negation is exact.
+        v_cos_tm = v * cos_tm
+        v_sin_tm = v * sin_tm
+        v_cos_tm_sin_pm = v_cos_tm * sin_pm
+        r_r = r * r
+        r_cos_t = r * cos_t
+
+        # --- Kinematics and current lead: ``kinematics.los_rates_3d_trig``
+        # and ``heading_rates_3d_trig``, written out bit for bit ---
+        r_dot = -v_cos_tm * cos_pm
+        theta_dot = -v_sin_tm / r
+        psi_dot = -v_cos_tm_sin_pm / r_cos_t
+        psi_dot_sin_t = psi_dot * sin_t
+        psi_dot_sin_t_sin_pm = psi_dot_sin_t * sin_pm
+        psi_dot_cos_t = psi_dot * cos_t
+        psi_dot_theta_dot = psi_dot * theta_dot
+        theta_dot_cos_pm = theta_dot * cos_pm
+        theta_m_dot = a_mz / v - psi_dot_sin_t_sin_pm - theta_dot_cos_pm
+        # The heading rates take math.tan(theta_m), which sin/cos can miss by
+        # an ulp; the brackets below take sin/cos.
+        tan_m = math.tan(theta_m)
+        psi_m_dot = (
+            a_my / v_cos_tm
+            + psi_dot * tan_m * cos_pm * sin_t
+            - psi_dot_cos_t
+            - theta_dot * tan_m * sin_pm
         )
 
         # --- Range-time error and shaped demand ---
@@ -140,26 +162,14 @@ class Guidance3D:
             z1, z1_dot, z1_ddot, self.shaping
         )
 
-        # Products that several terms below share, each with its operands in
-        # the order every one of those terms multiplies them.
-        v_cos_tm = v * cos_tm
-        v_sin_tm = v * sin_tm
-        v_cos_tm_sin_pm = v_cos_tm * sin_pm
-        r_r = r * r
-        r_cos_t = r * cos_t
-        psi_dot_sin_t = psi_dot * sin_t
-        psi_dot_theta_dot = psi_dot * theta_dot
-
         # --- Heading errors and stabilizing accelerations ---
         z3 = theta_m - heading_d
         z4 = psi_m - heading_d
-        bracket_az = (
-            psi_dot_sin_t * sin_pm + theta_dot * cos_pm + heading_d_dot - self.k3 * z3
-        )
+        bracket_az = psi_dot_sin_t_sin_pm + theta_dot_cos_pm + heading_d_dot - self.k3 * z3
         alpha_z = v * bracket_az
         bracket_ay = (
             -psi_dot * tan_tm * cos_pm * sin_t
-            + psi_dot * cos_t
+            + psi_dot_cos_t
             + theta_dot * tan_tm * sin_pm
             + heading_d_dot
             - self.k4 * z4
@@ -182,7 +192,7 @@ class Guidance3D:
 
         alpha_z_dot = v * (
             psi_ddot * sin_t * sin_pm
-            + psi_dot * cos_t * theta_dot * sin_pm
+            + psi_dot_cos_t * theta_dot * sin_pm
             + psi_dot_sin_t * cos_pm * psi_m_dot
             + theta_ddot * cos_pm
             - theta_dot * sin_pm * psi_m_dot
@@ -202,7 +212,6 @@ class Guidance3D:
             + heading_d_ddot
             - self.k4 * z4_dot
         )
-        # -(v * sin_tm) is (-v) * sin_tm bit for bit: IEEE negation is exact.
         alpha_y_dot = -v_sin_tm * theta_m_dot * bracket_ay + v_cos_tm * bracket_ay_dot
 
         # --- Commanded actuator inputs through the saturation brackets ---
@@ -213,15 +222,16 @@ class Guidance3D:
         if bracket_z < EPS_DEN:
             raise GuardTrip("denominator-singular", t, f"vertical bracket={bracket_z:.3e}")
 
-        raw_b_y = (
-            sat.rho * a_my + alpha_y_dot - z4 / v_cos_tm - self.ky * zy
-        ) / bracket_y
-        raw_b_z = (sat.rho * a_mz + alpha_z_dot - z3 / v - self.kz * zz) / bracket_z
+        # The leak terms, shared by the commands and the channel rates.
+        leak_y = sat.rho * a_my
+        leak_z = sat.rho * a_mz
+        raw_b_y = (leak_y + alpha_y_dot - z4 / v_cos_tm - self.ky * zy) / bracket_y
+        raw_b_z = (leak_z + alpha_z_dot - z3 / v - self.kz * zz) / bracket_z
         b_y = clip_command(raw_b_y, sat)
         b_z = clip_command(raw_b_z, sat)
 
-        a_my_dot = bracket_y * b_y - sat.rho * a_my
-        a_mz_dot = bracket_z * b_z - sat.rho * a_mz
+        a_my_dot = bracket_y * b_y - leak_y
+        a_mz_dot = bracket_z * b_z - leak_z
 
         return (
             (r_dot, theta_dot, psi_dot, theta_m_dot, psi_m_dot, a_my_dot, a_mz_dot),
@@ -237,8 +247,8 @@ class Guidance3D:
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
         px, py, pz = inertial_position(r, theta, psi, self.target)
         # In COLUMNS order; z2 is a planar-only column.
-        return LogRow(
+        return tuple.__new__(LogRow, (
             t, r, theta, psi, theta_m, psi_m, ev.sigma, a_my, a_mz, ev.b_y, ev.b_z,
             ev.z1, 0.0, ev.z3, ev.z4, ev.zy, ev.zz, ev.a_y_max, ev.a_z_max,
             ev.lyapunov_z, ev.lyapunov_y, px, py, pz,
-        )
+        ))

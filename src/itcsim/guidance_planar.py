@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import GuardTrip
-from .kinematics import EPS_RANGE, inertial_position, lead_rate_planar, los_rates_planar_trig
+from .kinematics import EPS_RANGE, inertial_position
 from .logio import LogRow
 from .saturation import EPS_DEN, SaturationParams, axis_brackets, clip_command
 from .shaping import ShapingParams, shaping_rates
@@ -45,12 +45,13 @@ def _planar_log_row(
     state naming); the position columns are ``inertial_position`` with that
     angle as azimuth at zero elevation, in the plane z = target z.
     """
-    # In COLUMNS order; the zeros are the 3D-only columns.
-    return LogRow(
+    # In COLUMNS order; the zeros are the 3D-only columns.  tuple.__new__
+    # skips the named tuple's Python-level __new__.
+    return tuple.__new__(LogRow, (
         t, r, theta, 0.0, 0.0, 0.0, sigma, a_my, 0.0, ev.b_y, 0.0,
         ev.z1, ev.z2, 0.0, 0.0, ev.zy, 0.0, ev.a_y_max, 0.0, 0.0, ev.lyapunov_y,
         *inertial_position(r, 0.0, theta, target),
-    )
+    ))
 
 
 class EvalPlanar(NamedTuple):
@@ -95,7 +96,7 @@ class GuidancePlanar:
         """Derivatives plus every diagnostic the logs and tests read."""
         out = self.rates(t, y)
         z2, zy = out[5:7]
-        return EvalPlanar(*out, lyapunov_y=0.5 * (z2 * z2 + zy * zy))
+        return tuple.__new__(EvalPlanar, (*out, 0.5 * (z2 * z2 + zy * zy)))
 
     def rates(self, t: float, y: tuple[float, ...]) -> tuple:
         """The control chain, the integrator's hot path: a flat tuple of the
@@ -106,28 +107,32 @@ class GuidancePlanar:
         if r < EPS_RANGE:
             raise GuardTrip("range-floor", t, f"r={r:.3e} m")
 
-        sin_s = math.sin(sigma)
-        cos_s = math.cos(sigma)
-        r_dot, theta_dot = los_rates_planar_trig(r, sin_s, cos_s, v)
-        sigma_dot = lead_rate_planar(theta_dot, a_my, v)
+        # --- Kinematics: ``kinematics.los_rates_planar_trig`` and
+        # ``lead_rate_planar``, written out bit for bit.  -(v * x) is
+        # (-v) * x bit for bit: IEEE negation is exact.
+        v_sin_s = v * math.sin(sigma)
+        v_cos_s = v * math.cos(sigma)
+        r_dot = -v_cos_s
+        theta_dot = -v_sin_s / r
+        sigma_dot = a_my / v - theta_dot
 
         # --- Range-time error and shaped demand ---
         z1 = v * (self.t_final - t) - r
         z1_dot = -v - r_dot
-        z1_ddot = -v * sin_s * sigma_dot
+        z1_ddot = -v_sin_s * sigma_dot
         sigma_d, sigma_d_dot, sigma_d_ddot, _, _, _, feasible = shaping_rates(
             z1, z1_dot, z1_ddot, self.shaping
         )
 
         # --- Lead error and stabilizing acceleration ---
         z2 = sigma - sigma_d
-        alpha_y = v * (sigma_d_dot - v * sin_s / r - self.k2 * z2)
+        alpha_y = v * (sigma_d_dot - v_sin_s / r - self.k2 * z2)
         zy = a_my - alpha_y
         z2_dot = sigma_dot - sigma_d_dot
         alpha_y_dot = v * (
             sigma_d_ddot
-            - v * cos_s * sigma_dot / r
-            + v * sin_s * r_dot / (r * r)
+            - v_cos_s * sigma_dot / r
+            + v_sin_s * r_dot / (r * r)
             - self.k2 * z2_dot
         )
 
@@ -136,9 +141,10 @@ class GuidancePlanar:
         bracket, _, a_y_max, _ = axis_brackets(a_my, 0.0, sat)
         if bracket < EPS_DEN:
             raise GuardTrip("denominator-singular", t, f"bracket={bracket:.3e}")
-        raw_b = (sat.rho * a_my + alpha_y_dot - z2 / v - self.ky * zy) / bracket
+        leak = sat.rho * a_my
+        raw_b = (leak + alpha_y_dot - z2 / v - self.ky * zy) / bracket
         b_y = clip_command(raw_b, sat)
-        a_my_dot = bracket * b_y - sat.rho * a_my
+        a_my_dot = bracket * b_y - leak
         return (
             (r_dot, theta_dot, sigma_dot, a_my_dot),
             feasible,
@@ -174,10 +180,12 @@ class BaselinePlanar:
     def evaluate(self, t: float, y: tuple[float, float, float]) -> EvalPlanar:
         """Derivatives plus every diagnostic the logs and tests read."""
         derivs, feasible, capped, sigma_d, z1, z2, a_raw = self.rates(t, y)
-        return EvalPlanar(
-            derivs, feasible, capped, sigma_d, z1, z2, zy=0.0, alpha_y=a_raw, alpha_y_dot=0.0,
-            b_y=a_raw, a_y_max=self.a_clip, lyapunov_y=0.5 * z2 * z2,
-        )
+        # In field order: zy, alpha_y, alpha_y_dot, b_y, a_y_max, lyapunov_y
+        # follow z2.
+        return tuple.__new__(EvalPlanar, (
+            derivs, feasible, capped, sigma_d, z1, z2, 0.0, a_raw, 0.0, a_raw, self.a_clip,
+            0.5 * z2 * z2,
+        ))
 
     def rates(self, t: float, y: tuple[float, ...]) -> tuple:
         """The control chain, the integrator's hot path:
@@ -187,17 +195,19 @@ class BaselinePlanar:
         if r < EPS_RANGE:
             raise GuardTrip("range-floor", t, f"r={r:.3e} m")
 
-        sin_s = math.sin(sigma)
-        r_dot, theta_dot = los_rates_planar_trig(r, sin_s, math.cos(sigma), v)
+        # Kinematics as in ``GuidancePlanar.rates``.
+        v_sin_s = v * math.sin(sigma)
+        r_dot = -v * math.cos(sigma)
+        theta_dot = -v_sin_s / r
         z1 = v * (self.t_final - t) - r
         z1_dot = -v - r_dot
         # The demand rates only need z1 and z1_dot here; the second-derivative
         # slot feeds sigma_d_ddot, which this law never uses.
         sigma_d, sigma_d_dot, _, _, _, _, feasible = shaping_rates(z1, z1_dot, 0.0, self.shaping)
         z2 = sigma - sigma_d
-        a_raw = v * (sigma_d_dot - v * sin_s / r - self.k2 * z2)
+        a_raw = v * (sigma_d_dot - v_sin_s / r - self.k2 * z2)
         a_my = self._clip(a_raw)
-        sigma_dot = lead_rate_planar(theta_dot, a_my, v)
+        sigma_dot = a_my / v - theta_dot
         return (r_dot, theta_dot, sigma_dot), feasible, a_my != a_raw, sigma_d, z1, z2, a_raw
 
     def log_row(self, t: float, y: tuple[float, float, float], ev: EvalPlanar) -> LogRow:

@@ -13,6 +13,10 @@ The planar variant is the restriction of the same equations to the
 horizontal plane (``theta = theta_m = 0``): a single LOS angle, a single
 lead angle ``sigma`` and a single lateral acceleration.
 
+The guidance laws compute the LOS and heading rates inline, sharing their
+products with the rest of the control chain; the rate functions here are
+the reference forms, and the laws' derivatives match them bit for bit.
+
 Angles are radians, distances metres, times seconds throughout.
 """
 

@@ -95,8 +95,9 @@ def _fmt(x: float) -> str:
 
 
 # One trajectory row as csv.writer would write it: formatted numbers never
-# need quoting, so a single format string gives the same bytes, faster.
-_ROW_FORMAT = ",".join(["{:.17g}"] * len(COLUMNS)) + "\r\n"
+# need quoting, so a single format string gives the same bytes, faster.  The
+# printf-style ``%.17g`` writes what ``_fmt`` writes, with less per-row work.
+_ROW_FORMAT = ",".join(["%.17g"] * len(COLUMNS)) + "\r\n"
 
 
 class TrajectoryWriter:
@@ -113,7 +114,7 @@ class TrajectoryWriter:
         self._fh.write(",".join(COLUMNS) + "\r\n")
 
     def append(self, row: LogRow) -> None:
-        self._fh.write(_ROW_FORMAT.format(*row))
+        self._fh.write(_ROW_FORMAT % row)
 
     def __enter__(self) -> TrajectoryWriter:
         return self

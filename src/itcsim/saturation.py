@@ -60,6 +60,12 @@ class BoundMode(str, Enum):
     WING_TAIL = "wing-tail"
 
 
+# The members ``axis_brackets`` dispatches on, as module globals: a global
+# load is cheaper than the class-attribute lookup ``BoundMode.CONSTANT``.
+_CONSTANT = BoundMode.CONSTANT
+_ROLL_COUPLED = BoundMode.ROLL_COUPLED
+
+
 @dataclass(frozen=True)
 class SaturationParams:
     """Actuator-channel parameters shared by both lateral axes.
@@ -82,13 +88,16 @@ class SaturationParams:
     def validate(self) -> None:
         if self.n < 2 or self.n % 2 != 0:
             raise ConfigError(f"saturation exponent n must be even and >= 2, got {self.n}", field="n")
-        if self.rho <= 0.0:
-            raise ConfigError(f"saturation leak rate rho must be > 0, got {self.rho}", field="rho")
+        # Written as ranges so that NaN, which fails every comparison, fails too.
+        if not 0.0 < self.rho < math.inf:
+            raise ConfigError(
+                f"saturation leak rate rho must be finite and > 0, got {self.rho}", field="rho"
+            )
         # ``axis_brackets`` counts a smaller constant bound as zero, which
         # would leave the channels unsaturated.
-        if self.a_max < _EPS_BOUND:
+        if not _EPS_BOUND <= self.a_max < math.inf:
             raise ConfigError(
-                f"acceleration bound a_max must be >= {_EPS_BOUND:g} m/s^2, "
+                f"acceleration bound a_max must be finite and >= {_EPS_BOUND:g} m/s^2, "
                 f"got {self.a_max}",
                 field="a_max",
             )
@@ -97,8 +106,11 @@ class SaturationParams:
                 f"wing-tail lower bound a_max_l must be in (0, a_max], got {self.a_max_l}",
                 field="a_max_l",
             )
-        if self.b_cap <= 0.0:
-            raise ConfigError(f"command cap b_cap must be > 0, got {self.b_cap}", field="b_cap")
+        # The barrier needs a finite cap (see the module docstring).
+        if not 0.0 < self.b_cap < math.inf:
+            raise ConfigError(
+                f"command cap b_cap must be finite and > 0, got {self.b_cap}", field="b_cap"
+            )
 
 
 # --- Channel dynamics ---------------------------------------------------------
@@ -136,12 +148,12 @@ def axis_brackets(
     mode = params.mode
     a_max = params.a_max
     n = params.n
-    if mode is BoundMode.CONSTANT:
+    if mode is _CONSTANT:
         if a_max < _EPS_BOUND:
             return 1.0, 1.0, a_max, a_max
         return 1.0 - (a_my / a_max) ** n, 1.0 - (a_mz / a_max) ** n, a_max, a_max
     mag = math.hypot(a_my, a_mz)
-    if mode is BoundMode.ROLL_COUPLED:
+    if mode is _ROLL_COUPLED:
         if mag < EPS_RESULTANT:
             a_y_max = a_z_max = a_max / _SQRT2
         else:

@@ -193,6 +193,7 @@ def test_owner_rule_errors_name_the_config_key():
         (dict(rho=0.0), "saturation.rho = 0.0"),
         (dict(a_max_g=0.0), "saturation.aMaxG = 0.0"),
         (dict(a_max_g=1e-14), "saturation.aMaxG = 1e-14"),
+        (dict(a_max_g=1e308), "saturation.aMaxG = 1e+308"),  # a_max overflows
         (dict(bound_mode="wing-tail", a_max_l_g=20.0), "saturation.aMaxLG = 20.0"),
         (dict(b_cap=0.0), "saturation.bCap = 0.0"),
         (dict(dt=0.0), "sim.dt = 0.0"),
@@ -218,8 +219,9 @@ def test_owner_rule_errors_name_the_config_key():
         ),
         # A g-unit value that fails with the default g is blamed alone.
         (dict(a_max_g=0.0, g=5.0), "saturation.aMaxG = 0.0"),
+        (dict(g=1e308), "saturation.aMaxG × saturation.g = 10.0 × 1e+308"),
     ],
-    ids=["aMaxG-product", "aMaxLG-product", "aMaxG-alone"],
+    ids=["aMaxG-product", "aMaxLG-product", "aMaxG-alone", "aMaxG-overflow"],
 )
 def test_g_unit_bound_errors_name_the_product(overrides, prefix):
     """A bound that fails only because of ``saturation.g`` names both keys

@@ -12,7 +12,11 @@ import random
 
 import pytest
 
+from itcsim.guidance3d import Guidance3D
+from itcsim.guidance_planar import BaselinePlanar, GuidancePlanar
 from itcsim.kinematics import (
+    EPS_COS,
+    EPS_RANGE,
     effective_lead,
     heading_rates_3d_trig,
     inertial_position,
@@ -20,6 +24,8 @@ from itcsim.kinematics import (
     los_rates_3d_trig,
     los_rates_planar_trig,
 )
+from itcsim.saturation import SaturationParams
+from itcsim.shaping import ShapingParams
 
 REL = 1e-12
 
@@ -188,3 +194,97 @@ def test_planar_section_is_bitwise_exact():
         )
         assert theta_m_dot == 0.0
         assert psi_m_dot == lead_rate_planar(psi_dot3, a_my, v)
+
+
+# --- The laws' inline kinematics ------------------------------------------------
+#
+# Each law computes the LOS and heading rates inside its own chain, sharing
+# products with the rest of it; the functions above are the reference forms.
+# The derivatives must match them bit for bit (compared by ``repr``, so -0.0
+# and 0.0 differ), including at the guards' edges: ranges at the range floor,
+# |cos(theta)| at the polar guard, theta_m near +-pi/2, signed zeros and
+# accelerations at their bounds.
+
+
+def _polar_edge() -> float:
+    """The largest theta below pi/2 whose cosine the 3D law still accepts."""
+    theta = math.acos(EPS_COS)
+    while math.cos(theta) < EPS_COS:
+        theta = math.nextafter(theta, 0.0)
+    return theta
+
+
+def _pick(rng, edges, low, high):
+    return rng.choice(edges) if rng.random() < 0.5 else rng.uniform(low, high)
+
+
+A_MAX = 98.1
+# Just inside the bound: the actuator bracket 1 - (a/A)^2 is about 2e-6,
+# above the laws' EPS_DEN guard.
+A_EDGE = A_MAX * (1.0 - 1e-6)
+R_EDGES = (EPS_RANGE, math.nextafter(EPS_RANGE, 1.0), 1e-3, 1.0)
+T_EDGES = (0.0, -0.0, 50.0, 75.0)
+
+
+def _law_kw(rng) -> dict:
+    shaping = ShapingParams()
+    shaping.validate()
+    return dict(speed=rng.choice((250.0, rng.uniform(50.0, 400.0))), t_final=50.0, shaping=shaping)
+
+
+def _saturation() -> SaturationParams:
+    sat = SaturationParams(a_max=A_MAX)
+    sat.validate()
+    return sat
+
+
+def test_3d_law_computes_the_reference_rates_bit_for_bit():
+    rng = random.Random(2024)
+    polar = _polar_edge()
+    angle_edges = (0.0, -0.0, polar, -polar)
+    lead_edges = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi / 2 - 1e-9, 1e-9 - math.pi / 2)
+    accel_edges = (0.0, -0.0, A_EDGE, -A_EDGE)
+    for _ in range(400):
+        law = Guidance3D(sat=_saturation(), **_law_kw(rng))
+        t = _pick(rng, T_EDGES, 0.0, 75.0)
+        y = (
+            _pick(rng, R_EDGES, 1.0, 2.0e4),
+            _pick(rng, angle_edges, -1.4, 1.4),
+            rng.uniform(-math.pi, math.pi),
+            _pick(rng, lead_edges, -1.5, 1.5),
+            _pick(rng, lead_edges, -1.5, 1.5),
+            _pick(rng, accel_edges, -A_MAX, A_MAX),
+            _pick(rng, accel_edges, -A_MAX, A_MAX),
+        )
+        r, theta, _psi, theta_m, psi_m, a_my, a_mz = y
+        v = law.speed
+        los = _los_rates_3d(r, theta, theta_m, psi_m, v)
+        heading = _heading_rates_3d(theta, theta_m, psi_m, los[1], los[2], a_my, a_mz, v)
+        assert repr(law.rates(t, y)[0][:5]) == repr(los + heading), (t, y, v)
+
+
+def test_planar_laws_compute_the_reference_rates_bit_for_bit():
+    rng = random.Random(2025)
+    lead_edges = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
+    for _ in range(400):
+        kw = _law_kw(rng)
+        v = kw["speed"]
+        t = _pick(rng, T_EDGES, 0.0, 75.0)
+        r = _pick(rng, R_EDGES, 1.0, 2.0e4)
+        theta = rng.uniform(-math.pi, math.pi)
+        sigma = _pick(rng, lead_edges, -1.5, 1.5)
+        los = _los_rates_planar(r, sigma, v)
+
+        a_my = _pick(rng, (0.0, -0.0, A_EDGE, -A_EDGE), -A_MAX, A_MAX)
+        law = GuidancePlanar(sat=_saturation(), **kw)
+        expected = los + (lead_rate_planar(los[1], a_my, v),)
+        got = law.rates(t, (r, theta, sigma, a_my))[0][:3]
+        assert repr(got) == repr(expected), (t, r, sigma, a_my, v)
+
+        # The baseline's acceleration is its clipped command (at its bound
+        # whenever the clip engages), as ``log_row`` reports it.
+        baseline = BaselinePlanar(a_clip=rng.choice((A_MAX, math.inf)), **kw)
+        out = baseline.rates(t, (r, theta, sigma))
+        a_cmd = max(-baseline.a_clip, min(baseline.a_clip, out[6]))
+        expected = los + (lead_rate_planar(los[1], a_cmd, v),)
+        assert repr(out[0]) == repr(expected), (t, r, sigma, v, baseline.a_clip)

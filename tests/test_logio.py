@@ -10,6 +10,9 @@ import csv
 import io
 import json
 import math
+import random
+import struct
+import sys
 
 import pytest
 
@@ -22,6 +25,31 @@ from itcsim.logio import (
     write_report_csv,
     write_trajectory_csv,
 )
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _around(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# NaN payloads and -NaN, subnormals, signed zeros and infinities, whole
+# numbers, and the neighbourhoods of 1e16 and 1e17, where 17 significant
+# digits stop covering the integer part and ``g`` switches to exponent form.
+SPECIAL_VALUES = [
+    _from_bits(bits)
+    for bits in (
+        0x7FF8000000000000, 0x7FF8000000000001, 0x7FFFFFFFFFFFFFFF, 0x7FF0000000000001,
+        0xFFF8000000000000, 0xFFF0000000000001, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
+        0x8000000000000001, 0x800FFFFFFFFFFFFF, 0x0010000000000000,
+    )
+] + [
+    0.0, -0.0, math.inf, -math.inf, 5000.0, -5000.0, 1.0, 98.1, 2.0**53, -(2.0**53),
+    *_around(1e16), *_around(-1e16), *_around(1e17), *_around(-1e17),
+    *_around(1e-5), *_around(1e-4), *_around(sys.float_info.max),
+]
 
 
 def _row(**overrides) -> LogRow:
@@ -58,6 +86,22 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path):
     for row in rows:
         writer.writerow([f"{v:.17g}" for v in row.values()])
     assert path.read_bytes() == expected.getvalue().encode()
+
+    # Each row is the ``.17g`` format of every value, over seeded random bit
+    # patterns and the values where formatting changes shape.
+    rng = random.Random(17)
+    values = [_from_bits(rng.getrandbits(64)) for _ in range(2000)]
+    values += [rng.uniform(-1e6, 1e6) for _ in range(500)]
+    values += SPECIAL_VALUES
+    rng.shuffle(values)
+    width = len(COLUMNS)
+    padded = values + values[:width]  # the last row wraps round to the first values
+    rows = [LogRow._make(padded[i:i + width]) for i in range(0, len(values), width)]
+    write_trajectory_csv(TrajectoryLog(rows=rows), str(path))
+    expected = ",".join(COLUMNS) + "\r\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\r\n" for row in rows
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 def test_trajectory_roundtrip_is_bit_exact(tmp_path):

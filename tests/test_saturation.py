@@ -95,6 +95,14 @@ def test_params_validation_rejects_bad_values():
     _params(mode=BoundMode.CONSTANT, a_max_l=-5.0)
 
 
+@pytest.mark.parametrize("name", ["rho", "a_max", "b_cap"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_validation_rejects_non_finite_values(name, value):
+    with pytest.raises(ConfigError, match="finite") as err:
+        _params(**{name: value})
+    assert err.value.field == name
+
+
 def test_saturation_rate_frozen_and_limits():
     p = _params()
     assert saturation_rate(49.05, 100.0, 98.1, p) == pytest.approx(SATRATE_HALF, rel=REL)
