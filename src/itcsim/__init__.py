@@ -25,7 +25,7 @@ from .logio import (
 )
 from .metrics import Metrics, MetricsFold, compare_report, control_effort, interception_metrics
 from .presets import PRESET_NAMES, preset_scenarios
-from .saturation import BoundMode, SaturationParams, saturation_rate
+from .saturation import BoundMode, SaturationParams
 from .shaping import ShapingParams, desired_heading, desired_lead, sgmf, shaping_rates
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "preset_scenarios",
     "read_trajectory_csv",
     "run_scenario",
-    "saturation_rate",
     "serialize_config",
     "sgmf",
     "shaping_rates",

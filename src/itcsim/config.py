@@ -350,8 +350,13 @@ def load_config(
     """
     cfg = base if base is not None else ScenarioConfig()
     if path is not None:
-        with open(path) as fh:
-            cfg = apply_kv(cfg, parse_config_text(fh.read(), source=path))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
+        cfg = apply_kv(cfg, parse_config_text(text, source=path))
     cfg = apply_kv(cfg, env_overrides(environ))
     cfg.validate()
     return cfg

@@ -133,8 +133,8 @@ class Guidance3D:
         r_r = r * r
         r_cos_t = r * cos_t
 
-        # --- Kinematics and current lead: ``kinematics.los_rates_3d_trig``
-        # and ``heading_rates_3d_trig``, written out bit for bit ---
+        # --- Kinematics: the range and LOS rates, then the lead rates, each
+        # an acceleration term plus the LOS rates' coupling terms ---
         r_dot = -v_cos_tm * cos_pm
         theta_dot = -v_sin_tm / r
         psi_dot = -v_cos_tm_sin_pm / r_cos_t

@@ -107,9 +107,9 @@ class GuidancePlanar:
         if r < EPS_RANGE:
             raise GuardTrip("range-floor", t, f"r={r:.3e} m")
 
-        # --- Kinematics: ``kinematics.los_rates_planar_trig`` and
-        # ``lead_rate_planar``, written out bit for bit.  -(v * x) is
-        # (-v) * x bit for bit: IEEE negation is exact.
+        # --- Kinematics: the range and LOS rates, and the lead rate, the
+        # velocity's turn rate less the LOS rate.  -(v * x) is (-v) * x bit
+        # for bit: IEEE negation is exact.
         v_sin_s = v * math.sin(sigma)
         v_cos_s = v * math.cos(sigma)
         r_dot = -v_cos_s

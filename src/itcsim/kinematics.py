@@ -14,8 +14,8 @@ horizontal plane (``theta = theta_m = 0``): a single LOS angle, a single
 lead angle ``sigma`` and a single lateral acceleration.
 
 The guidance laws compute the LOS and heading rates inline, sharing their
-products with the rest of the control chain; the rate functions here are
-the reference forms, and the laws' derivatives match them bit for bit.
+products with the rest of the control chain.  The symbolic model in
+``tests/test_symbolic.py``, built from the geometry alone, is their oracle.
 
 Angles are radians, distances metres, times seconds throughout.
 """
@@ -46,55 +46,6 @@ def effective_lead(theta_m: float, psi_m: float) -> float:
     # max(-1.0, min(1.0, c)) would (NaN -> 1.0), without the builtin calls.
     c = c if c < 1.0 else 1.0
     return math.acos(c if c > -1.0 else -1.0)
-
-
-# --- Equations of motion ----------------------------------------------------
-
-
-def los_rates_3d_trig(
-    r: float, cos_t: float, sin_tm: float, cos_tm: float, sin_pm: float, cos_pm: float, v: float
-) -> tuple[float, float, float]:
-    """Range and LOS angular rates (r_dot, theta_dot, psi_dot) for 3D flight.
-
-    Takes the cosine of theta and the sines and cosines of theta_m and
-    psi_m, which the caller has already computed.
-    """
-    r_dot = -v * cos_tm * cos_pm
-    theta_dot = -v * sin_tm / r
-    psi_dot = -v * cos_tm * sin_pm / (r * cos_t)
-    return r_dot, theta_dot, psi_dot
-
-
-def heading_rates_3d_trig(
-    sin_t: float, cos_t: float, cos_tm: float, tan_tm: float, sin_pm: float, cos_pm: float,
-    theta_dot: float, psi_dot: float, a_my: float, a_mz: float, v: float,
-) -> tuple[float, float]:
-    """Lead-angle rates (theta_m_dot, psi_m_dot) under lateral accelerations.
-
-    The lead angles are measured against the rotating LOS frame, so the LOS
-    rates appear as kinematic coupling terms alongside the acceleration
-    commands.  Takes the trig of theta, theta_m and psi_m; ``tan_tm`` is
-    ``math.tan(theta_m)``, which sin/cos can miss by an ulp.
-    """
-    theta_m_dot = a_mz / v - psi_dot * sin_t * sin_pm - theta_dot * cos_pm
-    psi_m_dot = (
-        a_my / (v * cos_tm)
-        + psi_dot * tan_tm * cos_pm * sin_t
-        - psi_dot * cos_t
-        - theta_dot * tan_tm * sin_pm
-    )
-    return theta_m_dot, psi_m_dot
-
-
-def los_rates_planar_trig(r: float, sin_s: float, cos_s: float, v: float) -> tuple[float, float]:
-    """Range and LOS rates (r_dot, theta_dot) for planar flight, from the
-    sine and cosine of sigma."""
-    return -v * cos_s, -v * sin_s / r
-
-
-def lead_rate_planar(theta_dot: float, a_my: float, v: float) -> float:
-    """Planar lead-angle rate: turn rate of the velocity minus the LOS rate."""
-    return a_my / v - theta_dot
 
 
 # --- Inertial position ------------------------------------------------------

@@ -135,11 +135,14 @@ def read_trajectory_csv(path: str) -> TrajectoryLog:
     log = TrajectoryLog()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != COLUMNS:
-            raise ValueError(f"unexpected trajectory columns: {header}")
+            raise ValueError(f"{path}:1: unexpected trajectory columns: {header}")
         for rec in reader:
-            log.rows.append(LogRow._make(map(float, rec)))
+            try:
+                log.rows.append(LogRow._make(map(float, rec)))
+            except (TypeError, ValueError) as exc:  # a row's width, or a number
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return log
 
 

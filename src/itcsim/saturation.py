@@ -116,25 +116,13 @@ class SaturationParams:
 # --- Channel dynamics ---------------------------------------------------------
 
 
-def saturation_rate(a: float, b: float, a_axis_max: float, params: SaturationParams) -> float:
-    """Time derivative of one acceleration channel under command ``b``.
-
-    A bound below EPS_RESULTANT**2 counts as zero.  The roll-coupled
-    schedule drives an axis bound to zero exactly when that axis carries
-    none of the resultant; the ratio a / a_axis_max is then 0/0 and its
-    true limit is zero, so the bracket is 1.
-    """
-    ratio = 0.0 if a_axis_max < _EPS_BOUND else (a / a_axis_max) ** params.n
-    return (1.0 - ratio) * b - params.rho * a
-
-
 def axis_brackets(
     a_my: float, a_mz: float, params: SaturationParams
 ) -> tuple[float, float, float, float]:
     """Input-effectiveness brackets and bounds (bracket_y, bracket_z, A_y, A_z).
 
     Constant bounds are independent per-axis barriers 1 - (a / A)^n; a bound
-    below EPS_RESULTANT**2 gives bracket 1, as in ``saturation_rate``.
+    below EPS_RESULTANT**2 counts as zero and gives bracket 1.
     Under a direction-dependent schedule the two channels share the
     most-binding saturation fraction instead: an independent barrier is not
     forward-invariant there, because the dominant axis can sit on its bound
@@ -144,6 +132,9 @@ def axis_brackets(
     channels decay by the same leak), which keeps every axis inside its
     scheduled bound pointwise.  For the roll-coupled schedule the shared
     fraction ||a|| / a_max is algebraically each per-axis ratio.
+
+    A law's channel rate is ``bracket * b - rho * a`` with its clipped
+    command ``b``.
     """
     mode = params.mode
     a_max = params.a_max

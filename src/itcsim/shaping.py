@@ -25,12 +25,14 @@ Negative z1 means the target can no longer be reached in the remaining
 time even flying straight; the demand clamps to zero (the engine logs the
 first clamp as a run warning) rather than handing back a complex angle.
 
-``sgmf``, ``sgmf_derivatives``, ``desired_lead`` and ``desired_heading`` are
-the reference forms of each piece.  ``shaping_rates``, the guidance laws'
-hot path, builds the flat demands outside the layer from them once per
-``ShapingParams``; inside the layer it computes the demand, its heading
-split and their rates in one pass that repeats the reference forms'
-operations in their order, so it is bit-identical to composing them.
+``sgmf``, ``desired_lead`` and ``desired_heading`` are the reference forms
+of each piece.  ``shaping_rates``, the guidance laws' hot path, builds the
+flat demands outside the layer from them once per ``ShapingParams``; inside
+the layer it computes the demand, its heading split and their rates in one
+pass that repeats the reference forms' operations in their order, so it is
+bit-identical to composing them with sgmf's two derivatives.  The symbolic
+model in ``tests/test_symbolic.py`` checks the rates against the
+differentiated demand.
 """
 
 from __future__ import annotations
@@ -99,8 +101,10 @@ class ShapingParams:
 
     @cached_property
     def _layer_constants(self) -> tuple[float, float, float, float]:
-        """(phi**3, 2*phi**3, 2*phi, 3/(2*phi)), the sigmoid's constants,
-        each computed as ``sgmf`` and ``sgmf_derivatives`` compute it."""
+        """(phi**3, 2*phi**3, 2*phi, 3/(2*phi)): the constants of the sigmoid
+        -x**3/(2 phi**3) + 3x/(2 phi) and of its derivatives
+        -3x**2/(2 phi**3) + 3/(2 phi) and -3x/phi**3, each computed as those
+        formulas compute it."""
         phi = self.phi
         return phi**3, 2.0 * phi**3, 2.0 * phi, 3.0 / (2.0 * phi)
 
@@ -126,15 +130,6 @@ def sgmf(x: float, phi: float) -> float:
     if x < -phi:
         return -1.0
     return -(x**3) / (2.0 * phi**3) + 3.0 * x / (2.0 * phi)
-
-
-def sgmf_derivatives(x: float, phi: float) -> tuple[float, float]:
-    """First and second derivatives of the sigmoid (zero outside the layer)."""
-    if abs(x) > phi:
-        return 0.0, 0.0
-    d1 = -3.0 * x**2 / (2.0 * phi**3) + 3.0 / (2.0 * phi)
-    d2 = -3.0 * x / phi**3
-    return d1, d2
 
 
 # --- Demand and its rates -----------------------------------------------------
@@ -207,8 +202,8 @@ def shaping_rates(z1: float, z1_dot: float, z1_ddot: float, params: ShapingParam
     c = c if c < 1.0 else 1.0
     heading_d = 0.5 * math.acos(c if c > -1.0 else -1.0)
 
-    # sgmf_derivatives; floors as max(sin, eps_sin) would apply them (a NaN
-    # sine passes through).
+    # sgmf's first and second derivatives; floors as max(sin, eps_sin) would
+    # apply them (a NaN sine passes through).
     k1_s1 = k1 * (-3.0 * z1**2 / two_phi3 + three_two_phi)
     s2 = -3.0 * z1 / phi3
     sin_sd = math.sin(sigma_d)

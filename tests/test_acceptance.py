@@ -18,10 +18,11 @@ import pytest
 
 from itcsim.engine import RunStatus, rk4_step
 from itcsim.guidance_planar import GuidancePlanar
-from itcsim.kinematics import effective_lead, heading_rates_3d_trig, los_rates_3d_trig
+from itcsim.kinematics import effective_lead
 from itcsim.presets import PLANAR_COMPARE_ROWS
-from itcsim.saturation import SaturationParams, saturation_rate
+from itcsim.saturation import SaturationParams, axis_brackets
 from itcsim.shaping import desired_heading, desired_lead, shaping_rates
+from test_symbolic import model_rates
 
 G = 9.81
 A_MAX = 10.0 * G                     # 98.1 m/s^2
@@ -257,10 +258,15 @@ def test_c7_terminal_state(
 
 def test_c8a_saturation_forward_invariance(criterion_recorder):
     """1000 randomized piecewise-constant command sequences, |b| up to 1e6:
-    an acceleration starting strictly inside its bound never leaves it."""
+    an acceleration starting strictly inside its bound never leaves it.  The
+    channel rate is the laws' own, bracket * b - rho * a."""
     params = SaturationParams()
     params.validate()
     a_bound = params.a_max
+
+    def rate(a, b):
+        return axis_brackets(a, 0.0, params)[0] * b - params.rho * a
+
     rng = random.Random(42)
     min_margin = math.inf
     violations = []
@@ -275,10 +281,10 @@ def test_c8a_saturation_forward_invariance(criterion_recorder):
             lam = params.rho + params.n * abs(b) / a_bound
             dt = 0.2 / lam
             for _ in range(20):
-                k1 = saturation_rate(a, b, a_bound, params)
-                k2 = saturation_rate(a + 0.5 * dt * k1, b, a_bound, params)
-                k3 = saturation_rate(a + 0.5 * dt * k2, b, a_bound, params)
-                k4 = saturation_rate(a + dt * k3, b, a_bound, params)
+                k1 = rate(a, b)
+                k2 = rate(a + 0.5 * dt * k1, b)
+                k3 = rate(a + 0.5 * dt * k2, b)
+                k4 = rate(a + dt * k3, b)
                 a = a + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
                 margin = a_bound - abs(a)
                 if margin < min_margin:
@@ -457,7 +463,8 @@ def test_c8c_analytic_derivatives_match_finite_differences(
 class _PlanarSection:
     """The planar engagement embedded in the 3D state layout: elevation
     channels pinned at zero, horizontal channels driven by the planar law,
-    with the LOS and heading rates computed by the 3D kinematics."""
+    with the LOS and heading rates from the symbolic geometry model of
+    ``test_symbolic.py``."""
 
     state_size = 7
 
@@ -467,19 +474,9 @@ class _PlanarSection:
         self.t_final = planar.t_final
 
     def rates(self, t, y):
-        r, theta, psi, theta_m, psi_m, a_my, a_mz = y
+        r, _theta, psi, _theta_m, psi_m, a_my, _a_mz = y
         pl_derivs, feasible = self.planar.rates(t, (r, psi, psi_m, a_my))[:2]
-        sin_t, cos_t = math.sin(theta), math.cos(theta)
-        sin_tm, cos_tm = math.sin(theta_m), math.cos(theta_m)
-        sin_pm, cos_pm = math.sin(psi_m), math.cos(psi_m)
-        r_dot, theta_dot, psi_dot = los_rates_3d_trig(
-            r, cos_t, sin_tm, cos_tm, sin_pm, cos_pm, self.speed
-        )
-        theta_m_dot, psi_m_dot = heading_rates_3d_trig(
-            sin_t, cos_t, cos_tm, math.tan(theta_m), sin_pm, cos_pm,
-            theta_dot, psi_dot, a_my, a_mz, self.speed,
-        )
-        return (r_dot, theta_dot, psi_dot, theta_m_dot, psi_m_dot, pl_derivs[3], 0.0), feasible
+        return (*model_rates(t, y, self.speed), pl_derivs[3], 0.0), feasible
 
 
 def _compare_section(cfg, steps, dt=1e-3):

@@ -234,6 +234,18 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "config error" in err and "k1" in err
 
 
+def test_validate_config_that_is_not_utf8(tmp_path, capsys):
+    # A UTF-16 byte-order mark is not UTF-8: a config error naming the file
+    # and the byte, not a traceback.
+    bad = tmp_path / "utf16.cfg"
+    bad.write_bytes(b"\xff\xfe" + "scenario.tf = 50\n".encode("utf-16-le"))
+    code = main(["validate", "--config", str(bad)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"itcsim: config error: {bad}: not UTF-8 text at byte 0 ")
+    assert "Traceback" not in err
+
+
 def test_validate_rejects_infinite_env_override(micro_cfg, monkeypatch, capsys):
     monkeypatch.setenv("ITCSIM_SIM_HITRADIUS", "inf")
     code = main(["validate", "--config", str(micro_cfg)])

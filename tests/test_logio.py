@@ -126,6 +126,22 @@ def test_trajectory_header_is_checked(tmp_path):
         read_trajectory_csv(str(path))
 
 
+def test_trajectory_bad_rows_name_the_file_and_line(tmp_path):
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(TrajectoryLog(rows=[_row(t=0.0), _row(t=1.0)]), str(path))
+    good = path.read_text()
+    # A run killed while it streams rows leaves a cut last line.
+    path.write_text(good + "2.0,5.0,0.1\n")
+    with pytest.raises(ValueError, match=r"traj\.csv:4: Expected 24 arguments, got 3"):
+        read_trajectory_csv(str(path))
+    path.write_text(good.replace("\n1,", "\nx,"))
+    with pytest.raises(ValueError, match=r"traj\.csv:3: could not convert string to float: 'x'"):
+        read_trajectory_csv(str(path))
+    path.write_text("")
+    with pytest.raises(ValueError, match=r"traj\.csv:1: unexpected trajectory columns"):
+        read_trajectory_csv(str(path))
+
+
 def test_metrics_json_nonfinite_to_null(tmp_path):
     path = tmp_path / "m.json"
     write_metrics_json(

@@ -19,7 +19,6 @@ from itcsim.saturation import (
     SaturationParams,
     axis_brackets,
     clip_command,
-    saturation_rate,
 )
 
 REL = 1e-12
@@ -34,6 +33,12 @@ def _params(**kw) -> SaturationParams:
     p = SaturationParams(**kw)
     p.validate()
     return p
+
+
+def _channel_rate(a, b, p):
+    """One channel's rate as the laws compute it, bracket * b - rho * a; the
+    other axis idles at zero, so its constant-bound bracket is the axis's own."""
+    return axis_brackets(a, 0.0, p)[0] * b - p.rho * a
 
 
 # The bound schedules and the per-axis bracket as separate functions, the
@@ -105,12 +110,12 @@ def test_params_validation_rejects_non_finite_values(name, value):
 
 def test_saturation_rate_frozen_and_limits():
     p = _params()
-    assert saturation_rate(49.05, 100.0, 98.1, p) == pytest.approx(SATRATE_HALF, rel=REL)
+    assert _channel_rate(49.05, 100.0, p) == pytest.approx(SATRATE_HALF, rel=REL)
     # At rest with no command nothing moves.
-    assert saturation_rate(0.0, 0.0, 98.1, p) == 0.0
+    assert _channel_rate(0.0, 0.0, p) == 0.0
     # On the bound the bracket vanishes: only the leak acts, pulling inward.
-    assert saturation_rate(98.1, 1.0e6, 98.1, p) == -(0.1 * 98.1)
-    assert saturation_rate(-98.1, -1.0e6, 98.1, p) == 0.1 * 98.1
+    assert _channel_rate(98.1, 1.0e6, p) == -(0.1 * 98.1)
+    assert _channel_rate(-98.1, -1.0e6, p) == 0.1 * 98.1
 
 
 def test_saturation_rate_odd_symmetry():
@@ -119,8 +124,8 @@ def test_saturation_rate_odd_symmetry():
     for _ in range(100):
         a = rng.uniform(-98.0, 98.0)
         b = rng.uniform(-5000.0, 5000.0)
-        assert saturation_rate(-a, -b, 98.1, p) == pytest.approx(
-            -saturation_rate(a, b, 98.1, p), rel=1e-9, abs=1e-12
+        assert _channel_rate(-a, -b, p) == pytest.approx(
+            -_channel_rate(a, b, p), rel=1e-9, abs=1e-12
         )
 
 
@@ -132,7 +137,7 @@ def test_bracket_and_ratio_guard():
     # Ratio 0.25; a negative acceleration with an even exponent gives the same.
     assert axis_brackets(49.05, -49.05, p)[:2] == pytest.approx((0.75, 0.75), rel=REL)
     # A degenerate zero bound counts as a zero ratio instead of dividing.
-    assert saturation_rate(0.0, 5.0, 0.0, p) == 5.0
+    assert _channel_rate(0.0, 5.0, SaturationParams(a_max=0.0)) == 5.0
     assert axis_brackets(1e-7, -30.0, SaturationParams(a_max=1e-13)) == (1.0, 1.0, 1e-13, 1e-13)
 
 
@@ -282,9 +287,9 @@ def test_forward_invariance_smoke():
             lam = p.rho + p.n * abs(b) / a_bound
             dt = 0.2 / lam
             for _ in range(20):
-                k1 = saturation_rate(a, b, a_bound, p)
-                k2 = saturation_rate(a + 0.5 * dt * k1, b, a_bound, p)
-                k3 = saturation_rate(a + 0.5 * dt * k2, b, a_bound, p)
-                k4 = saturation_rate(a + dt * k3, b, a_bound, p)
+                k1 = _channel_rate(a, b, p)
+                k2 = _channel_rate(a + 0.5 * dt * k1, b, p)
+                k3 = _channel_rate(a + 0.5 * dt * k2, b, p)
+                k4 = _channel_rate(a + dt * k3, b, p)
                 a = a + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
                 assert abs(a) < a_bound

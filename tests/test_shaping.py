@@ -19,7 +19,6 @@ from itcsim.shaping import (
     desired_heading,
     desired_lead,
     sgmf,
-    sgmf_derivatives,
     shaping_rates,
 )
 
@@ -27,10 +26,7 @@ REL = 1e-12
 
 # Frozen oracle values for k1=0.49, phi=300.
 SGMF_150 = 0.6875
-SGMF_D1_150 = 0.00375
-SGMF_D2_150 = -1.6666666666666667e-05
-SGMF_D1_0 = 0.005
-SGMF_D2_PHI = -3.3333333333333335e-05
+SGMF_D1_0 = 0.005                          # sgmf's slope at zero
 SIGMA_D_MAX = 1.0356115365192968           # acos(1 - k1), rad
 SIGMA_D_MAX_DEG = 59.33617025761403
 HEADING_MAX = 0.7753974966107531           # even split of the max demand, rad
@@ -100,22 +96,6 @@ def test_sgmf_is_odd_monotone_and_slope_bounded():
     for _ in range(100):
         x = rng.uniform(-400.0, 400.0)
         assert sgmf(-x, 300.0) == pytest.approx(-sgmf(x, 300.0), rel=1e-9, abs=1e-15)
-
-
-def test_sgmf_derivatives_frozen():
-    d1, d2 = sgmf_derivatives(0.0, 300.0)
-    assert d1 == pytest.approx(SGMF_D1_0, rel=REL)
-    assert d2 == 0.0
-    d1, d2 = sgmf_derivatives(150.0, 300.0)
-    assert d1 == pytest.approx(SGMF_D1_150, rel=REL)
-    assert d2 == pytest.approx(SGMF_D2_150, rel=REL)
-    # The slope closes to zero exactly at the layer edge; the curvature jumps.
-    d1, d2 = sgmf_derivatives(300.0, 300.0)
-    assert d1 == pytest.approx(0.0, abs=1e-18)
-    assert d2 == pytest.approx(SGMF_D2_PHI, rel=REL)
-    # Outside the layer the blend is constant.
-    assert sgmf_derivatives(300.0000001, 300.0) == (0.0, 0.0)
-    assert sgmf_derivatives(-1.0e6, 300.0) == (0.0, 0.0)
 
 
 def test_desired_lead():
@@ -245,12 +225,14 @@ def test_desired_heading_clamp_matches_builtin_min_max():
 
 def _composed_rates(z1, z1_dot, z1_ddot, params):
     """The in-layer demand composed from ``desired_lead``, ``desired_heading``
-    and ``sgmf_derivatives``, with the rates as ``shaping_rates`` wrote them
+    and sgmf's two derivatives, with the rates as ``shaping_rates`` wrote them
     before the composition became one pass."""
     k1 = params.k1
+    phi = params.phi
     sigma_d, feasible = desired_lead(z1, params)
     heading_d = desired_heading(sigma_d)
-    s1, s2 = sgmf_derivatives(z1, params.phi)
+    s1 = -3.0 * z1**2 / (2.0 * phi**3) + 3.0 / (2.0 * phi)
+    s2 = -3.0 * z1 / phi**3
     eps_sin = params.eps_sin
     sin_sd = math.sin(sigma_d)
     sin_sd = eps_sin if eps_sin > sin_sd else sin_sd
