@@ -68,10 +68,14 @@ def _summary_line(label: str, status: str, metrics: Metrics | None, error: str |
     if error is not None:
         return f"{label}: error: {error}"
     assert metrics is not None
-    impact = "-" if metrics.impact_time is None else f"{metrics.impact_time:.4f} s"
+
+    def show(value: float | None, spec: str, unit: str) -> str:
+        return "-" if value is None else f"{value:{spec}} {unit}"
+
     return (
-        f"{label}: {status}  impact={impact}  miss={metrics.miss_distance:.3f} m  "
-        f"effort={metrics.control_effort:.1f} m^2/s^3"
+        f"{label}: {status}  impact={show(metrics.impact_time, '.4f', 's')}  "
+        f"miss={show(metrics.miss_distance, '.3f', 'm')}  "
+        f"effort={show(metrics.control_effort, '.1f', 'm^2/s^3')}"
     )
 
 

@@ -356,6 +356,9 @@ def load_config(
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
+        # Some editors start a UTF-8 file with a byte-order mark; it is not
+        # part of the first key.
+        text = text.removeprefix("\ufeff")
         cfg = apply_kv(cfg, parse_config_text(text, source=path))
     cfg = apply_kv(cfg, env_overrides(environ))
     cfg.validate()
@@ -375,29 +378,14 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 
 class _Tee:
-    """A row sink that passes each row to two sinks, in order, ``CHUNK_ROWS``
-    rows at a time.  Holding one bounded chunk keeps memory flat however
-    long the run, and handing rows on in bursts keeps the scoring and
-    writing out of the integrator's loop, where it measured slower."""
-
-    CHUNK_ROWS = 1024
+    """A row sink that passes each row to two sinks, in order."""
 
     def __init__(self, first: RowSink, second: RowSink) -> None:
         self._first, self._second = first.append, second.append
-        self._held: list[LogRow] = []
 
     def append(self, row: LogRow) -> None:
-        held = self._held
-        held.append(row)
-        if len(held) == self.CHUNK_ROWS:
-            self.flush()
-
-    def flush(self) -> None:
-        first, second = self._first, self._second
-        for row in self._held:
-            first(row)
-            second(row)
-        self._held.clear()
+        self._first(row)
+        self._second(row)
 
 
 def run_scenario(
@@ -406,9 +394,10 @@ def run_scenario(
     """Validate, simulate, and score one scenario.
 
     While the run integrates, each row is scored by a ``MetricsFold`` and
-    then appended to ``sink`` (a new list by default), in chunks of at most
-    ``_Tee.CHUNK_ROWS`` rows.  Returns (log, outcome, metrics);
-    ``log.rows`` is the sink.
+    then appended to ``sink`` (a new list by default) as soon as the engine
+    builds it.  Returns (log, outcome, metrics); ``log.rows`` is the sink.
+    A run whose first evaluation trips a guard logs no row and scores
+    ``Metrics()``.
     """
     cfg.validate()
     law = cfg.make_law()
@@ -416,8 +405,7 @@ def run_scenario(
     fold = MetricsFold(
         t_final=cfg.tf, sigma_max=math.radians(cfg.sigma_max_deg), hit_radius=cfg.hit_radius
     )
-    tee = _Tee(fold, rows)
-    log, outcome = simulate(law, cfg.initial_state(), cfg.sim_settings(), tee)
-    tee.flush()
-    return replace(log, rows=rows), outcome, fold.metrics()
+    log, outcome = simulate(law, cfg.initial_state(), cfg.sim_settings(), _Tee(fold, rows))
+    metrics = Metrics() if fold.last is None else fold.metrics()
+    return replace(log, rows=rows), outcome, metrics
 

@@ -19,9 +19,9 @@ from .logio import LogRow, TrajectoryLog
 BOUND_TOL = 1e-9
 
 
-def _json(key: str):
+def _json(key: str, default: object = None):
     """A ``Metrics`` field with its metrics-JSON key."""
-    return field(metadata={"key": key})
+    return field(default=default, metadata={"key": key})
 
 
 @dataclass
@@ -30,21 +30,23 @@ class Metrics:
 
     Distances m, times s, angles rad, accelerations m/s^2, effort m^2/s^3.
     impact_time and impact_time_error are None when the run never reached
-    the hit radius.
+    the hit radius.  ``Metrics()`` scores a run that logged no row (its
+    first evaluation tripped a guard): None for every value read from the
+    rows, and no violations.
     """
 
-    miss_distance: float = _json("missDistance")
+    miss_distance: float | None = _json("missDistance")
     impact_time: float | None = _json("impactTime")
     impact_time_error: float | None = _json("impactTimeError")
-    control_effort: float = _json("controlEffort")
-    max_lead: float = _json("maxLead")
-    max_ay: float = _json("maxAy")
-    max_az: float = _json("maxAz")
-    terminal_lead: float = _json("terminalLead")
-    terminal_ay: float = _json("terminalAy")
-    terminal_az: float = _json("terminalAz")
-    fov_violations: int = _json("fovViolations")
-    accel_violations: int = _json("accelViolations")
+    control_effort: float | None = _json("controlEffort")
+    max_lead: float | None = _json("maxLead")
+    max_ay: float | None = _json("maxAy")
+    max_az: float | None = _json("maxAz")
+    terminal_lead: float | None = _json("terminalLead")
+    terminal_ay: float | None = _json("terminalAy")
+    terminal_az: float | None = _json("terminalAz")
+    fov_violations: int = _json("fovViolations", 0)
+    accel_violations: int = _json("accelViolations", 0)
 
     def to_dict(self) -> dict[str, object]:
         return {f.metadata["key"]: getattr(self, f.name) for f in fields(self)}
@@ -158,12 +160,16 @@ def interception_metrics(
 REPORT_HEADER = ("label", "impactTime", "initialAngleDeg", "controlEffort")
 
 
+def _nan_if_none(value: float | None) -> float:
+    return math.nan if value is None else value
+
+
 def compare_report(runs: list[tuple[str, float, Metrics]]) -> list[tuple[str, float, float, float]]:
     """Rows of (label, impact time, initial angle, effort) for a summary CSV,
     from (label, initial angle in degrees, metrics) triples."""
     if not runs:
         raise ValueError("comparison report of zero runs")
     return [
-        (label, math.nan if m.impact_time is None else m.impact_time, angle, m.control_effort)
+        (label, _nan_if_none(m.impact_time), angle, _nan_if_none(m.control_effort))
         for label, angle, m in runs
     ]

@@ -208,6 +208,33 @@ def test_run_overflow_is_a_guard_trip(tmp_path, capsys):
     assert "guard-tripped" in capsys.readouterr().out
 
 
+def test_run_that_logs_no_row_is_a_guard_trip(tmp_path, capsys):
+    """z1 is exactly 0 at launch, so sigma_d = 0 and the floored sine makes
+    sigma_d_dot**2 overflow on the first evaluation and again on the end-row
+    retry: the log has no row, and the run ends as any other guard trip."""
+    cfg = tmp_path / "no-row.cfg"
+    cfg.write_text("scenario.tf = 40\nshaping.epsSin = 1e-300\n")
+    assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+    code = main([
+        "run", "--config", str(cfg),
+        "--out-traj", str(tmp_path / "t.csv"),
+        "--out-metrics", str(tmp_path / "m.json"),
+    ])
+    assert code == EXIT_GUARD
+    assert read_trajectory_csv(str(tmp_path / "t.csv")).rows == []
+    payload = json.loads((tmp_path / "m.json").read_text())
+    assert payload["status"] == "guard-tripped"
+    assert payload["guard"] == "overflow"
+    assert payload["fovViolations"] == payload["accelViolations"] == 0
+    assert {key for key, value in payload.items() if value is None} == {
+        "missDistance", "impactTime", "impactTimeError", "controlEffort", "maxLead",
+        "maxAy", "maxAz", "terminalLead", "terminalAy", "terminalAz",
+    }
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "run: guard-tripped  impact=-  miss=-  effort=-"
+    )
+
+
 def test_run_unwritable_output_path(tmp_path, micro_cfg, capsys):
     code = main([
         "run", "--config", str(micro_cfg),
@@ -244,6 +271,18 @@ def test_validate_config_that_is_not_utf8(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"itcsim: config error: {bad}: not UTF-8 text at byte 0 ")
     assert "Traceback" not in err
+
+
+def test_validate_config_with_a_utf8_byte_order_mark(tmp_path, capsys):
+    # Some editors start a UTF-8 file with a byte-order mark: it is not part
+    # of the first key, and a bad byte's offset still counts it.
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbfscenario.tf = 50\n")
+    assert main(["validate", "--config", str(bom)]) == EXIT_OK
+    assert "tf=50.0 s" in capsys.readouterr().out
+    bom.write_bytes(b"\xef\xbb\xbfscenario.tf = 5\xff\n")
+    assert main(["validate", "--config", str(bom)]) == EXIT_ERROR
+    assert f"{bom}: not UTF-8 text at byte 18 " in capsys.readouterr().err
 
 
 def test_validate_rejects_infinite_env_override(micro_cfg, monkeypatch, capsys):
@@ -382,6 +421,41 @@ def test_batch_warnings_are_labelled_in_scenario_order(
         for tf in (45, 50, 55)
         for line in (f"tf{tf}: warning: stub warning for tf={tf}", f"tf{tf}: {clamp}")
     ]
+
+
+@pytest.mark.parametrize("failure", ["timeout", "raises"])
+def test_batch_failed_scenario_exits_1(tmp_path, monkeypatch, capsys, in_process_pool, failure):
+    """The tf50 scenario of fig2-tf-sweep times out or raises; the others
+    run the micro-engagement.  Either way the batch exits 1; a scenario that
+    raises prints an ``error:`` line and has no row in the report."""
+    from dataclasses import replace
+
+    from itcsim import cli
+    from itcsim.config import run_scenario
+
+    def fake(cfg, sink=None):
+        micro = replace(cfg, mode="planar", tf=2.0, initial_x_km=-0.5,
+                        elevation_deg=0.0, azimuth_deg=0.0)
+        if cfg.tf == 50.0:
+            if failure == "raises":
+                raise RuntimeError("stub failure")
+            micro = replace(micro, tf=2.2, azimuth_deg=10.0)  # cannot settle in time
+        return run_scenario(micro, sink)
+
+    monkeypatch.setattr(cli, "run_scenario", fake)
+    code = main(["batch", "--preset", "fig2-tf-sweep", "--out-dir", str(tmp_path), "--jobs", "2"])
+    assert code == EXIT_ERROR
+    assert in_process_pool.requested == [2]
+    summary = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert summary["tf45"].startswith("tf45: intercepted  ")
+    assert summary["tf55"].startswith("tf55: intercepted  ")
+    report = (tmp_path / "report.csv").read_text().splitlines()
+    if failure == "raises":
+        assert summary["tf50"] == "tf50: error: stub failure"
+        assert [row.split(",")[0] for row in report] == ["label", "tf45", "tf55"]
+    else:
+        assert summary["tf50"].startswith("tf50: timeout  impact=-  miss=")
+        assert [row.split(",")[0] for row in report] == ["label", "tf45", "tf50", "tf55"]
 
 
 def test_batch_writes_per_run_outputs_and_report(tmp_path, capsys):

@@ -4,7 +4,8 @@ The CLI streams rows into a ``TrajectoryWriter`` and a ``MetricsFold``
 instead of keeping the trajectory.  These tests pin that the streamed
 outputs are exactly those of the in-memory path (``run_scenario`` plus
 ``write_trajectory_csv``, and ``interception_metrics`` on the re-read CSV),
-and that the memory a run needs does not grow with its length.
+that a run which raises keeps its rows, and that the memory a run needs does
+not grow with its length.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import pytest
 
 from itcsim.cli import main
 from itcsim.config import load_config, run_scenario
-from itcsim.logio import read_trajectory_csv, write_trajectory_csv
+from itcsim.guidance_planar import GuidancePlanar
+from itcsim.logio import TrajectoryWriter, read_trajectory_csv, write_trajectory_csv
 from itcsim.metrics import interception_metrics
 
-# 0.5 km at 2 s: about 2 000 steps, every one logged, so the rows cross the
-# 1 024-row chunks in which run_scenario hands them on.
+# 0.5 km at 2 s: about 2 000 steps, every one logged.
 MICRO = """\
 scenario.tf = 2.0
 geometry.initialXKm = -0.5
@@ -75,6 +76,29 @@ def test_streamed_outputs_equal_the_in_memory_path(tmp_path, name, capsys):
     assert reread == mets
     for key, value in reread.to_dict().items():
         assert payload[key] == _json_value(value), key
+
+
+def test_a_run_that_raises_keeps_its_rows_in_the_csv(tmp_path, monkeypatch):
+    """Each row reaches the CSV as soon as the engine builds it, so a run
+    that raises part-way leaves every row it logged before the raise."""
+    path = tmp_path / "run.cfg"
+    path.write_text(MICRO + CASES["planar-proposed"])
+    cfg = load_config(str(path))
+    logged: list[float] = []
+    log_row = GuidancePlanar.log_row
+
+    def failing_log_row(self, t, y, ev):
+        if len(logged) == 5:
+            raise RuntimeError("stub failure")
+        logged.append(t)
+        return log_row(self, t, y, ev)
+
+    monkeypatch.setattr(GuidancePlanar, "log_row", failing_log_row)
+    csv_path = tmp_path / "t.csv"
+    with pytest.raises(RuntimeError, match="stub failure"):
+        with TrajectoryWriter(str(csv_path)) as sink:
+            run_scenario(cfg, sink)
+    assert [row.t for row in read_trajectory_csv(str(csv_path)).rows] == logged
 
 
 def _run_peak(tmp_path, text: str) -> int:
