@@ -35,6 +35,8 @@ LAWS = ("proposed", "baseline")
 # Longest run and largest log a config may ask for.
 MAX_STEPS = 10_000_000
 MAX_LOG_ROWS = 1_000_000
+# m/s^2 per g: the g-unit bounds aMaxG, aMaxLG and aClipG convert with it.
+G = 9.81
 
 
 def _parse_k1(text: str) -> float | str:
@@ -84,7 +86,6 @@ class ScenarioConfig:
     bound_mode: str = _key("saturation.boundMode", "constant")
     a_max_g: float = _key("saturation.aMaxG", 10.0)
     a_max_l_g: float = _key("saturation.aMaxLG", 1.0)
-    g: float = _key("saturation.g", 9.81)
     b_cap: float = _key("saturation.bCap", 5000.0)
     dt: float = _key("sim.dt", 1e-3)
     hit_radius: float = _key("sim.hitRadius", 1.0)
@@ -110,8 +111,8 @@ class ScenarioConfig:
         return SaturationParams(
             n=self.n,
             rho=self.rho,
-            a_max=self.a_max_g * self.g,
-            a_max_l=self.a_max_l_g * self.g,
+            a_max=self.a_max_g * G,
+            a_max_l=self.a_max_l_g * G,
             mode=BoundMode(self.bound_mode),
             b_cap=self.b_cap,
         )
@@ -177,7 +178,7 @@ class ScenarioConfig:
                 t_final=self.tf,
                 shaping=shaping,
                 k2=self.k2,
-                a_clip=self.a_clip_g * self.g,
+                a_clip=self.a_clip_g * G,
                 target=self.target_m(),
             )
         return GuidancePlanar(
@@ -210,7 +211,7 @@ class ScenarioConfig:
             raise ValidationError(f"scenario.law must be one of {LAWS}, got '{self.law}'")
         if self.law == "baseline" and self.mode != "planar":
             raise ValidationError("scenario.law = baseline requires scenario.mode = planar")
-        for name in ("speed", "tf", "k2", "k3", "k4", "ky", "kz", "g"):
+        for name in ("speed", "tf", "k2", "k3", "k4", "ky", "kz"):
             value = getattr(self, name)
             if value <= 0.0:
                 raise ValidationError(f"{_FIELD_TO_KEY[name]} must be > 0, got {value}")
@@ -249,11 +250,6 @@ class ScenarioConfig:
             except ConfigError as exc:
                 name = _OWNER_FIELD.get(exc.field, exc.field)
                 culprit = f"{_FIELD_TO_KEY[name]} = {getattr(self, name)}"
-                if name in ("a_max_g", "a_max_l_g") and self._g_breaks(exc.field):
-                    culprit = (
-                        f"{_FIELD_TO_KEY[name]} × saturation.g = "
-                        f"{getattr(self, name)} × {self.g}"
-                    )
                 raise ValidationError(f"{culprit}: {exc}") from None
         # Bound a run's length and its log (a 3D CSV row is about 470 B) at
         # the timeout; ceil(steps) > N exactly when steps > N for a whole N.
@@ -268,16 +264,6 @@ class ScenarioConfig:
                 f"sim.logStride = {self.log_stride}: a log of up to {steps / self.log_stride:.3g} "
                 f"rows exceeds the {MAX_LOG_ROWS:g}-row limit"
             )
-
-    def _g_breaks(self, param: str) -> bool:
-        """Whether the bound ``param`` (``a_max`` or ``a_max_l``), which is
-        a g-unit key times ``saturation.g``, fails only because of g: with
-        the default g it passes."""
-        try:
-            replace(self, g=ScenarioConfig.g).saturation_params().validate()
-        except ConfigError as exc:
-            return exc.field != param
-        return True
 
 
 # --- Key table -----------------------------------------------------------------
@@ -406,6 +392,5 @@ def run_scenario(
         t_final=cfg.tf, sigma_max=math.radians(cfg.sigma_max_deg), hit_radius=cfg.hit_radius
     )
     log, outcome = simulate(law, cfg.initial_state(), cfg.sim_settings(), _Tee(fold, rows))
-    metrics = Metrics() if fold.last is None else fold.metrics()
-    return replace(log, rows=rows), outcome, metrics
+    return replace(log, rows=rows), outcome, fold.metrics()
 

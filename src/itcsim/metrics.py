@@ -57,7 +57,8 @@ class MetricsFold:
 
     ``append`` takes the rows in time order, so a fold is a row sink the
     engine can feed while it integrates; ``metrics()`` scores the rows seen
-    so far.  Only the first and last rows are kept.
+    so far, and ``Metrics()`` before the first row.  Only the first and last
+    rows are kept.
     """
 
     def __init__(self, t_final: float, sigma_max: float, hit_radius: float) -> None:
@@ -100,7 +101,7 @@ class MetricsFold:
     def metrics(self) -> Metrics:
         first, last = self.first, self.last
         if first is None or last is None:
-            raise ValueError("metrics of an empty log")
+            return Metrics()
         # A log that starts inside the hit radius and never crosses it.
         impact_time = self.impact_time
         if impact_time is None and first.r <= self.hit_radius:

@@ -169,10 +169,16 @@ def axis_brackets(
 
 
 def clip_command(b: float, params: SaturationParams) -> float:
-    """Apply the finite command cap; the saturation barrier requires it."""
+    """Apply the finite command cap; the saturation barrier requires it.
+
+    A NaN command (an inf - inf in the chain) raises ``OverflowError``, which
+    the engine ends as the ``overflow`` guard.
+    """
     cap = params.b_cap
     if b > cap:
         return cap
+    if b >= -cap:
+        return b
     if b < -cap:
         return -cap
-    return b
+    raise OverflowError(f"actuator command is {b}")

@@ -8,6 +8,7 @@ acceptance suite.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 
 from itcsim.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, EXIT_TIMEOUT, main
 from itcsim.logio import read_trajectory_csv
+from itcsim.metrics import interception_metrics
 
 ALIGNED_MICRO = """\
 # short head-on engagement, collision course, on-time demand
@@ -221,7 +223,8 @@ def test_run_that_logs_no_row_is_a_guard_trip(tmp_path, capsys):
         "--out-metrics", str(tmp_path / "m.json"),
     ])
     assert code == EXIT_GUARD
-    assert read_trajectory_csv(str(tmp_path / "t.csv")).rows == []
+    log = read_trajectory_csv(str(tmp_path / "t.csv"))
+    assert log.rows == []
     payload = json.loads((tmp_path / "m.json").read_text())
     assert payload["status"] == "guard-tripped"
     assert payload["guard"] == "overflow"
@@ -230,9 +233,31 @@ def test_run_that_logs_no_row_is_a_guard_trip(tmp_path, capsys):
         "missDistance", "impactTime", "impactTimeError", "controlEffort", "maxLead",
         "maxAy", "maxAz", "terminalLead", "terminalAy", "terminalAz",
     }
+    # The header-only CSV re-scores to the run's own metrics.
+    rescored = interception_metrics(
+        log, t_final=40.0, sigma_max=math.radians(60.0), hit_radius=1.0
+    )
+    assert rescored.to_dict().items() <= payload.items()
     assert capsys.readouterr().out.splitlines()[-1] == (
         "run: guard-tripped  impact=-  miss=-  effort=-"
     )
+
+
+def test_run_with_a_nan_command_is_an_overflow_guard_trip(tmp_path):
+    """At 1.5e154 m/s the raw 3D command is inf - inf: the NaN ends the run
+    as the overflow guard before its row is logged, so no NaN is written."""
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("scenario.speed = 1.5e154\n")
+    assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+    code = main([
+        "run", "--config", str(cfg),
+        "--out-traj", str(tmp_path / "t.csv"),
+        "--out-metrics", str(tmp_path / "m.json"),
+    ])
+    assert code == EXIT_GUARD
+    assert json.loads((tmp_path / "m.json").read_text())["guard"] == "overflow"
+    assert read_trajectory_csv(str(tmp_path / "t.csv")).rows == []
+    assert "nan" not in (tmp_path / "t.csv").read_text()
 
 
 def test_run_unwritable_output_path(tmp_path, micro_cfg, capsys):
@@ -283,6 +308,19 @@ def test_validate_config_with_a_utf8_byte_order_mark(tmp_path, capsys):
     bom.write_bytes(b"\xef\xbb\xbfscenario.tf = 5\xff\n")
     assert main(["validate", "--config", str(bom)]) == EXIT_ERROR
     assert f"{bom}: not UTF-8 text at byte 18 " in capsys.readouterr().err
+
+
+def test_validate_rejects_the_removed_g_key_in_a_file(tmp_path, capsys):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("scenario.tf = 50\nsaturation.g = 9.81\n")
+    assert main(["validate", "--config", str(cfg)]) == EXIT_ERROR
+    assert f"{cfg}:2: unknown config key 'saturation.g'" in capsys.readouterr().err
+
+
+def test_validate_rejects_the_removed_g_key_in_the_environment(micro_cfg, monkeypatch, capsys):
+    monkeypatch.setenv("ITCSIM_SATURATION_G", "9.81")
+    assert main(["validate", "--config", str(micro_cfg)]) == EXIT_ERROR
+    assert "ITCSIM_SATURATION_G matches no config key" in capsys.readouterr().err
 
 
 def test_validate_rejects_infinite_env_override(micro_cfg, monkeypatch, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from itcsim.config import (
+    G,
     KEYS,
     ScenarioConfig,
     apply_kv,
@@ -34,7 +36,7 @@ def test_defaults_describe_the_nominal_engagement():
     assert cfg.speed == 250.0 and cfg.tf == 50.0
     assert cfg.initial_x_km == -10.0 and cfg.target_x_km == 0.0
     assert (cfg.elevation_deg, cfg.azimuth_deg) == (-10.0, 10.0)
-    assert cfg.sigma_max_deg == 60.0 and cfg.a_max_g == 10.0 and cfg.g == 9.81
+    assert cfg.sigma_max_deg == 60.0 and cfg.a_max_g == 10.0
     assert (cfg.k2, cfg.k3, cfg.k4, cfg.ky, cfg.kz) == (1.0, 1.0, 1.0, 7.0, 7.0)
     assert cfg.phi == 300.0 and cfg.rho == 0.1 and cfg.n == 2
     assert cfg.dt == 1e-3 and cfg.hit_radius == 1.0 and cfg.log_stride == 10
@@ -46,7 +48,7 @@ def test_defaults_describe_the_nominal_engagement():
 def test_keys_cover_every_field_exactly_once():
     mapped = [field_name for field_name, _ in KEYS.values()]
     assert sorted(mapped) == sorted(f.name for f in fields(ScenarioConfig))
-    assert len(mapped) == len(set(mapped)) == 33
+    assert len(mapped) == len(set(mapped)) == 32
 
 
 def test_parse_config_text():
@@ -119,22 +121,70 @@ def test_load_config_precedence(tmp_path):
     assert cfg == ScenarioConfig()
 
 
+def _drawn_config(rng: random.Random, trial: int) -> ScenarioConfig:
+    """A valid config whose every key is drawn from ``rng``: floats away
+    from their defaults (so the text carries full-precision reprs), each
+    mode/law pair, ``k1`` as ``auto`` or a number and ``aClipG`` as ``inf``
+    or a number in turn."""
+    u = rng.uniform
+    mode, law = (("3d", "proposed"), ("planar", "proposed"), ("planar", "baseline"))[trial % 3]
+    z_km = u(-2.0, 2.0)
+    values = {
+        "scenario.mode": mode,
+        "scenario.law": law,
+        "scenario.speed": u(200.0, 300.0),
+        "scenario.tf": u(40.0, 60.0),
+        "geometry.initialXKm": u(-12.0, -8.0),
+        "geometry.initialYKm": u(-2.0, 2.0),
+        "geometry.initialZKm": z_km if mode == "planar" else u(-2.0, 2.0),
+        "geometry.targetXKm": u(-1.0, 1.0),
+        "geometry.targetYKm": u(-1.0, 1.0),
+        "geometry.targetZKm": z_km,
+        "launch.elevationDeg": u(-20.0, 0.0),
+        "launch.azimuthDeg": u(0.0, 20.0),
+        "gains.k1": "auto" if trial % 2 else u(0.05, 0.2),
+        "gains.k2": u(0.5, 2.0),
+        "gains.k3": u(0.5, 2.0),
+        "gains.k4": u(0.5, 2.0),
+        "gains.ky": u(3.0, 6.0),
+        "gains.kz": u(8.0, 12.0),
+        "baseline.aClipG": math.inf if trial % 2 else u(5.0, 20.0),
+        "shaping.phi": u(100.0, 250.0),
+        "shaping.sigmaMaxDeg": u(40.0, 55.0),
+        "shaping.epsSin": u(1e-4, 1e-2),
+        "saturation.n": rng.choice((4, 6, 8)),
+        "saturation.rho": u(0.01, 0.09),
+        "saturation.boundMode": rng.choice(("roll-coupled", "wing-tail")),
+        "saturation.aMaxG": u(11.0, 20.0),
+        "saturation.aMaxLG": u(0.1, 0.9),
+        "saturation.bCap": u(1000.0, 4000.0),
+        "sim.dt": u(5e-4, 9e-4),
+        "sim.hitRadius": u(0.5, 0.9),
+        "sim.tMaxFactor": u(1.2, 1.4),
+        "sim.logStride": rng.randrange(11, 50),
+    }
+    assert set(values) == set(KEYS)  # a new key needs a draw here
+    return replace(ScenarioConfig(), **{KEYS[key][0]: value for key, value in values.items()})
+
+
 def test_serialize_round_trip():
-    cfg = replace(
-        ScenarioConfig(),
-        mode="planar",
-        tf=47.25,
-        rho=0.125,
-        k1=0.3,
-        azimuth_deg=-12.5,
-        log_stride=7,
-    )
-    text = serialize_config(cfg)
-    back = apply_kv(ScenarioConfig(), parse_config_text(text))
-    assert back == cfg
-    # And the auto marker survives a round trip too.
-    auto = ScenarioConfig()
-    assert apply_kv(ScenarioConfig(), parse_config_text(serialize_config(auto))) == auto
+    """Every key survives serialize_config -> parse_config_text -> apply_kv
+    with a valid non-default value."""
+    rng = random.Random(19)
+    defaults = ScenarioConfig()
+    changed = set()
+    for trial in range(12):
+        cfg = _drawn_config(rng, trial)
+        cfg.validate()
+        changed |= {
+            key for key, (name, _) in KEYS.items() if getattr(cfg, name) != getattr(defaults, name)
+        }
+        back = apply_kv(ScenarioConfig(), parse_config_text(serialize_config(cfg)))
+        assert back == cfg
+        assert isinstance(back.n, int) and isinstance(back.log_stride, int)
+    assert changed == set(KEYS)
+    # The defaults, with k1 = auto and aClipG = inf, survive too.
+    assert apply_kv(defaults, parse_config_text(serialize_config(defaults))) == defaults
 
 
 def test_validation_messages_name_the_key():
@@ -191,10 +241,7 @@ def test_owner_rule_errors_name_the_config_key():
         (dict(eps_sin=0.5), "shaping.epsSin = 0.5"),
         (dict(n=3), "saturation.n = 3"),
         (dict(rho=0.0), "saturation.rho = 0.0"),
-        (dict(a_max_g=0.0), "saturation.aMaxG = 0.0"),
-        (dict(a_max_g=1e-14), "saturation.aMaxG = 1e-14"),
-        (dict(a_max_g=1e308), "saturation.aMaxG = 1e+308"),  # a_max overflows
-        (dict(bound_mode="wing-tail", a_max_l_g=20.0), "saturation.aMaxLG = 20.0"),
+        # aMaxG and aMaxLG: test_g_unit_bound_errors_name_the_product.
         (dict(b_cap=0.0), "saturation.bCap = 0.0"),
         (dict(dt=0.0), "sim.dt = 0.0"),
         (dict(hit_radius=0.0), "sim.hitRadius = 0.0"),
@@ -210,25 +257,27 @@ def test_owner_rule_errors_name_the_config_key():
 
 
 @pytest.mark.parametrize(
-    "overrides, prefix",
+    "overrides, key",
     [
-        (dict(g=1e-320), "saturation.aMaxG × saturation.g = 10.0 × 1e-320"),
-        (
-            dict(bound_mode="wing-tail", a_max_g=1e20, g=1e-30, a_max_l_g=1e-300),
-            "saturation.aMaxLG × saturation.g = 1e-300 × 1e-30",
-        ),
-        # A g-unit value that fails with the default g is blamed alone.
-        (dict(a_max_g=0.0, g=5.0), "saturation.aMaxG = 0.0"),
-        (dict(g=1e308), "saturation.aMaxG × saturation.g = 10.0 × 1e+308"),
+        # aMaxG × 9.81 is below the 1e-12 m/s^2 floor though aMaxG is not.
+        (dict(a_max_g=1e-14), "saturation.aMaxG"),
+        (dict(bound_mode="wing-tail", a_max_l_g=20.0), "saturation.aMaxLG"),
+        (dict(a_max_g=0.0), "saturation.aMaxG"),
+        (dict(a_max_g=1e308), "saturation.aMaxG"),  # the product overflows
     ],
     ids=["aMaxG-product", "aMaxLG-product", "aMaxG-alone", "aMaxG-overflow"],
 )
-def test_g_unit_bound_errors_name_the_product(overrides, prefix):
-    """A bound that fails only because of ``saturation.g`` names both keys
-    and both values, not just the g-unit key, whose value is fine."""
+def test_g_unit_bound_errors_name_the_product(overrides, key):
+    """A g-unit bound is checked in m/s^2, as the key's value times 9.81:
+    the error names the one key with its value as written, and the product."""
     cfg = replace(ScenarioConfig(), **overrides)
-    with pytest.raises(ValidationError, match="^" + re.escape(prefix + ": ")):
+    name = KEYS[key][0]
+    value = getattr(cfg, name)
+    with pytest.raises(ValidationError) as info:
         cfg.validate()
+    message = str(info.value)
+    assert message.startswith(f"{key} = {value}: ")
+    assert message.endswith(f"got {value * G}")
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from itcsim.logio import LogRow, TrajectoryLog
 from itcsim.metrics import (
     BOUND_TOL,
     REPORT_HEADER,
+    Metrics,
     compare_report,
     control_effort,
     interception_metrics,
@@ -91,8 +92,9 @@ def test_interception_metrics_edge_cases():
     assert m.impact_time is None
     assert m.impact_time_error is None
     assert m.miss_distance == 4.0
-    with pytest.raises(ValueError, match="empty"):
-        interception_metrics(_log([]), t_final=1.0, sigma_max=1.0, hit_radius=1.0)
+    # An empty log (a run whose first evaluation tripped a guard) scores
+    # as run_scenario scores it.
+    assert interception_metrics(_log([]), t_final=1.0, sigma_max=1.0, hit_radius=1.0) == Metrics()
 
 
 def test_violation_counting_uses_row_bounds():

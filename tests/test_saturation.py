@@ -269,6 +269,11 @@ def test_clip_command():
     assert clip_command(1.0e7, p) == 5000.0
     assert clip_command(-1.0e7, p) == -5000.0
     assert clip_command(-5000.0, p) == -5000.0
+    assert clip_command(math.inf, p) == 5000.0
+    assert clip_command(-math.inf, p) == -5000.0
+    # A NaN command (inf - inf in the chain) is the engine's overflow guard.
+    with pytest.raises(OverflowError):
+        clip_command(math.nan, p)
 
 
 def test_forward_invariance_smoke():
