@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from .config import ScenarioConfig, load_config, run_scenario
@@ -52,7 +51,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--preset", choices=PRESET_NAMES, help="single-scenario preset to start from")
     run.add_argument("--out-traj", required=True, help="output trajectory CSV path")
     run.add_argument("--out-metrics", required=True, help="output metrics JSON path")
-    run.add_argument("--dt", type=float, help="override integration step, s")
 
     batch = sub.add_parser("batch", help="run every scenario of a preset", description="Run all scenarios of a preset and write per-run outputs plus a comparison report.")
     batch.add_argument("--preset", required=True, choices=PRESET_NAMES)
@@ -104,28 +102,23 @@ def _print_warnings(label: str, messages: list[str]) -> None:
         print(f"{label}: warning: {msg}", file=sys.stderr)
 
 
+def _scenarios(args: argparse.Namespace) -> list[tuple[str, ScenarioConfig]]:
+    """A command's labelled scenarios (the preset's, or the defaults labelled
+    ``run``), each layered preset < file < environment and validated."""
+    scenarios = preset_scenarios(args.preset) if args.preset else [("run", ScenarioConfig())]
+    if args.command == "run" and len(scenarios) != 1:
+        raise ConfigError(
+            f"preset '{args.preset}' defines {len(scenarios)} scenarios; use `itcsim batch`"
+        )
+    path = getattr(args, "config", None)
+    return [(label, load_config(path, base=cfg)) for label, cfg in scenarios]
+
+
 # --- run ------------------------------------------------------------------------
 
 
-def _compose_config(args: argparse.Namespace) -> tuple[str, ScenarioConfig]:
-    base = ScenarioConfig()
-    label = "run"
-    if args.preset:
-        scenarios = preset_scenarios(args.preset)
-        if len(scenarios) != 1:
-            raise ConfigError(
-                f"preset '{args.preset}' defines {len(scenarios)} scenarios; use `itcsim batch`"
-            )
-        label, base = scenarios[0]
-    cfg = load_config(args.config, base=base)
-    if args.dt is not None:
-        cfg = replace(cfg, dt=args.dt)
-        cfg.validate()
-    return label, cfg
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    label, cfg = _compose_config(args)
+    ((label, cfg),) = _scenarios(args)
     messages: list[str] = []
     try:
         status, mets = _run_and_write(label, cfg, args.out_traj, args.out_metrics, messages)
@@ -159,7 +152,7 @@ def _batch_worker(
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    scenarios = preset_scenarios(args.preset)
+    scenarios = _scenarios(args)
     os.makedirs(args.out_dir, exist_ok=True)
     items = [(label, cfg, args.out_dir) for label, cfg in scenarios]
 

@@ -178,6 +178,10 @@ class Guidance3D:
 
         zz = a_mz - alpha_z
         zy = a_my - alpha_y
+        # The logged Lyapunov forms square zz and zy, which overflows past
+        # sqrt(float max) ~ 1.34e154 even while the clipped command is finite.
+        if not (-1e154 < zz < 1e154 and -1e154 < zy < 1e154):
+            raise OverflowError(f"actuator errors zz={zz:.3e}, zy={zy:.3e}")
 
         # --- Second derivatives needed by the input stage ---
         theta_ddot = v_sin_tm * r_dot / r_r - v_cos_tm * theta_m_dot / r

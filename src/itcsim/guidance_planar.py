@@ -128,6 +128,9 @@ class GuidancePlanar:
         z2 = sigma - sigma_d
         alpha_y = v * (sigma_d_dot - v_sin_s / r - self.k2 * z2)
         zy = a_my - alpha_y
+        # The logged Lyapunov form squares zy; see ``Guidance3D.rates``.
+        if not -1e154 < zy < 1e154:
+            raise OverflowError(f"actuator error zy={zy:.3e}")
         z2_dot = sigma_dot - sigma_d_dot
         alpha_y_dot = v * (
             sigma_d_ddot

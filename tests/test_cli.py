@@ -100,9 +100,10 @@ def test_run_warnings_do_not_depend_on_warning_filters(tmp_path, micro_cfg, acti
     )
 
 
-def test_run_preset_composes_with_config_overrides(tmp_path, capsys):
+def test_run_preset_composes_with_config_overrides(tmp_path, monkeypatch, capsys):
     """--preset supplies the base scenario; the config file shrinks it to
-    the fast aligned micro-engagement (file keys beat preset values)."""
+    the fast aligned micro-engagement (file keys beat preset values), and
+    the environment sets its step."""
     shrink = tmp_path / "shrink.cfg"
     shrink.write_text(
         "scenario.tf = 2.0\n"
@@ -112,18 +113,28 @@ def test_run_preset_composes_with_config_overrides(tmp_path, capsys):
     )
     traj = tmp_path / "t.csv"
     mets = tmp_path / "m.json"
+    monkeypatch.setenv("ITCSIM_SIM_DT", "0.002")
     code = main([
         "run", "--preset", "table1-nominal", "--config", str(shrink),
-        "--dt", "0.002",
         "--out-traj", str(traj), "--out-metrics", str(mets),
     ])
     assert code == EXIT_OK
     payload = json.loads(mets.read_text())
     assert payload["label"] == "table1-nominal"
     assert payload["status"] == "intercepted"
-    # The --dt override reached the engine: rows are 2 ms * stride apart.
+    # The environment's step reached the engine: rows are 2 ms * stride apart.
     log = read_trajectory_csv(str(traj))
     assert log.rows[1].t - log.rows[0].t == pytest.approx(0.02, rel=1e-9)
+
+
+def test_run_has_no_dt_option(tmp_path, capsys):
+    """The step is the config key ``sim.dt`` (or ``ITCSIM_SIM_DT``) alone."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--dt", "0.002",
+              "--out-traj", str(tmp_path / "t.csv"), "--out-metrics", str(tmp_path / "m.json")])
+    assert exc.value.code == EXIT_ERROR
+    assert "unrecognized arguments: --dt 0.002" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_run_rejects_multi_scenario_preset(tmp_path, capsys):
@@ -243,11 +254,25 @@ def test_run_that_logs_no_row_is_a_guard_trip(tmp_path, capsys):
     )
 
 
-def test_run_with_a_nan_command_is_an_overflow_guard_trip(tmp_path):
-    """At 1.5e154 m/s the raw 3D command is inf - inf: the NaN ends the run
-    as the overflow guard before its row is logged, so no NaN is written."""
-    cfg = tmp_path / "fast.cfg"
-    cfg.write_text("scenario.speed = 1.5e154\n")
+@pytest.mark.parametrize(
+    "text",
+    [
+        # The raw 3D command is inf - inf: a NaN.
+        "scenario.speed = 1.5e154\n",
+        # The commands stay finite, but zz or zy is past sqrt(float max), so
+        # the logged Lyapunov form Vz or Vy would be inf.
+        "gains.k3 = 1e300\n",
+        "scenario.speed = 1e80\n",
+        "scenario.mode = planar\nscenario.speed = 1e80\n",
+    ],
+    ids=["nan-command", "3d-k3", "3d-speed", "planar-speed"],
+)
+def test_run_that_would_log_non_finite_values_is_an_overflow_guard_trip(tmp_path, text):
+    """A valid config whose chain yields a non-finite value on its first
+    evaluation ends as the overflow guard before that row is logged, so the
+    CSV holds no NaN or inf."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
     assert main(["validate", "--config", str(cfg)]) == EXIT_OK
     code = main([
         "run", "--config", str(cfg),
@@ -257,7 +282,24 @@ def test_run_with_a_nan_command_is_an_overflow_guard_trip(tmp_path):
     assert code == EXIT_GUARD
     assert json.loads((tmp_path / "m.json").read_text())["guard"] == "overflow"
     assert read_trajectory_csv(str(tmp_path / "t.csv")).rows == []
-    assert "nan" not in (tmp_path / "t.csv").read_text()
+    text = (tmp_path / "t.csv").read_text()
+    assert "nan" not in text and "inf" not in text
+
+
+def test_run_with_a_huge_finite_gain_still_intercepts(tmp_path, micro_cfg):
+    """ky = 1e300 multiplies zy only in the command, which the cap clips:
+    the actuator errors stay finite, so the run intercepts and logs no inf."""
+    cfg = tmp_path / "huge-ky.cfg"
+    cfg.write_text(ALIGNED_MICRO + "scenario.mode = 3d\ngains.ky = 1e300\n")
+    code = main([
+        "run", "--config", str(cfg),
+        "--out-traj", str(tmp_path / "t.csv"),
+        "--out-metrics", str(tmp_path / "m.json"),
+    ])
+    assert code == EXIT_OK
+    log = read_trajectory_csv(str(tmp_path / "t.csv"))
+    assert len(log.rows) > 100
+    assert all(math.isfinite(value) for row in log.rows for value in row)
 
 
 def test_run_unwritable_output_path(tmp_path, micro_cfg, capsys):
@@ -494,6 +536,38 @@ def test_batch_failed_scenario_exits_1(tmp_path, monkeypatch, capsys, in_process
     else:
         assert summary["tf50"].startswith("tf50: timeout  impact=-  miss=")
         assert [row.split(",")[0] for row in report] == ["label", "tf45", "tf50", "tf55"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_applies_environment_overrides_to_every_scenario(
+    tmp_path, monkeypatch, in_process_pool, jobs
+):
+    """Each preset scenario is layered under the environment, as ``run
+    --preset`` layers its one: a 500-step log stride leaves the 2 s
+    micro-engagement (about 2 000 steps) with 5 rows in every CSV."""
+    _warning_micro_runs(monkeypatch)
+    monkeypatch.setenv("ITCSIM_SIM_LOGSTRIDE", "500")
+    code = main(["batch", "--preset", "fig2-tf-sweep", "--out-dir", str(tmp_path), "--jobs", jobs])
+    assert code == EXIT_OK
+    for tf in (45, 50, 55):
+        log = read_trajectory_csv(str(tmp_path / f"tf{tf}.traj.csv"))
+        assert [row.t for row in log.rows[:-1]] == pytest.approx([0.0, 0.5, 1.0, 1.5])
+        assert len(log.rows) == 5
+
+
+def test_batch_rejects_an_unknown_environment_variable_before_writing(
+    tmp_path, monkeypatch, capsys, in_process_pool
+):
+    _warning_micro_runs(monkeypatch)
+    monkeypatch.setenv("ITCSIM_BOGUS_KEY", "1")
+    out_dir = tmp_path / "batch"
+    code = main(["batch", "--preset", "fig2-tf-sweep", "--out-dir", str(out_dir), "--jobs", "2"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "itcsim: config error: environment variable ITCSIM_BOGUS_KEY matches no config key\n"
+    )
+    assert not out_dir.exists()
+    assert in_process_pool.requested == []
 
 
 def test_batch_writes_per_run_outputs_and_report(tmp_path, capsys):

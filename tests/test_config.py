@@ -109,6 +109,12 @@ def test_env_overrides():
         env_overrides({"ITCSIM_X": "1"})
 
 
+# Keys whose valid values depend on each other (a baseline law needs planar
+# mode, and a planar start needs initialZKm == targetZKm): each layer sets
+# all of them or none, so every composed config comes from valid draws.
+_COUPLED_KEYS = ("scenario.mode", "scenario.law", "geometry.initialZKm", "geometry.targetZKm")
+
+
 def test_load_config_precedence(tmp_path):
     path = tmp_path / "s.cfg"
     path.write_text("scenario.tf = 45\nsaturation.rho = 0.25\n")
@@ -119,6 +125,44 @@ def test_load_config_precedence(tmp_path):
     # No file: defaults plus env.
     cfg = load_config(None, environ={})
     assert cfg == ScenarioConfig()
+
+    # Every key: in each trial a base, a file and an environment are drawn,
+    # and the file and the environment each set a random share of the keys.
+    # Every key ends with the value of the highest layer that set it.
+    rng = random.Random(20)
+    won = {layer: set() for layer in ("base", "file", "env")}
+    beaten = set()  # (key, lower layer) where the winner's value differed
+    for trial in range(30):
+        # Consecutive trial numbers give the layers different mode/law pairs.
+        base, file_cfg, env_cfg = (_drawn_config(rng, trial + i) for i in range(3))
+        file_raw = parse_config_text(serialize_config(file_cfg))
+        env_raw = parse_config_text(serialize_config(env_cfg))
+        in_file = {key for key in KEYS if rng.random() < 0.5}
+        in_env = {key for key in KEYS if rng.random() < 0.5}
+        for layer in (in_file, in_env):
+            layer.difference_update(_COUPLED_KEYS)
+            if rng.random() < 0.5:
+                layer.update(_COUPLED_KEYS)
+        path.write_text("".join(f"{key} = {file_raw[key]}\n" for key in in_file))
+        environ = {
+            "ITCSIM_" + key.replace(".", "_").upper(): env_raw[key] for key in in_env
+        }
+        cfg = load_config(str(path), environ=environ, base=base)
+        for key, (name, _) in KEYS.items():
+            layers = [("base", base)]
+            if key in in_file:
+                layers.append(("file", file_cfg))
+            if key in in_env:
+                layers.append(("env", env_cfg))
+            layer, top = layers[-1]
+            assert getattr(cfg, name) == getattr(top, name), (trial, key, layer)
+            won[layer].add(key)
+            beaten |= {
+                (key, low) for low, lower in layers[:-1] if getattr(lower, name) != getattr(top, name)
+            }
+        assert in_file - in_env and in_env and set(KEYS) - in_file - in_env, trial
+    assert all(keys == set(KEYS) for keys in won.values())
+    assert beaten == {(key, low) for key in KEYS for low in ("base", "file")}
 
 
 def _drawn_config(rng: random.Random, trial: int) -> ScenarioConfig:
