@@ -21,10 +21,9 @@ Each logged row goes to the row sink given to ``simulate`` (anything with
 write or score the rows while the run integrates instead of holding them.
 
 A run terminates when the range first drops to the hit radius
-(``intercepted``, with the crossing time interpolated inside the final
-step), when the range starts growing again after a closest approach inside
-ten hit radii (a near-miss flyby, reported as ``timeout`` with the miss
-distance at closest approach), when simulated time exceeds
+(``intercepted``), when the range starts growing again after a closest
+approach inside ten hit radii (a near-miss flyby, reported as ``timeout``
+with the closest approach in its message), when simulated time exceeds
 ``t_max_factor`` times the commanded impact time (``timeout``), or when a
 numerical guard fires (``guard-tripped``).  A chain that overflows a float
 (``OverflowError``, e.g. a huge saturation exponent) ends the run as the
@@ -110,14 +109,11 @@ class RunStatus(str, Enum):
 class RunOutcome:
     """Terminal result of one simulated engagement.
 
-    impact_time is the interpolated instant the range crossed the hit
-    radius (None unless intercepted); miss_distance is the smallest range
-    reached over the whole run.
+    The impact time and miss distance are ``metrics.Metrics`` fields,
+    folded from the logged rows.
     """
 
     status: RunStatus
-    impact_time: float | None
-    miss_distance: float
     final_time: float
     guard: str | None = None
     message: str = ""
@@ -205,7 +201,7 @@ def simulate(
     step, t = 0, 0.0
     last_logged = -1
     warned_infeasible = False
-    status, impact, guard = RunStatus.TIMEOUT, None, None
+    status, guard = RunStatus.TIMEOUT, None
 
     hit_radius = settings.hit_radius
     log_stride = settings.log_stride
@@ -234,7 +230,7 @@ def simulate(
         if not all(map(math.isfinite, y_new)):
             # No row for a non-finite state: the log ends with the rows it has.
             return log, RunOutcome(
-                RunStatus.GUARD_TRIPPED, None, r_min, t, "nonfinite-state",
+                RunStatus.GUARD_TRIPPED, t, "nonfinite-state",
                 f"non-finite state component after step at t={t:.6f} s",
             )
 
@@ -247,11 +243,8 @@ def simulate(
             t_r_min = t
 
         if r_new <= hit_radius:
-            # Linear-in-range crossing instant; the miss is the crossing step's range.
-            frac = (r_prev - hit_radius) / (r_prev - r_new)
-            impact = t - dt + frac * dt
-            status, r_min = RunStatus.INTERCEPTED, r_new
-            message = f"range crossed {hit_radius} m at t={impact:.4f} s"
+            status = RunStatus.INTERCEPTED
+            message = f"range crossed {hit_radius} m in the step to t={t:.4f} s"
             break
         if r_new > r_prev and r_min < 10.0 * hit_radius:
             message = (
@@ -275,4 +268,4 @@ def simulate(
             append_row(law.log_row(t, y, law.evaluate(t, y)))
         except (GuardTrip, OverflowError):
             pass
-    return log, RunOutcome(status, impact, r_min, t, guard, message)
+    return log, RunOutcome(status, t, guard, message)

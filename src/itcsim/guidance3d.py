@@ -178,10 +178,15 @@ class Guidance3D:
 
         zz = a_mz - alpha_z
         zy = a_my - alpha_y
-        # The logged Lyapunov forms square zz and zy, which overflows past
-        # sqrt(float max) ~ 1.34e154 even while the clipped command is finite.
-        if not (-1e154 < zz < 1e154 and -1e154 < zy < 1e154):
-            raise OverflowError(f"actuator errors zz={zz:.3e}, zy={zy:.3e}")
+        # The logged Lyapunov forms (z3^2 + zz^2)/2 and (z4^2 + zy^2)/2
+        # overflow once a term passes sqrt(float max / 2) ~ 9.5e153, even
+        # while the clipped command is finite; z3 and z4 are angles, but they
+        # integrate a/v.
+        if not (
+            -9e153 < z3 < 9e153 and -9e153 < zz < 9e153
+            and -9e153 < z4 < 9e153 and -9e153 < zy < 9e153
+        ):
+            raise OverflowError(f"error pairs z3={z3:.3e}, zz={zz:.3e}, z4={z4:.3e}, zy={zy:.3e}")
 
         # --- Second derivatives needed by the input stage ---
         theta_ddot = v_sin_tm * r_dot / r_r - v_cos_tm * theta_m_dot / r

@@ -128,9 +128,9 @@ class GuidancePlanar:
         z2 = sigma - sigma_d
         alpha_y = v * (sigma_d_dot - v_sin_s / r - self.k2 * z2)
         zy = a_my - alpha_y
-        # The logged Lyapunov form squares zy; see ``Guidance3D.rates``.
-        if not -1e154 < zy < 1e154:
-            raise OverflowError(f"actuator error zy={zy:.3e}")
+        # The logged Lyapunov form squares z2 and zy; see ``Guidance3D.rates``.
+        if not (-9e153 < z2 < 9e153 and -9e153 < zy < 9e153):
+            raise OverflowError(f"error pair z2={z2:.3e}, zy={zy:.3e}")
         z2_dot = sigma_dot - sigma_d_dot
         alpha_y_dot = v * (
             sigma_d_ddot
@@ -209,6 +209,9 @@ class BaselinePlanar:
         sigma_d, sigma_d_dot, _, _, _, _, feasible = shaping_rates(z1, z1_dot, 0.0, self.shaping)
         z2 = sigma - sigma_d
         a_raw = v * (sigma_d_dot - v_sin_s / r - self.k2 * z2)
+        # ``_clip`` would pass an infinite demand and map NaN to +a_clip.
+        if not -math.inf < a_raw < math.inf:
+            raise OverflowError(f"acceleration demand {a_raw}")
         a_my = self._clip(a_raw)
         sigma_dot = a_my / v - theta_dot
         return (r_dot, theta_dot, sigma_dot), feasible, a_my != a_raw, sigma_d, z1, z2, a_raw

@@ -2,11 +2,12 @@
 
 The full-length engagements (50+ second flights at millisecond steps) are
 expensive, so each one is run exactly once per pytest session and shared by
-every test that inspects it.  The preset sweeps are independent engagements
-and run on a process pool with one worker per CPU; single runs stay
-in-process, where C1 times the nominal run.  A run's warnings are the
-messages in its ``log.warnings``; tests that assert warning behaviour build
-their own small scenarios.
+every test that inspects it.  They are independent, so one session fixture,
+``study_runs``, submits every distinct study config to one process pool with
+one worker per CPU, and the per-preset fixtures select from it.  Each run is
+timed inside its worker, which is where C1 times the nominal run.  A run's
+warnings are the messages in its ``log.warnings``; tests that assert warning
+behaviour build their own small scenarios.
 
 Acceptance tests register one line per criterion through the
 ``criterion_recorder`` fixture; the collected lines are printed in a
@@ -28,7 +29,7 @@ from itcsim.config import ScenarioConfig, run_scenario
 from itcsim.engine import RunOutcome
 from itcsim.logio import TrajectoryLog
 from itcsim.metrics import Metrics
-from itcsim.presets import preset_scenarios
+from itcsim.presets import PRESET_NAMES, preset_scenarios
 
 
 @dataclass
@@ -50,52 +51,72 @@ def run_bundle(label: str, cfg: ScenarioConfig) -> RunBundle:
     return RunBundle(label, cfg, log, outcome, mets, elapsed)
 
 
-def run_bundles(pairs: list[tuple[str, ScenarioConfig]]) -> list[RunBundle]:
-    """``run_bundle`` for each (label, cfg) pair on a process pool, in order."""
-    workers = min(os.cpu_count() or 1, len(pairs))
+def _studies() -> dict[str, list[tuple[str, ScenarioConfig]]]:
+    """The (label, cfg) pairs of every preset, plus the nominal engagement at
+    half its step under ``table1-nominal-halfdt``."""
+    studies = {name: preset_scenarios(name) for name in PRESET_NAMES}
+    ((label, cfg),) = studies["table1-nominal"]
+    studies["table1-nominal-halfdt"] = [(label + "-halfdt", replace(cfg, dt=cfg.dt / 2.0))]
+    return studies
+
+
+@pytest.fixture(scope="session")
+def study_runs() -> dict[str, list[RunBundle]]:
+    """The runs of ``_studies()``, by study name and in scenario order.
+
+    Each distinct config runs once, on one process pool; equal configs
+    (fig2-tf-sweep's tf50 is table1-nominal) share that run, each under its
+    own label.
+    """
+    studies = _studies()
+    labels: dict[ScenarioConfig, str] = {}
+    for pairs in studies.values():
+        for label, cfg in pairs:
+            labels.setdefault(cfg, label)
+    workers = min(os.cpu_count() or 1, len(labels))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(run_bundle, *zip(*pairs)))
+        runs = dict(zip(labels, pool.map(run_bundle, labels.values(), labels)))
+    return {
+        name: [replace(runs[cfg], label=label) for label, cfg in pairs]
+        for name, pairs in studies.items()
+    }
 
 
 @pytest.fixture(scope="session")
-def nominal_run() -> RunBundle:
+def nominal_run(study_runs) -> RunBundle:
     """Head-on 10 km engagement, 50 s impact time, constant bounds."""
-    ((label, cfg),) = preset_scenarios("table1-nominal")
-    return run_bundle(label, cfg)
+    return study_runs["table1-nominal"][0]
 
 
 @pytest.fixture(scope="session")
-def nominal_half_dt_run(nominal_run: RunBundle) -> RunBundle:
-    cfg = replace(nominal_run.cfg, dt=nominal_run.cfg.dt / 2.0)
-    return run_bundle(nominal_run.label + "-halfdt", cfg)
+def nominal_half_dt_run(study_runs) -> RunBundle:
+    return study_runs["table1-nominal-halfdt"][0]
 
 
 @pytest.fixture(scope="session")
-def tf_sweep_runs() -> list[RunBundle]:
-    return run_bundles(preset_scenarios("fig2-tf-sweep"))
+def tf_sweep_runs(study_runs) -> list[RunBundle]:
+    return study_runs["fig2-tf-sweep"]
 
 
 @pytest.fixture(scope="session")
-def heading_sweep_runs() -> list[RunBundle]:
-    return run_bundles(preset_scenarios("fig3-heading-sweep"))
+def heading_sweep_runs(study_runs) -> list[RunBundle]:
+    return study_runs["fig3-heading-sweep"]
 
 
 @pytest.fixture(scope="session")
-def rollcoupled_run() -> RunBundle:
-    ((label, cfg),) = preset_scenarios("fig4-rollcoupled")
-    return run_bundle(label, cfg)
+def rollcoupled_run(study_runs) -> RunBundle:
+    return study_runs["fig4-rollcoupled"][0]
 
 
 @pytest.fixture(scope="session")
-def wingtail_run() -> RunBundle:
-    ((label, cfg),) = preset_scenarios("fig5-wingtail")
-    return run_bundle(label, cfg)
+def wingtail_run(study_runs) -> RunBundle:
+    return study_runs["fig5-wingtail"][0]
 
 
 @pytest.fixture(scope="session")
-def planar_compare_runs() -> list[RunBundle]:
+def planar_compare_runs(study_runs) -> list[RunBundle]:
     """Twelve planar runs: six impact-time/heading rows, shaped and baseline."""
-    return run_bundles(preset_scenarios("fig6-planar-compare"))
+    return study_runs["fig6-planar-compare"]
 
 
 # --- acceptance criterion bookkeeping -------------------------------------

@@ -39,8 +39,8 @@ REFERENCE_EFFORTS = (26453.596, 22142.337, 17622.982, 27745.7, 29834.925, 33995.
 def _intercepted_on_time(bundle, tf):
     ok = (
         bundle.outcome.status is RunStatus.INTERCEPTED
-        and bundle.outcome.impact_time is not None
-        and abs(bundle.outcome.impact_time - tf) <= IMPACT_TOL
+        and bundle.metrics.impact_time is not None
+        and abs(bundle.metrics.impact_time - tf) <= IMPACT_TOL
     )
     return ok
 
@@ -52,16 +52,16 @@ def test_c1_nominal_engagement(nominal_run, criterion_recorder):
     b = nominal_run
     checks = {
         "intercepted": b.outcome.status is RunStatus.INTERCEPTED,
-        "miss<=1m": b.outcome.miss_distance <= 1.0,
-        "impact=50+-0.1s": b.outcome.impact_time is not None
-        and abs(b.outcome.impact_time - 50.0) <= IMPACT_TOL,
+        "miss<=1m": b.metrics.miss_distance <= 1.0,
+        "impact=50+-0.1s": b.metrics.impact_time is not None
+        and abs(b.metrics.impact_time - 50.0) <= IMPACT_TOL,
         "lead<=60deg": math.degrees(b.metrics.max_lead) <= FOV_DEG + 1e-9,
         "aMy<=98.1": b.metrics.max_ay <= A_MAX + ACCEL_TOL,
         "aMz<=98.1": b.metrics.max_az <= A_MAX + ACCEL_TOL,
         "runtime<60s": b.elapsed < 60.0,
     }
     detail = (
-        f"impact={b.outcome.impact_time:.4f} s, miss={b.outcome.miss_distance:.3f} m, "
+        f"impact={b.metrics.impact_time:.4f} s, miss={b.metrics.miss_distance:.3f} m, "
         f"maxLead={math.degrees(b.metrics.max_lead):.2f} deg, "
         f"maxA=({b.metrics.max_ay:.2f},{b.metrics.max_az:.2f}) m/s^2, "
         f"runtime={b.elapsed:.1f} s"
@@ -85,7 +85,7 @@ def test_c2_impact_time_sweep(tf_sweep_runs, criterion_recorder):
             and b.metrics.accel_violations == 0
         )
         ok = ok and good
-        parts.append(f"tf{int(tf)}: {b.outcome.impact_time:.4f} s")
+        parts.append(f"tf{int(tf)}: {b.metrics.impact_time:.4f} s")
     detail = "; ".join(parts)
     criterion_recorder("2", ok, detail)
     assert ok, detail
@@ -106,7 +106,7 @@ def test_c3_heading_sweep(heading_sweep_runs, criterion_recorder):
         ok = ok and good
         parts.append(
             f"({int(b.cfg.elevation_deg)},{int(b.cfg.azimuth_deg)})deg: "
-            f"{b.outcome.impact_time:.4f} s"
+            f"{b.metrics.impact_time:.4f} s"
         )
     detail = "; ".join(parts)
     criterion_recorder("3", ok, detail)
@@ -132,7 +132,7 @@ def test_c4_roll_coupled_bounds(rollcoupled_run, criterion_recorder):
         "per-axis-bounds": per_axis_ok and b.metrics.accel_violations == 0,
     }
     detail = (
-        f"impact={b.outcome.impact_time:.4f} s, "
+        f"impact={b.metrics.impact_time:.4f} s, "
         f"max resultant={worst_resultant:.4f} m/s^2 (bound {A_MAX:.4g}), "
         f"axis violations={b.metrics.accel_violations}"
     )
@@ -164,7 +164,7 @@ def test_c5_wing_tail_bounds(wingtail_run, criterion_recorder):
         "bounds-in-[1g,5g]": bounds_in_range,
     }
     detail = (
-        f"impact={b.outcome.impact_time:.4f} s, "
+        f"impact={b.metrics.impact_time:.4f} s, "
         f"maxA=({b.metrics.max_ay:.3f},{b.metrics.max_az:.3f}) m/s^2, "
         f"axis violations={b.metrics.accel_violations}"
     )
@@ -519,7 +519,7 @@ def test_c8d_planar_section_equivalence(criterion_recorder):
 
 
 def test_c8e_step_size_robustness(nominal_run, nominal_half_dt_run, criterion_recorder):
-    dt_impact = abs(nominal_run.outcome.impact_time - nominal_half_dt_run.outcome.impact_time)
+    dt_impact = abs(nominal_run.metrics.impact_time - nominal_half_dt_run.metrics.impact_time)
     effort = nominal_run.metrics.control_effort
     effort_half = nominal_half_dt_run.metrics.control_effort
     rel_effort = abs(effort - effort_half) / effort

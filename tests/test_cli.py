@@ -254,23 +254,35 @@ def test_run_that_logs_no_row_is_a_guard_trip(tmp_path, capsys):
     )
 
 
+TINY_SPEED = "scenario.speed = 1e-300\nscenario.tf = 3\ngeometry.initialXKm = -0.5\n"
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, rows",
     [
         # The raw 3D command is inf - inf: a NaN.
-        "scenario.speed = 1.5e154\n",
+        ("scenario.speed = 1.5e154\n", 0),
         # The commands stay finite, but zz or zy is past sqrt(float max), so
         # the logged Lyapunov form Vz or Vy would be inf.
-        "gains.k3 = 1e300\n",
-        "scenario.speed = 1e80\n",
-        "scenario.mode = planar\nscenario.speed = 1e80\n",
+        ("gains.k3 = 1e300\n", 0),
+        ("scenario.speed = 1e80\n", 0),
+        ("scenario.mode = planar\nscenario.speed = 1e80\n", 0),
+        # The heading errors z3, z4 (planar: the lead error z2) integrate
+        # a/v, so they blow up in the first step after the launch row.
+        (TINY_SPEED, 1),
+        ("scenario.mode = planar\n" + TINY_SPEED, 1),
+        # The comparison law's acceleration demand is -inf.
+        ("scenario.mode = planar\nscenario.law = baseline\nscenario.speed = 1e160\n", 0),
     ],
-    ids=["nan-command", "3d-k3", "3d-speed", "planar-speed"],
+    ids=[
+        "nan-command", "3d-k3", "3d-speed", "planar-speed",
+        "3d-tiny-speed", "planar-tiny-speed", "baseline-speed",
+    ],
 )
-def test_run_that_would_log_non_finite_values_is_an_overflow_guard_trip(tmp_path, text):
-    """A valid config whose chain yields a non-finite value on its first
-    evaluation ends as the overflow guard before that row is logged, so the
-    CSV holds no NaN or inf."""
+def test_run_that_would_log_non_finite_values_is_an_overflow_guard_trip(tmp_path, text, rows):
+    """A valid config whose chain yields a non-finite value ends as the
+    overflow guard before that row is logged, so the CSV holds no NaN or inf:
+    on the first evaluation the log is empty, later it keeps the rows before."""
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(text)
     assert main(["validate", "--config", str(cfg)]) == EXIT_OK
@@ -281,7 +293,7 @@ def test_run_that_would_log_non_finite_values_is_an_overflow_guard_trip(tmp_path
     ])
     assert code == EXIT_GUARD
     assert json.loads((tmp_path / "m.json").read_text())["guard"] == "overflow"
-    assert read_trajectory_csv(str(tmp_path / "t.csv")).rows == []
+    assert len(read_trajectory_csv(str(tmp_path / "t.csv")).rows) == rows
     text = (tmp_path / "t.csv").read_text()
     assert "nan" not in text and "inf" not in text
 

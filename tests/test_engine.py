@@ -21,6 +21,7 @@ from itcsim.engine import (
 )
 from itcsim.errors import ConfigError, GuardTrip
 from itcsim.logio import LogRow
+from itcsim.metrics import Metrics, interception_metrics
 
 
 def _row(t: float, r: float) -> LogRow:
@@ -146,14 +147,21 @@ def test_rk4_accuracy_harmonic_oscillator():
     assert y[1] == pytest.approx(-math.sin(2.0), abs=1e-11)
 
 
+def _metrics(log, law: _MiniLaw, settings: SimSettings) -> Metrics:
+    """The run's rows folded as ``run_scenario`` folds them."""
+    return interception_metrics(log, law.t_final, math.inf, settings.hit_radius)
+
+
 def test_interception_interpolates_the_crossing():
     # Range 10 m closing at 2 m/s crosses a 1 m hit radius at t = 4.5 s.
     law = _MiniLaw(lambda t, y: (-2.0,), t_final=10.0)
-    log, out = simulate(law, (10.0,), SimSettings(dt=1.0, log_stride=1))
+    settings = SimSettings(dt=1.0, log_stride=1)
+    log, out = simulate(law, (10.0,), settings)
     assert out.status is RunStatus.INTERCEPTED
-    assert out.impact_time == pytest.approx(4.5, abs=1e-12)
     assert out.final_time == pytest.approx(5.0, abs=1e-12)
-    assert out.miss_distance == pytest.approx(0.0, abs=1e-12)
+    m = _metrics(log, law, settings)
+    assert m.impact_time == pytest.approx(4.5, abs=1e-12)
+    assert m.miss_distance == pytest.approx(0.0, abs=1e-12)
     # Stride 1: a row per step plus the forced final row.
     times = [row.t for row in log.rows]
     assert times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
@@ -163,11 +171,13 @@ def test_interception_interpolates_the_crossing():
 def test_timeout_without_closing():
     # Range never decreases: the loop runs to t_max_factor * t_final.
     law = _MiniLaw(lambda t, y: (0.0,), t_final=2.0)
-    log, out = simulate(law, (50.0,), SimSettings(dt=0.25, log_stride=4))
+    settings = SimSettings(dt=0.25, log_stride=4)
+    log, out = simulate(law, (50.0,), settings)
     assert out.status is RunStatus.TIMEOUT
-    assert out.impact_time is None
     assert out.final_time == pytest.approx(3.0, abs=1e-12)
-    assert out.miss_distance == 50.0
+    m = _metrics(log, law, settings)
+    assert m.impact_time is None
+    assert m.miss_distance == 50.0
     assert "closest approach" in out.message
     times = [row.t for row in log.rows]
     assert times == [0.0, 1.0, 2.0, 3.0]
@@ -179,11 +189,12 @@ def test_flyby_stops_the_run_early():
     rising again ends the run at the first diverging step, well before
     t_max, with the closest approach reported as the miss."""
     law = _MiniLaw(lambda t, y: (2.0 * (t - 5.0) / 5.0,), t_final=10.0)
-    log, out = simulate(law, (7.0,), SimSettings(dt=0.5, log_stride=1))
+    settings = SimSettings(dt=0.5, log_stride=1)
+    log, out = simulate(law, (7.0,), settings)
     assert out.status is RunStatus.TIMEOUT
     assert "flyby" in out.message
     assert out.final_time == pytest.approx(5.5, abs=1e-12)  # not 15 s
-    assert out.miss_distance == pytest.approx(2.0, abs=1e-9)
+    assert _metrics(log, law, settings).miss_distance == pytest.approx(2.0, abs=1e-9)
     assert log.rows[-1].t == pytest.approx(5.5, abs=1e-12)
 
 
@@ -204,13 +215,14 @@ def test_guard_trip_reports_and_logs_last_state():
         return (-1.0,)
 
     law = _MiniLaw(f, t_final=10.0)
-    log, out = simulate(law, (100.0,), SimSettings(dt=0.5, log_stride=100))
+    settings = SimSettings(dt=0.5, log_stride=100)
+    log, out = simulate(law, (100.0,), settings)
     assert out.status is RunStatus.GUARD_TRIPPED
     assert out.guard == "test-guard"
     # The trip happens inside the step starting at t=1.5 (a later RK4 stage
     # reaches t=2.0); the loop reports that step's start time.
     assert out.final_time == pytest.approx(1.5, abs=1e-12)
-    assert out.impact_time is None
+    assert _metrics(log, law, settings).impact_time is None
     # The last healthy state was captured even with a huge stride.
     assert log.rows[-1].t == pytest.approx(1.5, abs=1e-12)
 

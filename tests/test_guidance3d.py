@@ -234,3 +234,15 @@ def test_rates_trip_the_same_guards_as_evaluate(t, y):
         law.rates(t, y)
     assert rates_trip.value.guard == ev_trip.value.guard
     assert str(rates_trip.value) == str(ev_trip.value)
+
+
+def test_error_pair_whose_lyapunov_form_would_overflow_raises():
+    """z3 and zz of 9.6e153 each square below float max, but the logged
+    Vz = (z3^2 + zz^2)/2 would be inf; with k3 = 1/v, alpha_z ~ -z3, so
+    zz ~ z3.  Both entry points raise OverflowError instead."""
+    law = _law(k3=1.0 / 250.0)
+    y = (9900.0, 0.1, 0.2, 9.6e153, 0.1, 0.0, 0.0)
+    with pytest.raises(OverflowError, match="z3=9.600e"):
+        law.rates(T_REF, y)
+    with pytest.raises(OverflowError, match="zz=9.600e"):
+        law.evaluate(T_REF, y)

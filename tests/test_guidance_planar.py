@@ -226,3 +226,23 @@ def test_rates_trip_the_same_guards_as_evaluate(which, t, y):
         law.rates(t, y)
     assert rates_trip.value.guard == ev_trip.value.guard
     assert str(rates_trip.value) == str(ev_trip.value)
+
+
+def test_error_pair_whose_lyapunov_form_would_overflow_raises():
+    """z2 and zy of 9.6e153 each square below float max, but the logged
+    Vy = (z2^2 + zy^2)/2 would be inf; with k2 = 1/v, alpha_y ~ -z2, so
+    zy ~ z2.  Both entry points raise OverflowError instead."""
+    law = _law(k2=1.0 / 250.0)
+    y = (9900.0, 0.3, 9.6e153, 0.0)
+    with pytest.raises(OverflowError, match="z2=9.600e.*zy=9.600e"):
+        law.rates(T_REF, y)
+    with pytest.raises(OverflowError, match="z2=9.600e.*zy=9.600e"):
+        law.evaluate(T_REF, y)
+
+
+def test_baseline_nan_demand_raises():
+    """A NaN acceleration demand raises OverflowError, where ``_clip`` would
+    map it to +a_clip (an infinite one is a case of the CLI overflow test)."""
+    law = BaselinePlanar(speed=math.nan, t_final=50.0, shaping=_shaping(), a_clip=98.1)
+    with pytest.raises(OverflowError, match="acceleration demand"):
+        law.rates(T_REF, Y_REF[:3])
