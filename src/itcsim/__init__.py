@@ -23,7 +23,7 @@ from .logio import (
     write_metrics_json,
     write_trajectory_csv,
 )
-from .metrics import Metrics, MetricsFold, compare_report, control_effort, interception_metrics
+from .metrics import Metrics, MetricsFold, compare_report, interception_metrics
 from .presets import PRESET_NAMES, preset_scenarios
 from .saturation import BoundMode, SaturationParams
 from .shaping import ShapingParams, desired_heading, desired_lead, sgmf, shaping_rates
@@ -53,7 +53,6 @@ __all__ = [
     "TrajectoryWriter",
     "ValidationError",
     "compare_report",
-    "control_effort",
     "desired_heading",
     "desired_lead",
     "effective_lead",

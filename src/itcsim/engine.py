@@ -5,16 +5,15 @@ integrated.  Every Runge-Kutta stage re-evaluates the guidance commands, so
 the closed loop is integrated as one smooth vector field rather than with a
 held command, and each step runs the control chain exactly four times.  The
 stages call ``rates(t, y)``, the law's control chain; of the tuple it
-returns the engine reads only item 0, the state derivatives, and item 1,
-the shaping-feasibility flag.  The full diagnostic record, ``evaluate(t,
-y)``, is built only for the rows that are logged (``log_row(t, y, eval)``):
-every ``log_stride``-th step plus the terminal or guard-trip row.  Its
-items 0 and 1 are the same two values, so on a logged step the record is
-built first and serves as stage 1 itself.  The per-component stage
-arithmetic, each stage state ``y[i] + h * k[i]`` and the step update, is
-code generated once per state size on the first step of that size: the
-same expressions in the same order as a loop over the components, so the
-results are bit-identical, without the loop's per-component overhead.
+returns the engine reads only item 0, the state derivatives, and item 1, the
+shaping-feasibility flag.  ``evaluate(t, y)``, that tuple as the law's named
+record, is built only for the rows that are logged (``log_row(t, y, eval)``,
+which adds sigma, Vz and Vy): every ``log_stride``-th step plus the terminal
+or guard-trip row; on a logged step it serves as stage 1 itself.  The
+per-component stage arithmetic, each stage state ``y[i] + h * k[i]`` and the
+step update, is code generated once per state size on the first step of that
+size: the same expressions in the same order as a loop over the components,
+so the results are bit-identical, without the loop's per-component overhead.
 
 Each logged row goes to the row sink given to ``simulate`` (anything with
 ``append``; a new list by default) as soon as it is built, so a caller can
@@ -47,11 +46,11 @@ from .logio import LogRow, RowSink, TrajectoryLog
 class GuidanceLaw(Protocol):
     """What the engine needs of a law.
 
-    ``rates`` and ``evaluate`` both return a tuple whose item 0 is the state
-    derivatives and item 1 the shaping feasibility; the engine reads no
-    other item and no field name.  The two raise the same ``GuardTrip``s and
-    agree bit-for-bit on those items, so an ``evaluate`` record is RK4 stage
-    1 of a logged step and ``rates`` serves every other stage.
+    ``rates`` returns a tuple whose item 0 is the state derivatives and
+    item 1 the shaping feasibility; the engine reads no other item and no
+    field name.  ``evaluate`` is that tuple, named, and serves as RK4 stage
+    1 of a logged step; ``log_row`` maps it to a trajectory row, computing
+    sigma, Vz and Vy.
     """
 
     state_size: int

@@ -33,16 +33,15 @@ from typing import NamedTuple
 
 from .errors import GuardTrip
 from .kinematics import EPS_COS, EPS_RANGE, effective_lead, inertial_position
-from .logio import LogRow
+from .logio import ERROR_MAX, LogRow
 from .saturation import EPS_DEN, SaturationParams, axis_brackets, clip_command
 from .shaping import ShapingParams, shaping_rates
 
 
 class Eval3D(NamedTuple):
-    """One evaluation of the 3D law: state derivatives plus diagnostics.
+    """One evaluation of the 3D law: ``Guidance3D.rates``'s tuple, named.
 
-    The fields up to a_z_max are ``Guidance3D.rates``'s tuple, in its order;
-    items 0 and 1 (``derivs``, ``feasible``) are all the integrator reads.
+    Items 0 and 1 (``derivs``, ``feasible``) are all the integrator reads.
     """
 
     # Derivatives of (r, theta, psi, theta_m, psi_m, a_my, a_mz).
@@ -65,9 +64,6 @@ class Eval3D(NamedTuple):
     b_z: float
     a_y_max: float
     a_z_max: float
-    sigma: float
-    lyapunov_z: float
-    lyapunov_y: float
 
 
 @dataclass(frozen=True)
@@ -76,8 +72,8 @@ class Guidance3D:
 
     Bundles the engagement constants (speed, commanded impact time) with the
     shaping, gain and actuator parameter blocks; ``rates`` runs the control
-    chain on a state tuple and ``evaluate`` adds the diagnostics the logs and
-    tests need.
+    chain on a state tuple, ``evaluate`` names its tuple as an ``Eval3D``,
+    and ``log_row`` adds sigma, Vz and Vy for the trajectory row.
     """
 
     state_size = 7
@@ -95,19 +91,14 @@ class Guidance3D:
     def evaluate(
         self, t: float, y: tuple[float, float, float, float, float, float, float]
     ) -> Eval3D:
-        """Derivatives plus every diagnostic the logs and tests read."""
-        out = self.rates(t, y)
-        z3, z4, zy, zz = out[5:9]
-        sigma = effective_lead(y[3], y[4])
-        lyapunov_z = 0.5 * (z3 * z3 + zz * zz)
-        lyapunov_y = 0.5 * (z4 * z4 + zy * zy)
+        """``rates(t, y)`` as an ``Eval3D``."""
         # tuple.__new__ skips the named tuple's Python-level __new__.
-        return tuple.__new__(Eval3D, (*out, sigma, lyapunov_z, lyapunov_y))
+        return tuple.__new__(Eval3D, self.rates(t, y))
 
     def rates(self, t: float, y: tuple[float, ...]) -> tuple:
         """The control chain, the integrator's hot path: a flat tuple of the
-        ``Eval3D`` fields up to a_z_max, led by the state derivatives and
-        the shaping feasibility, so no record is built per stage."""
+        ``Eval3D`` fields, led by the state derivatives and the shaping
+        feasibility, so no record is built per stage."""
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
         v = self.speed
         if r < EPS_RANGE:
@@ -178,13 +169,11 @@ class Guidance3D:
 
         zz = a_mz - alpha_z
         zy = a_my - alpha_y
-        # The logged Lyapunov forms (z3^2 + zz^2)/2 and (z4^2 + zy^2)/2
-        # overflow once a term passes sqrt(float max / 2) ~ 9.5e153, even
-        # while the clipped command is finite; z3 and z4 are angles, but they
-        # integrate a/v.
+        # Beyond ERROR_MAX the logged Vz or Vy would be infinite.
+        e_max = ERROR_MAX
         if not (
-            -9e153 < z3 < 9e153 and -9e153 < zz < 9e153
-            and -9e153 < z4 < 9e153 and -9e153 < zy < 9e153
+            -e_max < z3 < e_max and -e_max < zz < e_max
+            and -e_max < z4 < e_max and -e_max < zy < e_max
         ):
             raise OverflowError(f"error pairs z3={z3:.3e}, zz={zz:.3e}, z4={z4:.3e}, zy={zy:.3e}")
 
@@ -254,10 +243,12 @@ class Guidance3D:
         self, t: float, y: tuple[float, float, float, float, float, float, float], ev: Eval3D
     ) -> LogRow:
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
+        z3, z4, zy, zz = ev.z3, ev.z4, ev.zy, ev.zz
         px, py, pz = inertial_position(r, theta, psi, self.target)
-        # In COLUMNS order; z2 is a planar-only column.
+        # In COLUMNS order; z2 is a planar-only column.  Vz and Vy are the
+        # error pairs' quadratic forms.
         return tuple.__new__(LogRow, (
-            t, r, theta, psi, theta_m, psi_m, ev.sigma, a_my, a_mz, ev.b_y, ev.b_z,
-            ev.z1, 0.0, ev.z3, ev.z4, ev.zy, ev.zz, ev.a_y_max, ev.a_z_max,
-            ev.lyapunov_z, ev.lyapunov_y, px, py, pz,
+            t, r, theta, psi, theta_m, psi_m, effective_lead(theta_m, psi_m), a_my, a_mz,
+            ev.b_y, ev.b_z, ev.z1, 0.0, z3, z4, zy, zz, ev.a_y_max, ev.a_z_max,
+            0.5 * (z3 * z3 + zz * zz), 0.5 * (z4 * z4 + zy * zy), px, py, pz,
         ))

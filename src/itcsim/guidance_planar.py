@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import GuardTrip
 from .kinematics import EPS_RANGE, inertial_position
-from .logio import LogRow
+from .logio import ERROR_MAX, LogRow
 from .saturation import EPS_DEN, SaturationParams, axis_brackets, clip_command
 from .shaping import ShapingParams, shaping_rates
 
@@ -37,6 +37,7 @@ def _planar_log_row(
     sigma: float,
     a_my: float,
     ev: "EvalPlanar",
+    lyapunov_y: float,
     target: tuple[float, float, float],
 ) -> LogRow:
     """Planar run in the shared schema: 3D-only columns stay zero.
@@ -49,19 +50,17 @@ def _planar_log_row(
     # skips the named tuple's Python-level __new__.
     return tuple.__new__(LogRow, (
         t, r, theta, 0.0, 0.0, 0.0, sigma, a_my, 0.0, ev.b_y, 0.0,
-        ev.z1, ev.z2, 0.0, 0.0, ev.zy, 0.0, ev.a_y_max, 0.0, 0.0, ev.lyapunov_y,
+        ev.z1, ev.z2, 0.0, 0.0, ev.zy, 0.0, ev.a_y_max, 0.0, 0.0, lyapunov_y,
         *inertial_position(r, 0.0, theta, target),
     ))
 
 
 class EvalPlanar(NamedTuple):
-    """One evaluation of a planar law: derivatives plus diagnostics.
+    """One evaluation of a planar law: its ``rates`` tuple, named.
 
     ``derivs`` covers (r, theta, sigma, a_my) for the compensated law and
     (r, theta, sigma) for the baseline, whose acceleration is not a state.
-    The fields up to a_y_max are ``GuidancePlanar.rates``'s tuple, in its
-    order; items 0 and 1 (``derivs``, ``feasible``) are all the integrator
-    reads.
+    Items 0 and 1 (``derivs``, ``feasible``) are all the integrator reads.
     """
 
     derivs: tuple[float, ...]
@@ -75,7 +74,6 @@ class EvalPlanar(NamedTuple):
     alpha_y_dot: float
     b_y: float
     a_y_max: float
-    lyapunov_y: float
 
 
 @dataclass(frozen=True)
@@ -93,15 +91,13 @@ class GuidancePlanar:
     target: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def evaluate(self, t: float, y: tuple[float, float, float, float]) -> EvalPlanar:
-        """Derivatives plus every diagnostic the logs and tests read."""
-        out = self.rates(t, y)
-        z2, zy = out[5:7]
-        return tuple.__new__(EvalPlanar, (*out, 0.5 * (z2 * z2 + zy * zy)))
+        """``rates(t, y)`` as an ``EvalPlanar``."""
+        return tuple.__new__(EvalPlanar, self.rates(t, y))
 
     def rates(self, t: float, y: tuple[float, ...]) -> tuple:
         """The control chain, the integrator's hot path: a flat tuple of the
-        ``EvalPlanar`` fields up to a_y_max, led by the state derivatives and
-        the shaping feasibility."""
+        ``EvalPlanar`` fields, led by the state derivatives and the shaping
+        feasibility."""
         r, _theta, sigma, a_my = y
         v = self.speed
         if r < EPS_RANGE:
@@ -128,8 +124,9 @@ class GuidancePlanar:
         z2 = sigma - sigma_d
         alpha_y = v * (sigma_d_dot - v_sin_s / r - self.k2 * z2)
         zy = a_my - alpha_y
-        # The logged Lyapunov form squares z2 and zy; see ``Guidance3D.rates``.
-        if not (-9e153 < z2 < 9e153 and -9e153 < zy < 9e153):
+        # Beyond ERROR_MAX the logged Vy would be infinite.
+        e_max = ERROR_MAX
+        if not (-e_max < z2 < e_max and -e_max < zy < e_max):
             raise OverflowError(f"error pair z2={z2:.3e}, zy={zy:.3e}")
         z2_dot = sigma_dot - sigma_d_dot
         alpha_y_dot = v * (
@@ -159,7 +156,8 @@ class GuidancePlanar:
         self, t: float, y: tuple[float, float, float, float], ev: EvalPlanar
     ) -> LogRow:
         r, theta, sigma, a_my = y
-        return _planar_log_row(t, r, theta, sigma, a_my, ev, self.target)
+        lyapunov_y = 0.5 * (ev.z2 * ev.z2 + ev.zy * ev.zy)
+        return _planar_log_row(t, r, theta, sigma, a_my, ev, lyapunov_y, self.target)
 
 
 @dataclass(frozen=True)
@@ -181,18 +179,13 @@ class BaselinePlanar:
     target: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def evaluate(self, t: float, y: tuple[float, float, float]) -> EvalPlanar:
-        """Derivatives plus every diagnostic the logs and tests read."""
-        derivs, feasible, capped, sigma_d, z1, z2, a_raw = self.rates(t, y)
-        # In field order: zy, alpha_y, alpha_y_dot, b_y, a_y_max, lyapunov_y
-        # follow z2.
-        return tuple.__new__(EvalPlanar, (
-            derivs, feasible, capped, sigma_d, z1, z2, 0.0, a_raw, 0.0, a_raw, self.a_clip,
-            0.5 * z2 * z2,
-        ))
+        """``rates(t, y)`` as an ``EvalPlanar``."""
+        return tuple.__new__(EvalPlanar, self.rates(t, y))
 
     def rates(self, t: float, y: tuple[float, ...]) -> tuple:
-        """The control chain, the integrator's hot path:
-        (derivs, feasible, capped, sigma_d, z1, z2, raw acceleration)."""
+        """The control chain, the integrator's hot path: the ``EvalPlanar``
+        fields, with no actuator state: zy and alpha_y_dot zero, the raw
+        acceleration demand as alpha_y and b_y, and the clip as a_y_max."""
         r, _theta, sigma = y
         v = self.speed
         if r < EPS_RANGE:
@@ -214,11 +207,15 @@ class BaselinePlanar:
             raise OverflowError(f"acceleration demand {a_raw}")
         a_my = self._clip(a_raw)
         sigma_dot = a_my / v - theta_dot
-        return (r_dot, theta_dot, sigma_dot), feasible, a_my != a_raw, sigma_d, z1, z2, a_raw
+        return (
+            (r_dot, theta_dot, sigma_dot), feasible, a_my != a_raw,
+            sigma_d, z1, z2, 0.0, a_raw, 0.0, a_raw, self.a_clip,
+        )
 
     def log_row(self, t: float, y: tuple[float, float, float], ev: EvalPlanar) -> LogRow:
         r, theta, sigma = y
-        return _planar_log_row(t, r, theta, sigma, self._clip(ev.alpha_y), ev, self.target)
+        a_my, lyapunov_y = self._clip(ev.alpha_y), 0.5 * ev.z2 * ev.z2
+        return _planar_log_row(t, r, theta, sigma, a_my, ev, lyapunov_y, self.target)
 
     def _clip(self, a: float) -> float:
         """``a`` clipped to +-a_clip as max(-a_clip, min(a_clip, a)) would clip

@@ -67,6 +67,13 @@ _HEADER = {
 }
 COLUMNS = tuple(_HEADER.get(f, f) for f in LogRow._fields)
 
+# The largest error coordinate (z2, z3, z4, zy, zz) whose logged Vz/Vy stays
+# finite: (a*a + b*b)/2 overflows once a term passes sqrt(float max / 2)
+# ~ 9.5e153, even while the clipped command is finite (z2, z3 and z4 are
+# angles, but they integrate a/v).  Each law's ``rates`` raises
+# OverflowError beyond it.
+ERROR_MAX = 9e153
+
 
 class RowSink(Protocol):
     """Where a run's rows go as the engine produces them: a list keeps

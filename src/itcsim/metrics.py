@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable
 
 from .logio import LogRow, TrajectoryLog
 
@@ -122,38 +121,22 @@ class MetricsFold:
         )
 
 
-def _fold(
-    rows: Iterable[LogRow], t_final: float, sigma_max: float, hit_radius: float
-) -> MetricsFold:
-    fold = MetricsFold(t_final, sigma_max, hit_radius)
-    for row in rows:
-        fold.append(row)
-    return fold
-
-
-def control_effort(log: TrajectoryLog) -> float:
-    """Trapezoidal integral of the squared lateral acceleration, m^2/s^3.
-
-    Planar logs keep the vertical channel at zero, so the 3D sum-of-squares
-    form covers both modes.
-    """
-    if not log.rows:
-        raise ValueError("control effort of an empty log")
-    return _fold(log.rows, t_final=0.0, sigma_max=math.inf, hit_radius=0.0).effort
-
-
 def interception_metrics(
     log: TrajectoryLog, t_final: float, sigma_max: float, hit_radius: float
 ) -> Metrics:
     """Aggregate interception quality and constraint compliance for one run.
 
     The impact time is the log's range crossing of ``hit_radius``, linearly
-    interpolated between the bracketing rows; violation counts compare each
-    row against the field of view and the per-row actuator bounds recorded
-    alongside it.  ``log.rows`` goes through the same ``MetricsFold`` that
-    scores a run while it integrates.
+    interpolated between the bracketing rows; the control effort is the
+    trapezoidal integral of a_my^2 + a_mz^2 (zero a_mz in a planar log);
+    violation counts compare each row against the field of view and the
+    per-row actuator bounds recorded alongside it.  ``log.rows`` goes
+    through the same ``MetricsFold`` that scores a run while it integrates.
     """
-    return _fold(log.rows, t_final, sigma_max, hit_radius).metrics()
+    fold = MetricsFold(t_final, sigma_max, hit_radius)
+    for row in log.rows:
+        fold.append(row)
+    return fold.metrics()
 
 
 # --- Comparison reports ---------------------------------------------------------

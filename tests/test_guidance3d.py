@@ -3,7 +3,8 @@
 The reference state is a generic mid-engagement point (nonzero LOS angles,
 lead components and achieved accelerations) evaluated independently with
 exact-arithmetic symbolic forms at 30-digit precision; every intermediate of
-the control chain is pinned at 1e-12 relative tolerance.
+the control chain is pinned at 1e-12 relative tolerance.  The last section
+checks, for all three laws, that ``evaluate`` is the ``rates`` tuple named.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import math
 import pytest
 
 from itcsim.errors import GuardTrip
-from itcsim.guidance3d import Guidance3D
-from itcsim.kinematics import inertial_position
+from itcsim.guidance3d import Eval3D, Guidance3D
+from itcsim.guidance_planar import BaselinePlanar, EvalPlanar, GuidancePlanar
+from itcsim.kinematics import effective_lead, inertial_position
 from itcsim.saturation import BoundMode, SaturationParams
 from itcsim.shaping import ShapingParams, desired_heading
 
@@ -64,9 +66,11 @@ def _law(**kw) -> Guidance3D:
 
 
 def test_reference_state_full_chain():
-    ev = _law().evaluate(T_REF, Y_REF)
+    law = _law()
+    ev = law.evaluate(T_REF, Y_REF)
+    row = law.log_row(T_REF, Y_REF, ev)
     f = FROZEN
-    assert ev.sigma == pytest.approx(f["sigma"], rel=REL)
+    assert row.sigma == pytest.approx(f["sigma"], rel=REL)
     assert ev.z1 == pytest.approx(f["z1"], rel=REL)
     assert ev.sigma_d == pytest.approx(f["sigma_d"], rel=REL)
     assert desired_heading(ev.sigma_d) == pytest.approx(f["heading_d"], rel=REL)
@@ -96,8 +100,8 @@ def test_reference_state_full_chain():
     assert ev.feasible
     assert not ev.capped
     assert ev.a_y_max == ev.a_z_max == 98.1
-    assert ev.lyapunov_z == pytest.approx(0.5 * (f["z3"] ** 2 + f["zz"] ** 2), rel=1e-9)
-    assert ev.lyapunov_y == pytest.approx(0.5 * (f["z4"] ** 2 + f["zy"] ** 2), rel=1e-9)
+    assert row.lyapunov_z == pytest.approx(0.5 * (f["z3"] ** 2 + f["zz"] ** 2), rel=1e-9)
+    assert row.lyapunov_y == pytest.approx(0.5 * (f["z4"] ** 2 + f["zy"] ** 2), rel=1e-9)
 
 
 def test_collision_course_is_an_equilibrium():
@@ -108,7 +112,7 @@ def test_collision_course_is_an_equilibrium():
     y = (12500.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     ev = law.evaluate(0.0, y)
     assert ev.derivs == (-250.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert ev.sigma == 0.0
+    assert law.log_row(0.0, y, ev).sigma == 0.0
     assert ev.z1 == 0.0
     assert ev.sigma_d == 0.0
     assert ev.alpha_y == 0.0
@@ -123,9 +127,10 @@ def test_initial_state_of_nominal_engagement():
     law = _law()
     theta_m0 = math.radians(-10.0)
     psi_m0 = math.radians(10.0)
-    ev = law.evaluate(0.0, (10000.0, 0.0, 0.0, theta_m0, psi_m0, 0.0, 0.0))
+    y = (10000.0, 0.0, 0.0, theta_m0, psi_m0, 0.0, 0.0)
+    ev = law.evaluate(0.0, y)
     assert ev.z1 == pytest.approx(2500.0, rel=REL)
-    assert ev.sigma == pytest.approx(0.24619691677893205, rel=REL)
+    assert law.log_row(0.0, y, ev).sigma == pytest.approx(0.24619691677893205, rel=REL)
     # Outside the blend layer the demand is parked at its maximum.
     assert ev.sigma_d == pytest.approx(1.0356115365192968, rel=REL)
 
@@ -173,20 +178,21 @@ def test_log_row_mapping():
     assert row.psi_m == Y_REF[4]
     assert row.a_my == Y_REF[5]
     assert row.a_mz == Y_REF[6]
-    assert row.sigma == ev.sigma
+    assert row.sigma == effective_lead(Y_REF[3], Y_REF[4])
     assert row.z1 == ev.z1
     assert row.z2 == 0.0  # planar-only column
     assert row.z3 == ev.z3
     assert row.zy == ev.zy
     assert row.b_y == ev.b_y
     assert row.a_y_max == ev.a_y_max
-    assert row.lyapunov_z == ev.lyapunov_z
+    assert row.lyapunov_z == 0.5 * (ev.z3 * ev.z3 + ev.zz * ev.zz)
+    assert row.lyapunov_y == 0.5 * (ev.z4 * ev.z4 + ev.zy * ev.zy)
     assert (row.x, row.y, row.z) == inertial_position(
         Y_REF[0], Y_REF[1], Y_REF[2], (0.0, 0.0, 0.0)
     )
 
 
-# --- rates(): the integrator's hot path agrees with evaluate() ----------------
+# --- evaluate() is rates() named, for all three laws ---------------------------
 
 # A state whose command hits the 5000 cap under each bound schedule; the
 # constant-bound one lies outside the shared-schedule bounds, where it trips.
@@ -196,27 +202,64 @@ _CAPPED = {
     BoundMode.WING_TAIL: (9900.0, 0.05, -0.08, -0.12, 0.2, 90.0, -5.0),
 }
 
+# Planar states, in the blend layer (z1 = 100 m), above it (2600 m) and
+# infeasible (z1 < 0), with leads whose demand stays inside the 98.1 clip.
+_PLANAR = {
+    "in-layer": (10.0, (9900.0, 0.3, 0.5, -5.0)),
+    "out-of-layer": (0.0, (9900.0, 0.3, 0.8, -5.0)),
+    "infeasible": (49.0, (9900.0, 0.3, 0.25, -5.0)),
+}
 
-@pytest.mark.parametrize("mode", list(BoundMode))
-def test_rates_match_evaluate_bit_for_bit(mode):
-    sat = SaturationParams(mode=mode)
+
+def _planar_law(name: str):
+    shaping = ShapingParams()
+    shaping.validate()
+    if name == "planar":
+        sat = SaturationParams()
+        sat.validate()
+        return GuidancePlanar(speed=250.0, t_final=50.0, shaping=shaping, sat=sat)
+    a_clip = 98.1 if name == "baseline-clipped" else math.inf
+    return BaselinePlanar(speed=250.0, t_final=50.0, shaping=shaping, a_clip=a_clip)
+
+
+def _record_cases(name: str):
+    """A law, its record type and its named states: in the blend layer, above
+    it, infeasible (z1 < 0) and, for a law that can cap, capped."""
+    if name in ("planar", "baseline", "baseline-clipped"):
+        law = _planar_law(name)
+        cases = {case: (t, y[: law.state_size]) for case, (t, y) in _PLANAR.items()}
+        if name == "planar":
+            cases["capped"] = (10.0, (9900.0, 0.3, -0.9, 95.0))
+        elif name == "baseline-clipped":
+            cases["capped"] = (10.0, (9900.0, 0.3, -1.0))
+        return law, EvalPlanar, cases
+    sat = SaturationParams(mode=BoundMode(name))
     sat.validate()
-    law = _law(sat=sat)
-    cases = {
+    return _law(sat=sat), Eval3D, {
         "in-layer": (T_REF, Y_REF),  # z1 = 100 m
         "out-of-layer": (0.0, Y_REF),  # z1 = 2600 m > phi
         "infeasible": (49.0, Y_REF),  # z1 < 0
-        "capped": (10.0, _CAPPED[mode]),
+        "capped": (10.0, _CAPPED[sat.mode]),
     }
-    for name, (t, y) in cases.items():
+
+
+@pytest.mark.parametrize(
+    "name", ["constant", "roll-coupled", "wing-tail", "planar", "baseline", "baseline-clipped"]
+)
+def test_rates_match_evaluate_bit_for_bit(name):
+    law, record, cases = _record_cases(name)
+    for case, (t, y) in cases.items():
         ev = law.evaluate(t, y)
-        out = law.rates(t, y)
-        assert out == ev[: len(out)], name  # the chain is the record's leading fields
-        assert ev.feasible is (name != "infeasible"), name
-        assert ev.capped is (name == "capped"), name
-        assert (ev.z1 > law.shaping.phi) is (name == "out-of-layer"), name
+        assert type(ev) is record, case
+        assert len(ev) == len(record._fields), case  # 19 in 3D, 11 in the plane
+        assert tuple(ev) == law.rates(t, y), case
+        assert ev.feasible is (case != "infeasible"), case
+        assert ev.capped is (case == "capped"), case
+        assert (ev.z1 > law.shaping.phi) is (case == "out-of-layer"), case
 
 
+# 3D states (range floor, polar singularity, a bracket each way), then the
+# planar law's range floor and bracket, then the comparison law's range floor.
 @pytest.mark.parametrize(
     "t, y",
     [
@@ -224,10 +267,13 @@ def test_rates_match_evaluate_bit_for_bit(mode):
         (10.0, (5000.0, math.pi / 2.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
         (10.0, (9900.0, 0.0, 0.0, 0.0, 0.0, 98.1 * (1.0 - 1.0e-8), 0.0)),
         (10.0, (9900.0, 0.0, 0.0, 0.0, 0.0, 0.0, -98.1 * (1.0 - 1.0e-8))),
+        (49.9, (1.0e-7, 0.0, 0.0, 0.0)),
+        (10.0, (9900.0, 0.0, 0.0, 98.1 * (1.0 - 1.0e-8))),
+        (49.9, (1.0e-7, 0.0, 0.0)),
     ],
 )
 def test_rates_trip_the_same_guards_as_evaluate(t, y):
-    law = _law()
+    law = {7: _law(), 4: _planar_law("planar"), 3: _planar_law("baseline-clipped")}[len(y)]
     with pytest.raises(GuardTrip) as ev_trip:
         law.evaluate(t, y)
     with pytest.raises(GuardTrip) as rates_trip:

@@ -53,7 +53,8 @@ def _law(**kw) -> GuidancePlanar:
 
 
 def test_reference_state_full_chain():
-    ev = _law().evaluate(T_REF, Y_REF)
+    law = _law()
+    ev = law.evaluate(T_REF, Y_REF)
     f = FROZEN
     assert ev.z1 == pytest.approx(f["z1"], rel=REL)
     assert ev.sigma_d == pytest.approx(f["sigma_d"], rel=REL)
@@ -69,7 +70,7 @@ def test_reference_state_full_chain():
     assert ev.alpha_y_dot == pytest.approx(f["alpha_y_dot"], rel=REL)
     assert ev.zy == pytest.approx(f["zy"], rel=REL)
     assert ev.b_y == pytest.approx(f["b_y"], rel=REL)
-    assert ev.lyapunov_y == pytest.approx(
+    assert law.log_row(T_REF, Y_REF, ev).lyapunov_y == pytest.approx(
         0.5 * (f["z2"] ** 2 + f["zy"] ** 2), rel=1e-9
     )
     assert ev.feasible
@@ -122,7 +123,8 @@ def test_baseline_ideal_actuator():
     assert len(ev.derivs) == 3
     assert ev.zy == 0.0
     assert not ev.capped
-    assert ev.lyapunov_y == pytest.approx(0.5 * ev.z2**2, rel=REL)
+    row = baseline.log_row(T_REF, Y_REF[:3], ev)
+    assert row.lyapunov_y == pytest.approx(0.5 * ev.z2**2, rel=REL)
     # The lead rate uses the applied acceleration.
     r, _theta, sigma = Y_REF[:3]
     theta_dot = ev.derivs[1]
@@ -180,52 +182,6 @@ def test_log_row_mapping():
     assert row.x == pytest.approx(-r * math.cos(theta), rel=REL)
     assert row.y == pytest.approx(-r * math.sin(theta), rel=REL)
     assert row.z == 0.0
-
-
-# --- rates(): the integrator's hot path agrees with evaluate() ----------------
-
-
-def _both_laws():
-    return _law(), BaselinePlanar(speed=250.0, t_final=50.0, shaping=_shaping(), a_clip=98.1)
-
-
-def test_rates_match_evaluate_bit_for_bit():
-    shaped, baseline = _both_laws()
-    states = [
-        (T_REF, Y_REF),  # in the blend layer
-        (0.0, Y_REF),  # z1 = 2600 m, above the layer
-        (49.0, Y_REF),  # z1 < 0, clamped
-        (10.0, (9900.0, 0.3, -0.9, 95.0)),  # command capped
-        (T_REF, (9900.0, 0.3, -1.0, 0.0)),  # baseline acceleration clipped
-    ]
-    for t, y in states:
-        # The shaped law's chain is the record's leading fields; the
-        # baseline's shares the first six and ends in the raw acceleration.
-        out = shaped.rates(t, y)
-        assert out == shaped.evaluate(t, y)[: len(out)]
-        out = baseline.rates(t, y[:3])
-        ev = baseline.evaluate(t, y[:3])
-        assert out[:6] == ev[:6] and out[6] == ev.alpha_y
-    assert shaped.evaluate(10.0, states[3][1]).capped
-    assert baseline.evaluate(T_REF, states[4][1][:3]).capped
-
-
-@pytest.mark.parametrize(
-    "which, t, y",
-    [
-        ("shaped", 49.9, (1.0e-7, 0.0, 0.0, 0.0)),
-        ("shaped", 10.0, (9900.0, 0.0, 0.0, 98.1 * (1.0 - 1.0e-8))),
-        ("baseline", 49.9, (1.0e-7, 0.0, 0.0)),
-    ],
-)
-def test_rates_trip_the_same_guards_as_evaluate(which, t, y):
-    law = dict(zip(("shaped", "baseline"), _both_laws()))[which]
-    with pytest.raises(GuardTrip) as ev_trip:
-        law.evaluate(t, y)
-    with pytest.raises(GuardTrip) as rates_trip:
-        law.rates(t, y)
-    assert rates_trip.value.guard == ev_trip.value.guard
-    assert str(rates_trip.value) == str(ev_trip.value)
 
 
 def test_error_pair_whose_lyapunov_form_would_overflow_raises():

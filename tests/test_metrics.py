@@ -12,7 +12,6 @@ from itcsim.metrics import (
     REPORT_HEADER,
     Metrics,
     compare_report,
-    control_effort,
     interception_metrics,
 )
 
@@ -32,10 +31,14 @@ def _log(rows) -> TrajectoryLog:
     return TrajectoryLog(rows=rows)
 
 
+def _effort(log: TrajectoryLog) -> float | None:
+    return interception_metrics(log, t_final=0.0, sigma_max=math.inf, hit_radius=0.0).control_effort
+
+
 def test_control_effort_constant_acceleration():
     # 10 m/s^2 held for 2 s: integral of a^2 dt = 200.
     log = _log([_row(t=0.0, a_my=10.0), _row(t=2.0, a_my=10.0)])
-    assert control_effort(log) == pytest.approx(200.0, rel=1e-15)
+    assert _effort(log) == pytest.approx(200.0, rel=1e-15)
 
 
 def test_control_effort_trapezoid_and_zero():
@@ -45,15 +48,15 @@ def test_control_effort_trapezoid_and_zero():
         _row(t=1.0, a_mz=2.0),
         _row(t=3.0, a_my=3.0),
     ])
-    assert control_effort(log) == pytest.approx(0.5 * (1 + 4) * 1 + 0.5 * (4 + 9) * 2, rel=1e-15)
-    assert control_effort(_log([_row(t=0.0), _row(t=5.0)])) == 0.0
-    with pytest.raises(ValueError, match="empty"):
-        control_effort(_log([]))
+    assert _effort(log) == pytest.approx(0.5 * (1 + 4) * 1 + 0.5 * (4 + 9) * 2, rel=1e-15)
+    assert _effort(_log([_row(t=0.0), _row(t=5.0)])) == 0.0
+    # An empty log has no effort, as a run that logs no row.
+    assert _effort(_log([])) is None
 
 
 def test_control_effort_uses_both_axes():
     log = _log([_row(t=0.0, a_my=3.0, a_mz=4.0), _row(t=1.0, a_my=3.0, a_mz=4.0)])
-    assert control_effort(log) == pytest.approx(25.0, rel=1e-15)
+    assert _effort(log) == pytest.approx(25.0, rel=1e-15)
 
 
 def test_interception_metrics_crossing_interpolation():
@@ -130,11 +133,11 @@ def test_effort_prefix_monotone_and_subsample_stable(nominal_run):
     rows = nominal_run.log.rows
     prev = 0.0
     for end in range(500, len(rows) + 1, 500):
-        effort = control_effort(_log(rows[:end]))
+        effort = _effort(_log(rows[:end]))
         assert effort >= prev - 1e-9
         prev = effort
-    full = control_effort(nominal_run.log)
-    half = control_effort(_log(rows[::2] + ([rows[-1]] if (len(rows) - 1) % 2 else [])))
+    full = _effort(nominal_run.log)
+    half = _effort(_log(rows[::2] + ([rows[-1]] if (len(rows) - 1) % 2 else [])))
     assert half == pytest.approx(full, rel=1e-3)
 
 

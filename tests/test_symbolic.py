@@ -435,9 +435,9 @@ def test_planar_law_rates_match_the_model():
         worst_edge = max(worst_edge, gap / _term_scale((r, 0.0, theta, 0.0, sigma, a_my, 0.0), v))
 
         baseline = BaselinePlanar(a_clip=rng.choice((A_MAX, math.inf)), **kw)
-        out = baseline.rates(t, (r, theta, sigma))
-        a_cmd = max(-baseline.a_clip, min(baseline.a_clip, out[6]))
-        gap = _gap_mp(out[0], fn_mp, (t, r, theta, sigma, a_cmd, v))
+        ev = baseline.evaluate(t, (r, theta, sigma))
+        a_cmd = max(-baseline.a_clip, min(baseline.a_clip, ev.alpha_y))
+        gap = _gap_mp(ev.derivs, fn_mp, (t, r, theta, sigma, a_cmd, v))
         worst_edge = max(worst_edge, gap / _term_scale((r, 0.0, theta, 0.0, sigma, a_cmd, 0.0), v))
     print(
         f"planar rates: worst gap {worst:.3e} of the channel's terms over 5000 states "

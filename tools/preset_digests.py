@@ -1,4 +1,5 @@
-"""Print a digest of every output of the six study presets.
+"""Print a digest of every output of the six study presets and of a few
+fixed edge-case configs.
 
 Usage:
 
@@ -6,8 +7,13 @@ Usage:
 
 Each preset runs through the itcsim CLI in a fresh temporary directory: the
 three single-run presets with ``itcsim run``, the others with
-``itcsim batch --jobs 2``.  The output lists ``sha256  path`` for every file
-a preset wrote and for its stdout and stderr, then ``exit N  preset``.
+``itcsim batch --jobs 2``.  The presets log every 10th step, run the
+comparison law unclipped and never trip a guard, so the configs in
+``CONFIGS`` follow, each written to the temporary directory and run with
+``itcsim run --config``: a clipped comparison law, every step logged on a
+flyby with field-of-view violations and on two short planar runs, and a
+one-row overflow trip.  The output lists ``sha256  path`` for every file a
+run wrote and for its stdout and stderr, then ``exit N  name``.
 stderr holds the runs' labelled warnings, in scenario order whatever the job
 count, so it is as deterministic as the other outputs.  Paths are relative
 to the temporary directory, so two checkouts that behave the same print the
@@ -32,16 +38,49 @@ ROOT = Path(__file__).resolve().parents[1]
 SINGLE_RUN = ("table1-nominal", "fig4-rollcoupled", "fig5-wingtail")
 BATCH = ("fig2-tf-sweep", "fig3-heading-sweep", "fig6-planar-compare")
 
+# Config text by run name; the comment above each gives how it ends.
+CONFIGS = {
+    # exit 2: the comparison law clipped at 1.5 g, 30 deg off the line of sight.
+    "planar-baseline-clipped": (
+        "scenario.mode = planar\nscenario.law = baseline\nbaseline.aClipG = 1.5\n"
+        "launch.azimuthDeg = 30\n"
+    ),
+    # exit 2: a flyby at 2.743 m with 8 field-of-view violations.
+    "flyby-3.12km-stride1": (
+        "geometry.initialXKm = -3.12\nscenario.tf = 16.67\n"
+        "launch.elevationDeg = -9.8\nlaunch.azimuthDeg = -8.2\nsim.logStride = 1\n"
+    ),
+    # 0.5 km at 2.3 s under each planar law, every step logged: the proposed
+    # law times out (exit 2), the comparison law intercepts (exit 0).
+    "planar-0.5km-stride1": (
+        "scenario.mode = planar\nscenario.tf = 2.3\ngeometry.initialXKm = -0.5\n"
+        "sim.logStride = 1\n"
+    ),
+    "baseline-0.5km-stride1": (
+        "scenario.mode = planar\nscenario.law = baseline\nscenario.tf = 2.3\n"
+        "geometry.initialXKm = -0.5\nsim.logStride = 1\n"
+    ),
+    # exit 3: a stage of the first step drives an error coordinate past
+    # ERROR_MAX: one row, then the overflow trip.
+    "3d-tiny-speed": "scenario.speed = 1e-300\nscenario.tf = 3\ngeometry.initialXKm = -0.5\n",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def preset_args(preset: str, out: Path) -> list[str]:
-    if preset in SINGLE_RUN:
-        return ["run", "--preset", preset, "--out-traj", str(out / f"{preset}.traj.csv"),
-                "--out-metrics", str(out / f"{preset}.metrics.json")]
-    return ["batch", "--preset", preset, "--out-dir", str(out), "--jobs", "2"]
+def run_args(name: str, out: Path) -> list[str]:
+    if name in BATCH:
+        return ["batch", "--preset", name, "--out-dir", str(out), "--jobs", "2"]
+    if name in SINGLE_RUN:
+        source = ["--preset", name]
+    else:
+        cfg = out.parent / f"{name}.cfg"
+        cfg.write_text(CONFIGS[name])
+        source = ["--config", str(cfg)]
+    return ["run", *source, "--out-traj", str(out / f"{name}.traj.csv"),
+            "--out-metrics", str(out / f"{name}.metrics.json")]
 
 
 def main() -> int:
@@ -52,18 +91,18 @@ def main() -> int:
     env = {k: v for k, v in os.environ.items() if not k.startswith("ITCSIM_")}
     env["PYTHONPATH"] = str(Path(args.src).resolve())
     with tempfile.TemporaryDirectory() as tmp:
-        for preset in SINGLE_RUN + BATCH:
-            out = Path(tmp) / preset
+        for name in (*SINGLE_RUN, *BATCH, *CONFIGS):
+            out = Path(tmp) / name
             out.mkdir()
             proc = subprocess.run(
-                [sys.executable, "-m", "itcsim.cli", *preset_args(preset, out)],
+                [sys.executable, "-m", "itcsim.cli", *run_args(name, out)],
                 capture_output=True, env=env, cwd=tmp,
             )
             for path in sorted(out.iterdir()):
-                print(f"{_sha256(path.read_bytes())}  {preset}/{path.name}")
-            print(f"{_sha256(proc.stdout)}  {preset}/stdout")
-            print(f"{_sha256(proc.stderr)}  {preset}/stderr")
-            print(f"exit {proc.returncode}  {preset}")
+                print(f"{_sha256(path.read_bytes())}  {name}/{path.name}")
+            print(f"{_sha256(proc.stdout)}  {name}/stdout")
+            print(f"{_sha256(proc.stderr)}  {name}/stderr")
+            print(f"exit {proc.returncode}  {name}")
     return 0
 
 
