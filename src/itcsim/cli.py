@@ -12,7 +12,7 @@ import sys
 from typing import Sequence
 
 from .config import ScenarioConfig, load_config, run_scenario
-from .engine import RunStatus
+from .engine import RunOutcome, RunStatus
 from .errors import ConfigError
 # The commands stream each run into a TrajectoryWriter; perfbench/tracer.py
 # still wraps write_trajectory_csv under this module's name.
@@ -62,44 +62,45 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _summary_line(label: str, status: str, metrics: Metrics | None, error: str | None) -> str:
-    if error is not None:
-        return f"{label}: error: {error}"
-    assert metrics is not None
-
-    def show(value: float | None, spec: str, unit: str) -> str:
-        return "-" if value is None else f"{value:{spec}} {unit}"
-
-    return (
-        f"{label}: {status}  impact={show(metrics.impact_time, '.4f', 's')}  "
-        f"miss={show(metrics.miss_distance, '.3f', 'm')}  "
-        f"effort={show(metrics.control_effort, '.1f', 'm^2/s^3')}"
-    )
-
-
 def _run_and_write(
-    label: str, cfg: ScenarioConfig, traj_path: str, metrics_path: str, caught: list[str]
-) -> tuple[RunStatus, Metrics]:
+    label: str, cfg: ScenarioConfig, traj_path: str, metrics_path: str
+) -> tuple[RunOutcome, Metrics]:
     """Simulate one scenario, writing its trajectory CSV row by row as it
-    integrates, then its metrics JSON; the run's warnings go to ``caught``
-    before the metrics JSON is written.  The CSV is opened first, so an
-    unwritable path fails before the run starts."""
+    integrates, then its metrics JSON.  Both files are opened before the
+    run starts, the CSV first, so an unwritable path fails before any step."""
     with TrajectoryWriter(traj_path) as sink:
-        log, outcome, mets = run_scenario(cfg, sink)
-    caught.extend(log.warnings)
+        open(metrics_path, "w").close()
+        _, outcome, mets = run_scenario(cfg, sink)
     payload: dict[str, object] = {"label": label, "status": outcome.status.value}
     if outcome.status is RunStatus.GUARD_TRIPPED:
         payload["guard"] = outcome.guard
     payload.update(mets.to_dict())
-    payload["warnings"] = list(log.warnings)
+    payload["warnings"] = outcome.warnings
     write_metrics_json(payload, metrics_path)
-    return outcome.status, mets
+    return outcome, mets
 
 
-def _print_warnings(label: str, messages: list[str]) -> None:
-    """The one way a command reports a run's warnings: labelled, on stderr."""
-    for msg in messages:
+def _report(label: str, result: tuple[RunOutcome, Metrics] | str) -> None:
+    """The one way a command reports a scenario: its warnings, labelled, on
+    stderr, then its summary line (or its error, for a batch scenario that
+    raised) on stdout."""
+    if isinstance(result, str):
+        print(f"{label}: error: {result}")
+        return
+    outcome, metrics = result
+    for msg in outcome.warnings:
         print(f"{label}: warning: {msg}", file=sys.stderr)
+
+    def show(value: float | None, spec: str, unit: str) -> str:
+        if value is None:
+            return "-"
+        return f"{value:{spec if abs(value) < 1e15 else '.6g'}} {unit}"  # huge: exponent form
+
+    print(
+        f"{label}: {outcome.status.value}  impact={show(metrics.impact_time, '.4f', 's')}  "
+        f"miss={show(metrics.miss_distance, '.3f', 'm')}  "
+        f"effort={show(metrics.control_effort, '.1f', 'm^2/s^3')}"
+    )
 
 
 def _scenarios(args: argparse.Namespace) -> list[tuple[str, ScenarioConfig]]:
@@ -119,36 +120,28 @@ def _scenarios(args: argparse.Namespace) -> list[tuple[str, ScenarioConfig]]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     ((label, cfg),) = _scenarios(args)
-    messages: list[str] = []
-    try:
-        status, mets = _run_and_write(label, cfg, args.out_traj, args.out_metrics, messages)
-    finally:
-        _print_warnings(label, messages)
-    print(_summary_line(label, status.value, mets, None))
-    return _STATUS_EXIT[status]
+    outcome, mets = _run_and_write(label, cfg, args.out_traj, args.out_metrics)
+    _report(label, (outcome, mets))
+    return _STATUS_EXIT[outcome.status]
 
 
 # --- batch ----------------------------------------------------------------------
 
 
-def _batch_worker(
-    item: tuple[str, ScenarioConfig, str],
-) -> tuple[str, Metrics | None, str | None, list[str]]:
-    """Run one batch scenario; its warnings come back as messages, so the
-    parent reports them in scenario order whatever process ran it."""
+def _batch_worker(item: tuple[str, ScenarioConfig, str]) -> tuple[RunOutcome, Metrics] | str:
+    """Run one batch scenario; its result (or the message of what it raised)
+    comes back whole, so the parent reports it in scenario order whatever
+    process ran it."""
     label, cfg, out_dir = item
-    messages: list[str] = []
     try:
-        status, mets = _run_and_write(
+        return _run_and_write(
             label,
             cfg,
             os.path.join(out_dir, f"{label}.traj.csv"),
             os.path.join(out_dir, f"{label}.metrics.json"),
-            messages,
         )
-        return status.value, mets, None, messages
     except Exception as exc:  # per-scenario isolation: record and continue
-        return "error", None, str(exc), messages
+        return str(exc)
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -169,12 +162,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     runs = []
     failed = False
-    for (label, cfg), (status, mets, error, messages) in zip(scenarios, results):
-        _print_warnings(label, messages)
-        print(_summary_line(label, status, mets, error))
-        if status != RunStatus.INTERCEPTED.value:
+    for (label, cfg), result in zip(scenarios, results):
+        _report(label, result)
+        if isinstance(result, str):
             failed = True
-        if mets is not None:
+        else:
+            outcome, mets = result
+            failed = failed or outcome.status is not RunStatus.INTERCEPTED
             runs.append((label, cfg.azimuth_deg, mets))
     if runs:
         write_report_csv(

@@ -29,13 +29,13 @@ numerical guard fires (``guard-tripped``).  A chain that overflows a float
 guard ``overflow``.
 
 A run's warnings (an unreachable impact time, the first shaping clamp) are
-messages in ``TrajectoryLog.warnings``; no Python warning is raised.
+messages in ``RunOutcome.warnings``; no Python warning is raised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
 
@@ -106,7 +106,7 @@ class RunStatus(str, Enum):
 
 @dataclass
 class RunOutcome:
-    """Terminal result of one simulated engagement.
+    """Terminal result of one simulated engagement, and its warnings.
 
     The impact time and miss distance are ``metrics.Metrics`` fields,
     folded from the logged rows.
@@ -116,6 +116,7 @@ class RunOutcome:
     final_time: float
     guard: str | None = None
     message: str = ""
+    warnings: list[str] = field(default_factory=list)
 
 
 def rk4_step(
@@ -183,6 +184,7 @@ def simulate(
 
     log = TrajectoryLog(rows=[] if sink is None else sink)
     append_row = log.rows.append
+    warnings: list[str] = []
     dt = settings.dt
     t_max = settings.t_max_factor * law.t_final
     y = tuple(float(v) for v in y0)
@@ -191,7 +193,7 @@ def simulate(
     # later than the commanded impact time, or the timing demand is already
     # unmeetable.
     if y[0] > law.speed * law.t_final:
-        log.warnings.append(
+        warnings.append(
             f"range {y[0]:.1f} m exceeds speed*t_final = {law.speed * law.t_final:.1f} m; "
             "impact-time target unreachable"
         )
@@ -222,7 +224,7 @@ def simulate(
         # column already carries the step-by-step detail.
         if not feasible and not warned_infeasible:
             warned_infeasible = True
-            log.warnings.append(
+            warnings.append(
                 f"shaping demand clamped to zero lead at t={t:.3f} s (range-time error < 0)"
             )
 
@@ -230,7 +232,7 @@ def simulate(
             # No row for a non-finite state: the log ends with the rows it has.
             return log, RunOutcome(
                 RunStatus.GUARD_TRIPPED, t, "nonfinite-state",
-                f"non-finite state component after step at t={t:.6f} s",
+                f"non-finite state component after step at t={t:.6f} s", warnings,
             )
 
         step += 1
@@ -267,4 +269,4 @@ def simulate(
             append_row(law.log_row(t, y, law.evaluate(t, y)))
         except (GuardTrip, OverflowError):
             pass
-    return log, RunOutcome(status, t, guard, message)
+    return log, RunOutcome(status, t, guard, message, warnings)

@@ -84,14 +84,13 @@ class RowSink(Protocol):
 
 @dataclass
 class TrajectoryLog:
-    """Sampled trajectory of one run plus any warnings it raised.
+    """Sampled trajectory of one run.
 
     ``rows`` is the sink the rows went to: a list of them unless the run
     was given another sink.
     """
 
     rows: list[LogRow] | RowSink = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
 
 # --- CSV ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ every test that inspects it.  They are independent, so one session fixture,
 ``study_runs``, submits every distinct study config to one process pool with
 one worker per CPU, and the per-preset fixtures select from it.  Each run is
 timed inside its worker, which is where C1 times the nominal run.  A run's
-warnings are the messages in its ``log.warnings``; tests that assert warning
-behaviour build their own small scenarios.
+warnings are the messages in its ``RunOutcome.warnings``; tests that assert
+warning behaviour build their own small scenarios.
 
 Acceptance tests register one line per criterion through the
 ``criterion_recorder`` fixture; the collected lines are printed in a

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,15 @@ def test_append_entry_keeps_old_entries_and_refuses_a_known_commit(tmp_path):
     with pytest.raises(SystemExit, match="already has commit aaa"):
         bench_record.append_entry({"commit": "aaa", "src_lines": 3}, path)
     assert len(json.loads(path.read_text())) == 2
+
+
+def test_record_paths_are_required(monkeypatch, capsys):
+    """No default record set: with no record paths the tool is a usage
+    error and leaves BENCH_steps.json as it was."""
+    before = bench_record.BENCH.read_bytes()
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--commit", "aaa"])
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main()
+    assert exc.value.code == 2
+    assert "the following arguments are required: records" in capsys.readouterr().err
+    assert bench_record.BENCH.read_bytes() == before

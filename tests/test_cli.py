@@ -87,7 +87,7 @@ def test_run_warnings_are_labelled(tmp_path, micro_cfg, capsys):
 
 @pytest.mark.parametrize("action", ["error", "ignore"])
 def test_run_warnings_do_not_depend_on_warning_filters(tmp_path, micro_cfg, action):
-    """A run's warnings are messages in its log, not Python warnings: the
+    """A run's warnings are messages in its outcome, not Python warnings: the
     interpreter's filters neither raise them as errors nor drop them."""
     proc = subprocess.run(
         [sys.executable, "-m", "itcsim.cli", "run", "--config", str(micro_cfg),
@@ -314,14 +314,57 @@ def test_run_with_a_huge_finite_gain_still_intercepts(tmp_path, micro_cfg):
     assert all(math.isfinite(value) for row in log.rows for value in row)
 
 
-def test_run_unwritable_output_path(tmp_path, micro_cfg, capsys):
+@pytest.mark.parametrize("bad", ["out-traj", "out-metrics"])
+def test_run_unwritable_output_path(tmp_path, micro_cfg, monkeypatch, capsys, bad):
+    """Both output files are opened before the run, the CSV first: either
+    path in a missing directory exits 1 with one i/o error line and no run
+    warnings, and ``run_scenario`` is never called.  A bad --out-traj
+    creates no file; a bad --out-metrics leaves the CSV header alone."""
+    from itcsim import cli
+
+    def no_run(cfg, sink=None):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    paths = {"out-traj": tmp_path / "t.csv", "out-metrics": tmp_path / "m.json"}
+    paths[bad] = tmp_path / "missing" / "dir" / paths[bad].name
     code = main([
         "run", "--config", str(micro_cfg),
-        "--out-traj", str(tmp_path / "missing" / "dir" / "t.csv"),
-        "--out-metrics", str(tmp_path / "m.json"),
+        "--out-traj", str(paths["out-traj"]), "--out-metrics", str(paths["out-metrics"]),
     ])
     assert code == EXIT_ERROR
-    assert "i/o error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("itcsim: i/o error: ") and str(paths[bad]) in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["micro.cfg"] if bad == "out-traj" else ["micro.cfg", "t.csv"]
+    )
+    if bad == "out-metrics":
+        assert read_trajectory_csv(str(paths["out-traj"])).rows == []
+
+
+def test_run_summary_line_prints_a_huge_value_in_exponent_form(tmp_path, capsys):
+    """The comparison law at k2 = 1e4, every step logged, ends as an
+    overflow trip whose finite effort is about 1.27e300: the summary line
+    prints it in short exponent form, not as a 301-digit number, and keeps
+    fixed point for the miss distance."""
+    cfg = tmp_path / "k2.cfg"
+    cfg.write_text(
+        "scenario.mode = planar\nscenario.law = baseline\ngains.k2 = 10000\nsim.logStride = 1\n"
+    )
+    code = main([
+        "run", "--config", str(cfg),
+        "--out-traj", str(tmp_path / "t.csv"),
+        "--out-metrics", str(tmp_path / "m.json"),
+    ])
+    assert code == EXIT_GUARD
+    payload = json.loads((tmp_path / "m.json").read_text())
+    assert payload["guard"] == "overflow"
+    assert payload["controlEffort"] == pytest.approx(1.2715064942963532e300, rel=1e-12)
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == "run: guard-tripped  impact=-  miss=9999.274 m  effort=1.27151e+300 m^2/s^3"
+    assert len(line.split("effort=")[1].split()[0]) <= 12
 
 
 def test_validate_ok(tmp_path, micro_cfg, capsys):
@@ -478,7 +521,7 @@ def _warning_micro_runs(monkeypatch):
         micro = replace(cfg, mode="planar", tf=2.0, initial_x_km=-0.5,
                         elevation_deg=0.0, azimuth_deg=0.0)
         log, outcome, mets = run_scenario(micro, sink)
-        log.warnings.insert(0, f"stub warning for tf={cfg.tf:g}")
+        outcome.warnings.insert(0, f"stub warning for tf={cfg.tf:g}")
         return log, outcome, mets
 
     monkeypatch.setattr(cli, "run_scenario", fake)
@@ -545,6 +588,8 @@ def test_batch_failed_scenario_exits_1(tmp_path, monkeypatch, capsys, in_process
     if failure == "raises":
         assert summary["tf50"] == "tf50: error: stub failure"
         assert [row.split(",")[0] for row in report] == ["label", "tf45", "tf55"]
+        # Opened before the run, the metrics JSON stays empty.
+        assert (tmp_path / "tf50.metrics.json").read_text() == ""
     else:
         assert summary["tf50"].startswith("tf50: timeout  impact=-  miss=")
         assert [row.split(",")[0] for row in report] == ["label", "tf45", "tf50", "tf55"]

@@ -244,8 +244,8 @@ def test_unreachable_target_warns_up_front():
     # 300 m to cover in 1 s at 250 m/s cannot meet the impact time.
     law = _MiniLaw(lambda t, y: (-1.0,), speed=250.0, t_final=1.0)
     log, out = simulate(law, (300.0,), SimSettings(dt=0.5))
-    assert len(log.warnings) == 1
-    assert "unreachable" in log.warnings[0]
+    assert len(out.warnings) == 1
+    assert "unreachable" in out.warnings[0]
 
 
 def test_infeasible_shaping_warns_once_per_run():
@@ -260,8 +260,8 @@ def test_infeasible_shaping_warns_once_per_run():
     )
     log, out = simulate(law, (40.0,), SimSettings(dt=0.25))
     assert out.status is RunStatus.TIMEOUT
-    assert len(log.warnings) == 1
-    assert "clamped" in log.warnings[0]
+    assert len(out.warnings) == 1
+    assert "clamped" in out.warnings[0]
 
 
 def test_log_stride_pattern():
@@ -383,7 +383,7 @@ def test_logging_does_not_perturb_the_trajectory():
     (dense, out_dense), (sparse, out_sparse) = runs[1], runs[7]
     assert out_dense.status is RunStatus.TIMEOUT
     assert repr(out_dense) == repr(out_sparse)
-    assert dense.warnings == sparse.warnings and len(dense.warnings) == 1
+    assert out_dense.warnings == out_sparse.warnings and len(out_dense.warnings) == 1
     steps = len(dense.rows) - 1  # stride 1: a row per step plus the terminal row
     assert len(sparse.rows) == (steps - 1) // 7 + 2
     for i, row in enumerate(sparse.rows[:-1]):

@@ -68,6 +68,7 @@ def test_streamed_outputs_equal_the_in_memory_path(tmp_path, name, capsys):
     write_trajectory_csv(log, str(in_memory))
     assert streamed.read_bytes() == in_memory.read_bytes()
     assert outcome.status.value == payload["status"]
+    assert outcome.warnings == payload["warnings"]
 
     reread = interception_metrics(
         read_trajectory_csv(str(streamed)),

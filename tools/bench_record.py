@@ -2,18 +2,19 @@
 
 Usage:
 
-    python3 tools/bench_record.py --commit SHA [--tier1-s S] [RECORD ...]
-    python3 tools/bench_record.py --parent SHA [--tier1-s S] [RECORD ...]
+    python3 tools/bench_record.py --commit SHA [--tier1-s S] RECORD [RECORD ...]
+    python3 tools/bench_record.py --parent SHA [--tier1-s S] RECORD [RECORD ...]
 
 ``perfbench/run.py`` writes one ``record-<workload>-seed<N>-trace<T>.json``
-per run into ``.perfbench_work/``.  This tool folds a set of such records
-(default: every untraced record there) into one entry: per workload, the
-median and quartiles over the runs of ``steps_per_s``, ``wall_s``,
-``setup_s`` and ``peak_rss_mb`` (each run's own value is the median of its
-passes), the run and pass counts and the seeds; for the whole entry, the
-commit, the Python version, the CPU count, the ``src/`` line count and the
-Tier-1 wall time in seconds (``--tier1-s``, measured separately; null when
-not given).
+per run into ``.perfbench_work/``.  This tool folds the records named on its
+command line into one entry; there is no default set, because that directory
+keeps records of earlier code and a record does not say which code it
+measured.  The entry holds, per workload, the median and quartiles over the
+runs of ``steps_per_s``, ``wall_s``, ``setup_s`` and ``peak_rss_mb`` (each
+run's own value is the median of its passes), the run and pass counts and
+the seeds; for the whole entry, the commit, the Python version, the CPU
+count, the ``src/`` line count and the Tier-1 wall time in seconds
+(``--tier1-s``, measured separately; null when not given).
 
 ``--commit SHA`` names the measured commit; its ``src/`` lines are counted
 from git.  ``--parent SHA`` records a change measured before it was
@@ -96,14 +97,11 @@ def main() -> int:
     which.add_argument("--commit", help="the measured commit")
     which.add_argument("--parent", help="parent of the measured, uncommitted change")
     parser.add_argument("--tier1-s", type=float, help="Tier-1 wall time, s")
-    parser.add_argument("records", nargs="*", type=Path,
-                        help="record files (default: .perfbench_work/record-*-trace0.json)")
+    parser.add_argument("records", nargs="+", type=Path,
+                        help="untraced record files of the measured code, named one by one")
     args = parser.parse_args()
 
-    paths = args.records or sorted((ROOT / ".perfbench_work").glob("record-*-trace0.json"))
-    if not paths:
-        raise SystemExit("bench_record: no perfbench records")
-    records = [json.loads(p.read_text()) for p in paths]
+    records = [json.loads(p.read_text()) for p in args.records]
     hosts = {(rec["python"], rec["cpu_count"]) for rec in records}
     if len(hosts) != 1:
         raise SystemExit(f"bench_record: records from different hosts: {sorted(hosts)}")

@@ -11,9 +11,10 @@ three single-run presets with ``itcsim run``, the others with
 comparison law unclipped and never trip a guard, so the configs in
 ``CONFIGS`` follow, each written to the temporary directory and run with
 ``itcsim run --config``: a clipped comparison law, every step logged on a
-flyby with field-of-view violations and on two short planar runs, and a
-one-row overflow trip.  The output lists ``sha256  path`` for every file a
-run wrote and for its stdout and stderr, then ``exit N  name``.
+flyby with field-of-view violations and on two short planar runs, a one-row
+overflow trip, and an overflow trip of the comparison law.  The output lists
+``sha256  path`` for every file a run wrote and for its stdout and stderr,
+then ``exit N  name``.
 stderr holds the runs' labelled warnings, in scenario order whatever the job
 count, so it is as deterministic as the other outputs.  Paths are relative
 to the temporary directory, so two checkouts that behave the same print the
@@ -63,6 +64,12 @@ CONFIGS = {
     # exit 3: a stage of the first step drives an error coordinate past
     # ERROR_MAX: one row, then the overflow trip.
     "3d-tiny-speed": "scenario.speed = 1e-300\nscenario.tf = 3\ngeometry.initialXKm = -0.5\n",
+    # exit 3: the comparison law at k2 = 1e4 overflows with a finite effort
+    # of about 1.27e300, which the summary line prints in exponent form.
+    "baseline-k2-overflow-stride1": (
+        "scenario.mode = planar\nscenario.law = baseline\ngains.k2 = 10000\n"
+        "sim.logStride = 1\n"
+    ),
 }
 
 
