@@ -10,7 +10,7 @@ scenario configuration with presets for the standard study cases.
 
 from .config import ScenarioConfig, load_config, run_scenario, serialize_config
 from .engine import RunOutcome, RunStatus, SimSettings, simulate
-from .errors import ConfigError, GuardTrip, ParseError, ValidationError
+from .errors import ConfigError, GuardTrip
 from .guidance3d import Guidance3D
 from .guidance_planar import BaselinePlanar, GuidancePlanar
 from .kinematics import effective_lead, inertial_position
@@ -41,7 +41,6 @@ __all__ = [
     "LogRow",
     "Metrics",
     "MetricsFold",
-    "ParseError",
     "PRESET_NAMES",
     "RunOutcome",
     "RunStatus",
@@ -51,7 +50,6 @@ __all__ = [
     "SimSettings",
     "TrajectoryLog",
     "TrajectoryWriter",
-    "ValidationError",
     "compare_report",
     "desired_heading",
     "desired_lead",

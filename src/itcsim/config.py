@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping
 
 from .engine import RunOutcome, SimSettings, simulate
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError
 from .guidance3d import Guidance3D
 from .guidance_planar import BaselinePlanar, GuidancePlanar
 from .kinematics import EPS_COS
@@ -57,6 +57,7 @@ class ScenarioConfig:
     10 km down-range of a fixed target, commanded to hit at 50 s, launched
     with (-10 deg, 10 deg) heading offsets, 60 deg field of view, 10 g
     acceleration limit.  ``k1 = "auto"`` resolves to 1 - cos(sigma_max) - 0.01.
+    Building one (``replace`` included) runs ``validate``.
     """
 
     mode: str = _key("scenario.mode", "3d")
@@ -91,6 +92,9 @@ class ScenarioConfig:
     hit_radius: float = _key("sim.hitRadius", 1.0)
     t_max_factor: float = _key("sim.tMaxFactor", 1.5)
     log_stride: int = _key("sim.logStride", 10)
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     # --- Resolved views -------------------------------------------------
 
@@ -204,63 +208,61 @@ class ScenarioConfig:
             if not isinstance(value, float) or math.isfinite(value):
                 continue
             if name != "a_clip_g" or math.isnan(value):  # aClipG = inf means no clip
-                raise ValidationError(f"{key} must be finite, got {value}")
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.mode not in MODES:
-            raise ValidationError(f"scenario.mode must be one of {MODES}, got '{self.mode}'")
+            raise ConfigError(f"scenario.mode must be one of {MODES}, got '{self.mode}'")
         if self.law not in LAWS:
-            raise ValidationError(f"scenario.law must be one of {LAWS}, got '{self.law}'")
+            raise ConfigError(f"scenario.law must be one of {LAWS}, got '{self.law}'")
         if self.law == "baseline" and self.mode != "planar":
-            raise ValidationError("scenario.law = baseline requires scenario.mode = planar")
+            raise ConfigError("scenario.law = baseline requires scenario.mode = planar")
         for name in ("speed", "tf", "k2", "k3", "k4", "ky", "kz"):
             value = getattr(self, name)
             if value <= 0.0:
-                raise ValidationError(f"{_FIELD_TO_KEY[name]} must be > 0, got {value}")
+                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be > 0, got {value}")
         bound_modes = tuple(m.value for m in BoundMode)
         if self.bound_mode not in bound_modes:
-            raise ValidationError(
+            raise ConfigError(
                 f"saturation.boundMode must be one of {bound_modes}, got '{self.bound_mode}'"
             )
         if self.a_clip_g <= 0.0:
-            raise ValidationError(f"baseline.aClipG must be > 0 (inf for no clip), got {self.a_clip_g}")
+            raise ConfigError(f"baseline.aClipG must be > 0 (inf for no clip), got {self.a_clip_g}")
         if self.mode == "planar" and self.initial_z_km != self.target_z_km:
-            raise ValidationError(
-                "geometry.initialZKm must equal geometry.targetZKm in planar mode"
-            )
+            raise ConfigError("geometry.initialZKm must equal geometry.targetZKm in planar mode")
         # The range of the state initial_state builds, checked before its
         # asin(dz / r0) can divide by zero.
         r0 = self._line_of_sight()[3]
         if not 1.0 <= r0 < math.inf:
-            raise ValidationError(
+            raise ConfigError(
                 f"geometry.initial*/target*: initial range must be >= 1 m and finite, got {r0:g} m"
             )
         if self.hit_radius >= r0:
-            raise ValidationError(
+            raise ConfigError(
                 f"sim.hitRadius = {self.hit_radius}: must be below the initial range {r0:.1f} m"
             )
         # The 3D law's polar guard would trip on the first row of a vertical
         # line of sight; the same test here names the keys instead.
         if self.mode == "3d" and abs(math.cos(self.initial_state()[1])) < EPS_COS:
-            raise ValidationError(
+            raise ConfigError(
                 f"geometry.initial*/target*: line of sight is vertical "
                 f"(|cos(theta0)| < {EPS_COS:g})"
             )
-        for params in (self.shaping_params(), self.saturation_params(), self.sim_settings()):
+        for build in (self.shaping_params, self.saturation_params, self.sim_settings):
             try:
-                params.validate()
+                build()
             except ConfigError as exc:
                 name = _OWNER_FIELD.get(exc.field, exc.field)
                 culprit = f"{_FIELD_TO_KEY[name]} = {getattr(self, name)}"
-                raise ValidationError(f"{culprit}: {exc}") from None
+                raise ConfigError(f"{culprit}: {exc}") from None
         # Bound a run's length and its log (a 3D CSV row is about 470 B) at
         # the timeout; ceil(steps) > N exactly when steps > N for a whole N.
         steps = self.t_max_factor * self.tf / self.dt
         if steps > MAX_STEPS:
-            raise ValidationError(
+            raise ConfigError(
                 f"sim.dt = {self.dt}: a run of up to {steps:.3g} steps "
                 f"(sim.tMaxFactor * scenario.tf / sim.dt) exceeds the {MAX_STEPS:g}-step limit"
             )
         if steps / self.log_stride > MAX_LOG_ROWS:
-            raise ValidationError(
+            raise ConfigError(
                 f"sim.logStride = {self.log_stride}: a log of up to {steps / self.log_stride:.3g} "
                 f"rows exceeds the {MAX_LOG_ROWS:g}-row limit"
             )
@@ -274,8 +276,9 @@ KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
 }
 _LOWER_TO_KEY = {k.lower(): k for k in KEYS}
 _FIELD_TO_KEY = {f: k for k, (f, _) in KEYS.items()}
-# Parameter-object fields whose config field carries a unit suffix.
-_OWNER_FIELD = {"sigma_max": "sigma_max_deg", "a_max": "a_max_g", "a_max_l": "a_max_l_g"}
+# Parameter-object fields whose config field has another name.
+_OWNER_FIELD = {"sigma_max": "sigma_max_deg", "a_max": "a_max_g", "a_max_l": "a_max_l_g",
+                "mode": "bound_mode"}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -286,11 +289,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(f"{source}:{lineno}: expected 'key = value', got '{raw.strip()}'")
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got '{raw.strip()}'")
         key, value = (part.strip() for part in line.split("=", 1))
         canonical = _LOWER_TO_KEY.get(key.lower())
         if canonical is None:
-            raise ValidationError(f"{source}:{lineno}: unknown config key '{key}'")
+            raise ConfigError(f"{source}:{lineno}: unknown config key '{key}'")
         out[canonical] = value
     return out
 
@@ -303,25 +306,31 @@ def env_overrides(environ: Mapping[str, str] = os.environ) -> dict[str, str]:
             continue
         rest = name[len(ENV_PREFIX) :]
         if "_" not in rest:
-            raise ValidationError(f"environment variable {name}: expected ITCSIM_SECTION_KEY")
+            raise ConfigError(f"environment variable {name}: expected ITCSIM_SECTION_KEY")
         section, leaf = rest.split("_", 1)
         canonical = _LOWER_TO_KEY.get(f"{section}.{leaf}".lower())
         if canonical is None:
-            raise ValidationError(f"environment variable {name} matches no config key")
+            raise ConfigError(f"environment variable {name} matches no config key")
         out[canonical] = value
     return out
 
 
-def apply_kv(base: ScenarioConfig, kv: Mapping[str, str]) -> ScenarioConfig:
-    """Overlay raw key-value pairs onto a config, parsing each value."""
+def _parse_values(kv: Mapping[str, str]) -> dict[str, object]:
+    """One layer's raw values, parsed, by ``ScenarioConfig`` field name."""
     updates: dict[str, object] = {}
     for key, raw in kv.items():
         field_name, parser = KEYS[key]
         try:
             updates[field_name] = parser(raw)
         except ValueError as exc:
-            raise ValidationError(f"config key {key}: cannot parse '{raw}' ({exc})") from None
-    return replace(base, **updates)
+            raise ConfigError(f"config key {key}: cannot parse '{raw}' ({exc})") from None
+    return updates
+
+
+def apply_kv(base: ScenarioConfig, *layers: Mapping[str, str]) -> ScenarioConfig:
+    """Overlay raw key-value layers onto a config, later layers winning; every
+    value is parsed, layer by layer, before the result is built once."""
+    return replace(base, **{f: v for kv in layers for f, v in _parse_values(kv).items()})
 
 
 def load_config(
@@ -329,26 +338,27 @@ def load_config(
     environ: Mapping[str, str] = os.environ,
     base: ScenarioConfig | None = None,
 ) -> ScenarioConfig:
-    """Build a validated config from defaults, an optional file, and the env.
+    """Build a config from defaults, an optional file, and the env.
 
     Precedence (lowest to highest): built-in defaults or ``base``, file
-    contents, environment overrides.
+    contents, environment overrides.  The result is built once, after both
+    layers parse; errors come in the order the file's keys, its values, the
+    ``ITCSIM_*`` names, their values, the validation rules.
     """
     cfg = base if base is not None else ScenarioConfig()
+    file_values: dict[str, object] = {}
     if path is not None:
         with open(path, "rb") as fh:
             data = fh.read()
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
+            raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
         # Some editors start a UTF-8 file with a byte-order mark; it is not
         # part of the first key.
         text = text.removeprefix("\ufeff")
-        cfg = apply_kv(cfg, parse_config_text(text, source=path))
-    cfg = apply_kv(cfg, env_overrides(environ))
-    cfg.validate()
-    return cfg
+        file_values = _parse_values(parse_config_text(text, source=path))
+    return replace(cfg, **(file_values | _parse_values(env_overrides(environ))))
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
@@ -377,7 +387,7 @@ class _Tee:
 def run_scenario(
     cfg: ScenarioConfig, sink: RowSink | None = None
 ) -> tuple[TrajectoryLog, RunOutcome, Metrics]:
-    """Validate, simulate, and score one scenario.
+    """Simulate and score one scenario (``cfg`` validated itself when built).
 
     While the run integrates, each row is scored by a ``MetricsFold`` and
     then appended to ``sink`` (a new list by default) as soon as the engine
@@ -385,7 +395,6 @@ def run_scenario(
     A run whose first evaluation trips a guard logs no row and scores
     ``Metrics()``.
     """
-    cfg.validate()
     law = cfg.make_law()
     rows = [] if sink is None else sink
     fold = MetricsFold(

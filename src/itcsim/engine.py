@@ -79,7 +79,7 @@ class SimSettings:
     t_max_factor: float = 1.5
     log_stride: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # Written as ranges so that NaN, which fails every comparison, fails too.
         if not 0.0 < self.dt < math.inf:
             raise ConfigError(
@@ -176,9 +176,9 @@ def simulate(
     The state convention is fixed only in its first component: y[0] must be
     the range to target, which drives the interception and flyby logic.
     Logged rows are appended to ``sink`` in time order; the returned log's
-    ``rows`` is that sink (a new list when none is given).
+    ``rows`` is that sink (a new list when none is given).  ``settings``
+    checked its own values when it was built.
     """
-    settings.validate()
     if len(y0) != law.state_size:
         raise ConfigError(f"initial state has {len(y0)} components, law expects {law.state_size}")
 
@@ -193,10 +193,9 @@ def simulate(
     # later than the commanded impact time, or the timing demand is already
     # unmeetable.
     if y[0] > law.speed * law.t_final:
-        warnings.append(
-            f"range {y[0]:.1f} m exceeds speed*t_final = {law.speed * law.t_final:.1f} m; "
-            "impact-time target unreachable"
-        )
+        # Fixed point, or exponent form from 1e15 m on, as on the CLI's summary line.
+        r0, reach = (f"{d:.1f}" if d < 1e15 else f"{d:.6g}" for d in (y[0], law.speed * law.t_final))
+        warnings.append(f"range {r0} m exceeds speed*t_final = {reach} m; impact-time target unreachable")
 
     r_min, t_r_min = y[0], 0.0
     step, t = 0, 0.0

@@ -4,24 +4,16 @@ from __future__ import annotations
 
 
 class ConfigError(ValueError):
-    """Raised when a scenario configuration is malformed or out of range.
+    """Raised when a config cannot be read or parsed, or a value is out of range.
 
-    ``field`` names the offending parameter-object field when the error
-    comes from a ``validate()`` method, so callers can map it to their own
-    key names.
+    Config objects check their values when built.  ``field`` names the
+    offending field when the error comes from building a parameter object,
+    so callers can map it to their own key names.
     """
 
     def __init__(self, message: str, field: str | None = None) -> None:
         super().__init__(message)
         self.field = field
-
-
-class ParseError(ConfigError):
-    """Raised when a config file cannot be parsed at all."""
-
-
-class ValidationError(ConfigError):
-    """Raised when a parsed config value violates a model constraint."""
 
 
 class GuardTrip(RuntimeError):

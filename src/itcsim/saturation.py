@@ -42,7 +42,7 @@ from .errors import ConfigError
 # Resultants below this are treated as directionless when splitting a
 # shared bound between axes.
 EPS_RESULTANT = 1e-6
-# Bounds below this count as zero.
+# The smallest bound a_max that SaturationParams accepts, m/s^2.
 _EPS_BOUND = EPS_RESULTANT * EPS_RESULTANT
 
 # Input-effectiveness brackets below this are reported by the guidance laws
@@ -85,7 +85,11 @@ class SaturationParams:
     mode: BoundMode = BoundMode.CONSTANT
     b_cap: float = 5000.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # ``axis_brackets`` dispatches on the members by identity, so an equal
+        # string such as "constant" would fall through to the wing-tail schedule.
+        if not isinstance(self.mode, BoundMode):
+            raise ConfigError(f"bound schedule mode must be a BoundMode, got {self.mode!r}", field="mode")
         if self.n < 2 or self.n % 2 != 0:
             raise ConfigError(f"saturation exponent n must be even and >= 2, got {self.n}", field="n")
         # Written as ranges so that NaN, which fails every comparison, fails too.
@@ -93,8 +97,7 @@ class SaturationParams:
             raise ConfigError(
                 f"saturation leak rate rho must be finite and > 0, got {self.rho}", field="rho"
             )
-        # ``axis_brackets`` counts a smaller constant bound as zero, which
-        # would leave the channels unsaturated.
+        # The barrier 1 - (a / a_max)**n needs a bound well away from zero.
         if not _EPS_BOUND <= self.a_max < math.inf:
             raise ConfigError(
                 f"acceleration bound a_max must be finite and >= {_EPS_BOUND:g} m/s^2, "
@@ -121,8 +124,7 @@ def axis_brackets(
 ) -> tuple[float, float, float, float]:
     """Input-effectiveness brackets and bounds (bracket_y, bracket_z, A_y, A_z).
 
-    Constant bounds are independent per-axis barriers 1 - (a / A)^n; a bound
-    below EPS_RESULTANT**2 counts as zero and gives bracket 1.
+    Constant bounds are independent per-axis barriers 1 - (a / A)^n.
     Under a direction-dependent schedule the two channels share the
     most-binding saturation fraction instead: an independent barrier is not
     forward-invariant there, because the dominant axis can sit on its bound
@@ -140,8 +142,6 @@ def axis_brackets(
     a_max = params.a_max
     n = params.n
     if mode is _CONSTANT:
-        if a_max < _EPS_BOUND:
-            return 1.0, 1.0, a_max, a_max
         return 1.0 - (a_my / a_max) ** n, 1.0 - (a_mz / a_max) ** n, a_max, a_max
     mag = math.hypot(a_my, a_mz)
     if mode is _ROLL_COUPLED:

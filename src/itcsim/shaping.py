@@ -66,7 +66,7 @@ class ShapingParams:
     sigma_max: float = math.radians(60.0)
     eps_sin: float = EPS_SIN
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.sigma_max < math.pi / 2:
             raise ConfigError(
                 f"field-of-view sigma_max must be in (0, pi/2) rad, got {self.sigma_max}",

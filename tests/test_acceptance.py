@@ -261,7 +261,6 @@ def test_c8a_saturation_forward_invariance(criterion_recorder):
     an acceleration starting strictly inside its bound never leaves it.  The
     channel rate is the laws' own, bracket * b - rho * a."""
     params = SaturationParams()
-    params.validate()
     a_bound = params.a_max
 
     def rate(a, b):

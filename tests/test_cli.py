@@ -367,6 +367,26 @@ def test_run_summary_line_prints_a_huge_value_in_exponent_form(tmp_path, capsys)
     assert len(line.split("effort=")[1].split()[0]) <= 12
 
 
+def test_run_unreachable_warning_prints_a_huge_range_in_exponent_form(tmp_path, capsys):
+    """A 3D start 1e100 km down-range is a valid config that times out; its
+    unreachable-impact-time warning prints the range as the summary line
+    prints a huge value, in short exponent form, on stderr and in the
+    metrics JSON, instead of a 105-digit number."""
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("geometry.initialXKm = -1e100\nscenario.tf = 1\n")
+    code = main([
+        "run", "--config", str(cfg),
+        "--out-traj", str(tmp_path / "t.csv"),
+        "--out-metrics", str(tmp_path / "m.json"),
+    ])
+    assert code == EXIT_TIMEOUT
+    warning = "range 1e+103 m exceeds speed*t_final = 250.0 m; impact-time target unreachable"
+    assert json.loads((tmp_path / "m.json").read_text())["warnings"][0] == warning
+    line = capsys.readouterr().err.splitlines()[0]
+    assert line == f"run: warning: {warning}"
+    assert len(line) < 100
+
+
 def test_validate_ok(tmp_path, micro_cfg, capsys):
     code = main(["validate", "--config", str(micro_cfg)])
     assert code == EXIT_OK

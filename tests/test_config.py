@@ -20,18 +20,19 @@ from itcsim.config import (
     parse_config_text,
     serialize_config,
 )
-from itcsim.errors import ConfigError, ParseError, ValidationError
+from itcsim.engine import SimSettings
+from itcsim.errors import ConfigError
 from itcsim.guidance3d import Guidance3D
 from itcsim.guidance_planar import BaselinePlanar, GuidancePlanar
 from itcsim.presets import PLANAR_COMPARE_ROWS, PRESET_NAMES, preset_scenarios
-from itcsim.saturation import BoundMode
+from itcsim.saturation import BoundMode, SaturationParams
+from itcsim.shaping import ShapingParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults_describe_the_nominal_engagement():
     cfg = ScenarioConfig()
-    cfg.validate()
     assert cfg.mode == "3d" and cfg.law == "proposed"
     assert cfg.speed == 250.0 and cfg.tf == 50.0
     assert cfg.initial_x_km == -10.0 and cfg.target_x_km == 0.0
@@ -71,9 +72,9 @@ def test_parse_config_text():
 
 
 def test_parse_errors_carry_source_and_line():
-    with pytest.raises(ParseError, match=r"myfile:2"):
+    with pytest.raises(ConfigError, match=r"myfile:2"):
         parse_config_text("scenario.tf = 50\nnot a pair\n", source="myfile")
-    with pytest.raises(ValidationError, match=r"myfile:1.*scenario\.bogus"):
+    with pytest.raises(ConfigError, match=r"myfile:1.*scenario\.bogus"):
         parse_config_text("scenario.bogus = 1\n", source="myfile")
 
 
@@ -90,7 +91,7 @@ def test_apply_kv_parses_types():
     assert cfg.mode == "planar"
     # k1 accepts the literal "auto".
     assert apply_kv(cfg, {"gains.k1": "auto"}).k1 == "auto"
-    with pytest.raises(ValidationError, match="cannot parse"):
+    with pytest.raises(ConfigError, match="cannot parse"):
         apply_kv(cfg, {"scenario.tf": "fifty"})
 
 
@@ -103,9 +104,9 @@ def test_env_overrides():
     }
     kv = env_overrides(env)
     assert kv == {"saturation.rho": "0.2", "shaping.sigmaMaxDeg": "70"}
-    with pytest.raises(ValidationError, match="matches no config key"):
+    with pytest.raises(ConfigError, match="matches no config key"):
         env_overrides({"ITCSIM_NOPE_X": "1"})
-    with pytest.raises(ValidationError, match="ITCSIM_SECTION_KEY"):
+    with pytest.raises(ConfigError, match="ITCSIM_SECTION_KEY"):
         env_overrides({"ITCSIM_X": "1"})
 
 
@@ -165,6 +166,43 @@ def test_load_config_precedence(tmp_path):
     assert beaten == {(key, low) for key in KEYS for low in ("base", "file")}
 
 
+def test_load_config_builds_its_result_once(tmp_path, monkeypatch):
+    """Both layers are parsed before the config is built, and so validated,
+    once: a config that is valid only with both layers applied loads."""
+    path = tmp_path / "s.cfg"
+    path.write_text("scenario.law = baseline\n")  # valid only in planar mode
+    base = ScenarioConfig()
+    calls = []
+    validate = ScenarioConfig.validate
+    monkeypatch.setattr(ScenarioConfig, "validate", lambda cfg: calls.append(cfg) or validate(cfg))
+    cfg = load_config(str(path), environ={"ITCSIM_SCENARIO_MODE": "planar"}, base=base)
+    assert (cfg.mode, cfg.law) == ("planar", "baseline")
+    assert len(calls) == 1 and calls[0] is cfg
+
+
+def test_load_config_error_precedence(tmp_path):
+    """With a fault in each place, the first error is the file's keys, then
+    its values, the ITCSIM_* names, their values and the validation rules;
+    each case drops the faults before it."""
+    path = tmp_path / "s.cfg"
+    faults = [
+        ("scenario.bogus = 1\n", {}, "unknown config key 'scenario.bogus'"),
+        ("sim.dt = abc\n", {}, "config key sim.dt: cannot parse 'abc'"),
+        ("", {"ITCSIM_NOPE_X": "1"}, "ITCSIM_NOPE_X matches no config key"),
+        ("", {"ITCSIM_SIM_DT": "fast"}, "config key sim.dt: cannot parse 'fast'"),
+        ("", {"ITCSIM_SCENARIO_TF": "-1"}, "scenario.tf must be > 0"),
+    ]
+    for first, (_, _, message) in enumerate(faults):
+        path.write_text("".join(text for text, _, _ in faults[first:]))
+        environ = {name: v for _, env, _ in faults[first:] for name, v in env.items()}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(str(path), environ=environ)
+    # A bad file value fails even where the environment overrides its key.
+    path.write_text("sim.dt = abc\n")
+    with pytest.raises(ConfigError, match="cannot parse 'abc'"):
+        load_config(str(path), environ={"ITCSIM_SIM_DT": "0.002"})
+
+
 def _drawn_config(rng: random.Random, trial: int) -> ScenarioConfig:
     """A valid config whose every key is drawn from ``rng``: floats away
     from their defaults (so the text carries full-precision reprs), each
@@ -219,7 +257,6 @@ def test_serialize_round_trip():
     changed = set()
     for trial in range(12):
         cfg = _drawn_config(rng, trial)
-        cfg.validate()
         changed |= {
             key for key, (name, _) in KEYS.items() if getattr(cfg, name) != getattr(defaults, name)
         }
@@ -267,9 +304,24 @@ def test_validation_messages_name_the_key():
         (dict(initial_x_km=1e-13, initial_z_km=-10.0), r"geometry\.initial\*/target\*: line of"),
     ]
     for overrides, fragment in cases:
-        cfg = replace(ScenarioConfig(), **overrides)
-        with pytest.raises(ValidationError, match=fragment):
-            cfg.validate()
+        with pytest.raises(ConfigError, match=fragment):
+            replace(ScenarioConfig(), **overrides)
+
+
+@pytest.mark.parametrize(
+    "cls, values, field",
+    [(ShapingParams, dict(k1=0.9), "k1"), (SaturationParams, dict(n=3), "n"),
+     (SimSettings, dict(dt=0.0), "dt")],
+    ids=["ShapingParams", "SaturationParams", "SimSettings"],
+)
+def test_parameter_objects_check_themselves_when_built(cls, values, field):
+    """A parameter object that exists is valid: building one with a value
+    that breaks a rule raises, naming the field, and there is no separate
+    check to call."""
+    with pytest.raises(ConfigError, match=rf"\b{field}\b") as info:
+        cls(**values)
+    assert info.value.field == field
+    assert not hasattr(cls, "validate")
 
 
 def test_owner_rule_errors_name_the_config_key():
@@ -293,11 +345,10 @@ def test_owner_rule_errors_name_the_config_key():
         (dict(log_stride=0), "sim.logStride = 0"),
     ]
     for overrides, prefix in cases:
-        cfg = replace(ScenarioConfig(), **overrides)
-        with pytest.raises(ValidationError, match="^" + re.escape(prefix + ": ")):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="^" + re.escape(prefix + ": ")):
+            replace(ScenarioConfig(), **overrides)
     # The unclipped comparison law's "no clip" value stays valid.
-    replace(ScenarioConfig(), mode="planar", law="baseline", a_clip_g=math.inf).validate()
+    replace(ScenarioConfig(), mode="planar", law="baseline", a_clip_g=math.inf)
 
 
 @pytest.mark.parametrize(
@@ -314,11 +365,9 @@ def test_owner_rule_errors_name_the_config_key():
 def test_g_unit_bound_errors_name_the_product(overrides, key):
     """A g-unit bound is checked in m/s^2, as the key's value times 9.81:
     the error names the one key with its value as written, and the product."""
-    cfg = replace(ScenarioConfig(), **overrides)
-    name = KEYS[key][0]
-    value = getattr(cfg, name)
-    with pytest.raises(ValidationError) as info:
-        cfg.validate()
+    value = overrides[KEYS[key][0]]
+    with pytest.raises(ConfigError) as info:
+        replace(ScenarioConfig(), **overrides)
     message = str(info.value)
     assert message.startswith(f"{key} = {value}: ")
     assert message.endswith(f"got {value * G}")
@@ -339,14 +388,14 @@ def test_validate_checks_the_range_of_the_initial_state(overrides):
     is not."""
     cfg = replace(ScenarioConfig(), **overrides)
     r0 = cfg.initial_state()[0]
-    with pytest.raises(ValidationError, match="must be below the initial range"):
-        replace(cfg, hit_radius=r0).validate()
-    replace(cfg, hit_radius=math.nextafter(r0, 0.0)).validate()
+    with pytest.raises(ConfigError, match="must be below the initial range"):
+        replace(cfg, hit_radius=r0)
+    replace(cfg, hit_radius=math.nextafter(r0, 0.0))
 
 def test_readme_config_docs_match_keys():
     text = README.read_text()
     example = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
-    apply_kv(ScenarioConfig(), parse_config_text(example, source="README")).validate()
+    apply_kv(ScenarioConfig(), parse_config_text(example, source="README"))
 
     rows = [line.split("|") for line in text.splitlines() if line.startswith("| `")]
     documented = {

@@ -60,24 +60,21 @@ class _MiniLaw:
 
 
 def test_settings_validation():
-    SimSettings().validate()
+    SimSettings()
     with pytest.raises(ConfigError, match="dt"):
-        SimSettings(dt=0.0).validate()
+        SimSettings(dt=0.0)
     with pytest.raises(ConfigError, match="hit radius"):
-        SimSettings(hit_radius=0.0).validate()
+        SimSettings(hit_radius=0.0)
     with pytest.raises(ConfigError, match="t_max_factor"):
-        SimSettings(t_max_factor=1.0).validate()
+        SimSettings(t_max_factor=1.0)
     with pytest.raises(ConfigError, match="stride"):
-        SimSettings(log_stride=0).validate()
+        SimSettings(log_stride=0)
     # NaN fails every comparison, so each bound is a range that excludes it.
     for field in ("dt", "hit_radius", "t_max_factor"):
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError) as err:
-                SimSettings(**{field: value}).validate()
+                SimSettings(**{field: value})
             assert err.value.field == field, (field, value)
-    # simulate validates its settings before the first step.
-    with pytest.raises(ConfigError, match="hit radius"):
-        simulate(_MiniLaw(lambda t, y: (-1.0,)), (5.0,), SimSettings(hit_radius=math.inf))
 
 
 def test_state_size_mismatch():

@@ -56,11 +56,7 @@ FROZEN = {
 
 
 def _law(**kw) -> Guidance3D:
-    shaping = ShapingParams()
-    shaping.validate()
-    sat = SaturationParams()
-    sat.validate()
-    args = dict(speed=250.0, t_final=50.0, shaping=shaping, sat=sat)
+    args = dict(speed=250.0, t_final=50.0, shaping=ShapingParams(), sat=SaturationParams())
     args.update(kw)
     return Guidance3D(**args)
 
@@ -213,11 +209,8 @@ _PLANAR = {
 
 def _planar_law(name: str):
     shaping = ShapingParams()
-    shaping.validate()
     if name == "planar":
-        sat = SaturationParams()
-        sat.validate()
-        return GuidancePlanar(speed=250.0, t_final=50.0, shaping=shaping, sat=sat)
+        return GuidancePlanar(speed=250.0, t_final=50.0, shaping=shaping, sat=SaturationParams())
     a_clip = 98.1 if name == "baseline-clipped" else math.inf
     return BaselinePlanar(speed=250.0, t_final=50.0, shaping=shaping, a_clip=a_clip)
 
@@ -233,13 +226,12 @@ def _record_cases(name: str):
         elif name == "baseline-clipped":
             cases["capped"] = (10.0, (9900.0, 0.3, -1.0))
         return law, EvalPlanar, cases
-    sat = SaturationParams(mode=BoundMode(name))
-    sat.validate()
-    return _law(sat=sat), Eval3D, {
+    mode = BoundMode(name)
+    return _law(sat=SaturationParams(mode=mode)), Eval3D, {
         "in-layer": (T_REF, Y_REF),  # z1 = 100 m
         "out-of-layer": (0.0, Y_REF),  # z1 = 2600 m > phi
         "infeasible": (49.0, Y_REF),  # z1 < 0
-        "capped": (10.0, _CAPPED[sat.mode]),
+        "capped": (10.0, _CAPPED[mode]),
     }
 
 

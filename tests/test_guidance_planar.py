@@ -38,16 +38,8 @@ FROZEN = {
 }
 
 
-def _shaping() -> ShapingParams:
-    p = ShapingParams()
-    p.validate()
-    return p
-
-
 def _law(**kw) -> GuidancePlanar:
-    sat = SaturationParams()
-    sat.validate()
-    args = dict(speed=250.0, t_final=50.0, shaping=_shaping(), sat=sat)
+    args = dict(speed=250.0, t_final=50.0, shaping=ShapingParams(), sat=SaturationParams())
     args.update(kw)
     return GuidancePlanar(**args)
 
@@ -108,7 +100,7 @@ def test_command_cap_engages():
 def test_baseline_shares_the_lead_demand():
     """Shaped and baseline laws see the same (t, r): identical sigma_d."""
     shaped = _law()
-    baseline = BaselinePlanar(speed=250.0, t_final=50.0, shaping=_shaping())
+    baseline = BaselinePlanar(speed=250.0, t_final=50.0, shaping=ShapingParams())
     ev_s = shaped.evaluate(T_REF, Y_REF)
     ev_b = baseline.evaluate(T_REF, Y_REF[:3])
     assert ev_b.sigma_d == ev_s.sigma_d
@@ -118,7 +110,7 @@ def test_baseline_shares_the_lead_demand():
 
 def test_baseline_ideal_actuator():
     """Unclipped baseline applies its stabilizing acceleration directly."""
-    baseline = BaselinePlanar(speed=250.0, t_final=50.0, shaping=_shaping())
+    baseline = BaselinePlanar(speed=250.0, t_final=50.0, shaping=ShapingParams())
     ev = baseline.evaluate(T_REF, Y_REF[:3])
     assert len(ev.derivs) == 3
     assert ev.zy == 0.0
@@ -133,7 +125,7 @@ def test_baseline_ideal_actuator():
 
 def test_baseline_clip():
     """A hard clip keeps the applied acceleration at the limit and flags it."""
-    clipped = BaselinePlanar(speed=250.0, t_final=50.0, shaping=_shaping(), a_clip=98.1)
+    clipped = BaselinePlanar(speed=250.0, t_final=50.0, shaping=ShapingParams(), a_clip=98.1)
     # A state with a large lead error demands far more than 10 g.
     y = (9900.0, 0.3, -1.0)
     ev = clipped.evaluate(T_REF, y)
@@ -142,7 +134,7 @@ def test_baseline_clip():
     row = clipped.log_row(T_REF, y, ev)
     assert abs(row.a_my) == 98.1
     # The same state through the unclipped law is not capped.
-    free = BaselinePlanar(speed=250.0, t_final=50.0, shaping=_shaping())
+    free = BaselinePlanar(speed=250.0, t_final=50.0, shaping=ShapingParams())
     assert not free.evaluate(T_REF, y).capped
 
 
@@ -152,7 +144,7 @@ def test_baseline_clip_matches_builtin_min_max():
     y = Y_REF[:3]
     values = (0.0, -0.0, 1.0, -1.0, 98.1, -98.1, 1e308, math.inf, -math.inf, math.nan)
     for a_clip in (math.inf, 98.1):
-        law = BaselinePlanar(speed=250.0, t_final=50.0, shaping=_shaping(), a_clip=a_clip)
+        law = BaselinePlanar(speed=250.0, t_final=50.0, shaping=ShapingParams(), a_clip=a_clip)
         ev = law.evaluate(T_REF, y)
         for a in values:
             row = law.log_row(T_REF, y, ev._replace(alpha_y=a))
@@ -199,6 +191,6 @@ def test_error_pair_whose_lyapunov_form_would_overflow_raises():
 def test_baseline_nan_demand_raises():
     """A NaN acceleration demand raises OverflowError, where ``_clip`` would
     map it to +a_clip (an infinite one is a case of the CLI overflow test)."""
-    law = BaselinePlanar(speed=math.nan, t_final=50.0, shaping=_shaping(), a_clip=98.1)
+    law = BaselinePlanar(speed=math.nan, t_final=50.0, shaping=ShapingParams(), a_clip=98.1)
     with pytest.raises(OverflowError, match="acceleration demand"):
         law.rates(T_REF, Y_REF[:3])

@@ -38,9 +38,7 @@ LEAD_10_10 = 0.24619691677893205    # effective lead for thetaM=-10deg, psiM=10d
 
 
 def _law_kw(v=250.0) -> dict:
-    sat = SaturationParams(a_max=2.0 * 98.1)
-    sat.validate()
-    return dict(speed=v, t_final=50.0, shaping=ShapingParams(), sat=sat)
+    return dict(speed=v, t_final=50.0, shaping=ShapingParams(), sat=SaturationParams(a_max=2.0 * 98.1))
 
 
 def _rates_3d(r, theta, theta_m, psi_m, a_my=0.0, a_mz=0.0, v=250.0):

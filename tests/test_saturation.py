@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from itcsim.config import _FIELD_TO_KEY, _OWNER_FIELD
 from itcsim.errors import ConfigError
 from itcsim.saturation import (
     EPS_RESULTANT,
@@ -27,12 +28,6 @@ REL = 1e-12
 SATRATE_HALF = 70.095                 # a=49.05, b=100, A=98.1, n=2, rho=0.1
 RC_EVEN = 69.3671752344003            # 98.1 / sqrt(2)
 WT_EVEN = 37.556870093760125          # 9.81 + (49.05 - 9.81) / sqrt(2)
-
-
-def _params(**kw) -> SaturationParams:
-    p = SaturationParams(**kw)
-    p.validate()
-    return p
 
 
 def _channel_rate(a, b, p):
@@ -62,8 +57,6 @@ def _split_bounds(a_my, a_mz, p):
 
 
 def _bracket(a, a_axis_max, n):
-    if a_axis_max < EPS_RESULTANT * EPS_RESULTANT:
-        return 1.0 - 0.0
     return 1.0 - (a / a_axis_max) ** n
 
 
@@ -83,33 +76,42 @@ def _split_brackets(a_my, a_mz, p):
 
 def test_params_validation_rejects_bad_values():
     with pytest.raises(ConfigError, match="even"):
-        _params(n=3)
+        SaturationParams(n=3)
     with pytest.raises(ConfigError, match="even"):
-        _params(n=0)
+        SaturationParams(n=0)
     with pytest.raises(ConfigError, match="rho"):
-        _params(rho=0.0)
+        SaturationParams(rho=0.0)
     with pytest.raises(ConfigError, match="a_max"):
-        _params(a_max=-1.0)
+        SaturationParams(a_max=-1.0)
     with pytest.raises(ConfigError, match="a_max_l"):
-        _params(mode=BoundMode.WING_TAIL, a_max_l=0.0)
+        SaturationParams(mode=BoundMode.WING_TAIL, a_max_l=0.0)
     with pytest.raises(ConfigError, match="a_max_l"):
-        _params(mode=BoundMode.WING_TAIL, a_max_l=99.0, a_max=98.1)
+        SaturationParams(mode=BoundMode.WING_TAIL, a_max_l=99.0, a_max=98.1)
     with pytest.raises(ConfigError, match="b_cap"):
-        _params(b_cap=0.0)
+        SaturationParams(b_cap=0.0)
     # a_max_l is ignored outside the wing-tail schedule.
-    _params(mode=BoundMode.CONSTANT, a_max_l=-5.0)
+    SaturationParams(mode=BoundMode.CONSTANT, a_max_l=-5.0)
+
+
+def test_params_reject_a_bound_mode_that_is_not_a_member():
+    """``axis_brackets`` dispatches on the members by identity, so an equal
+    string would run the wing-tail schedule; building rejects it, with a
+    field that the config maps to its key."""
+    with pytest.raises(ConfigError, match="BoundMode, got 'constant'") as err:
+        SaturationParams(mode="constant")
+    assert _FIELD_TO_KEY[_OWNER_FIELD[err.value.field]] == "saturation.boundMode"
 
 
 @pytest.mark.parametrize("name", ["rho", "a_max", "b_cap"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_validation_rejects_non_finite_values(name, value):
     with pytest.raises(ConfigError, match="finite") as err:
-        _params(**{name: value})
+        SaturationParams(**{name: value})
     assert err.value.field == name
 
 
 def test_saturation_rate_frozen_and_limits():
-    p = _params()
+    p = SaturationParams()
     assert _channel_rate(49.05, 100.0, p) == pytest.approx(SATRATE_HALF, rel=REL)
     # At rest with no command nothing moves.
     assert _channel_rate(0.0, 0.0, p) == 0.0
@@ -119,7 +121,7 @@ def test_saturation_rate_frozen_and_limits():
 
 
 def test_saturation_rate_odd_symmetry():
-    p = _params()
+    p = SaturationParams()
     rng = random.Random(3)
     for _ in range(100):
         a = rng.uniform(-98.0, 98.0)
@@ -130,19 +132,16 @@ def test_saturation_rate_odd_symmetry():
 
 
 def test_bracket_and_ratio_guard():
-    p = _params()
+    p = SaturationParams()
     by, bz = axis_brackets(0.0, 98.1, p)[:2]
     assert by == 1.0
     assert bz == pytest.approx(0.0, abs=1e-15)
     # Ratio 0.25; a negative acceleration with an even exponent gives the same.
     assert axis_brackets(49.05, -49.05, p)[:2] == pytest.approx((0.75, 0.75), rel=REL)
-    # A degenerate zero bound counts as a zero ratio instead of dividing.
-    assert _channel_rate(0.0, 5.0, SaturationParams(a_max=0.0)) == 5.0
-    assert axis_brackets(1e-7, -30.0, SaturationParams(a_max=1e-13)) == (1.0, 1.0, 1e-13, 1e-13)
 
 
 def test_roll_coupled_bounds_split():
-    rc = _params(mode=BoundMode.ROLL_COUPLED)
+    rc = SaturationParams(mode=BoundMode.ROLL_COUPLED)
     # One axis carrying everything gets the whole resultant bound.
     ay, az = axis_brackets(50.0, 0.0, rc)[2:]
     assert ay == pytest.approx(98.1, rel=REL)
@@ -166,13 +165,13 @@ def test_roll_coupled_bounds_split():
 
 
 def test_wing_tail_bounds_interpolation():
-    wt = _params(mode=BoundMode.WING_TAIL, a_max_l=9.81)
+    wt = SaturationParams(mode=BoundMode.WING_TAIL, a_max_l=9.81)
     # Whole resultant on one axis: full bound there, lower bound on the idle axis.
     ay, az = axis_brackets(42.0, 0.0, wt)[2:]
     assert ay == pytest.approx(98.1, rel=REL)
     assert az == pytest.approx(9.81, rel=REL)
     # Degenerate resultant: even interpolation (5g upper, 1g lower bound).
-    wt_5g = _params(mode=BoundMode.WING_TAIL, a_max_l=9.81, a_max=49.05)
+    wt_5g = SaturationParams(mode=BoundMode.WING_TAIL, a_max_l=9.81, a_max=49.05)
     ay, az = axis_brackets(0.0, 0.0, wt_5g)[2:]
     assert ay == az == pytest.approx(WT_EVEN, rel=REL)
     # Bounds always stay inside [a_max_l, a_max].
@@ -186,10 +185,10 @@ def test_wing_tail_bounds_interpolation():
 def test_axis_brackets_match_the_split_schedules():
     """One dispatch gives the bits of the separate bound schedules and
     per-axis bracket, for every mode, on the even-split threshold, on
-    signed zeros, at +-inf and for NaN, and below the zero-bound guard."""
+    signed zeros, at +-inf and for NaN."""
     schedules = [
-        _params(n=n, mode=mode, a_max_l=9.81) for n in (2, 4) for mode in BoundMode
-    ] + [SaturationParams(a_max=1e-13)]
+        SaturationParams(n=n, mode=mode, a_max_l=9.81) for n in (2, 4) for mode in BoundMode
+    ]
     values = (0.0, -0.0, 1e-7, -1e-7, 30.0, -30.0, 97.0, math.inf, -math.inf, math.nan)
     rng = random.Random(17)
     points = [(a, b) for a in values for b in values] + [
@@ -202,7 +201,7 @@ def test_axis_brackets_match_the_split_schedules():
 
 
 def test_axis_brackets_constant_mode_is_per_axis():
-    p = _params()
+    p = SaturationParams()
     by, bz, ay, az = axis_brackets(49.05, -98.1, p)
     assert ay == az == 98.1
     assert by == pytest.approx(0.75, rel=REL)
@@ -213,8 +212,8 @@ def test_axis_brackets_shared_fraction_under_scheduled_bounds():
     """Direction-dependent schedules share the most-binding saturation
     fraction across both channels; that is what makes the moving bounds
     forward invariant."""
-    rc = _params(mode=BoundMode.ROLL_COUPLED)
-    wt = _params(mode=BoundMode.WING_TAIL, a_max_l=9.81)
+    rc = SaturationParams(mode=BoundMode.ROLL_COUPLED)
+    wt = SaturationParams(mode=BoundMode.WING_TAIL, a_max_l=9.81)
     rng = random.Random(9)
     for _ in range(200):
         a_my = rng.uniform(-97.0, 97.0)
@@ -243,7 +242,7 @@ def test_axis_brackets_shared_fraction_under_scheduled_bounds():
 def test_wing_tail_brackets_match_builtin_max():
     """The wing-tail shared fraction gives the bits of the builtin
     max(|a_my|/A_y, |a_mz|/A_z) on equal fractions, at +-inf and for NaN."""
-    p = _params(mode=BoundMode.WING_TAIL, a_max_l=9.81)
+    p = SaturationParams(mode=BoundMode.WING_TAIL, a_max_l=9.81)
 
     def old(a_my, a_mz):
         a_y_max, a_z_max = _split_bounds(a_my, a_mz, p)
@@ -264,7 +263,7 @@ def test_wing_tail_brackets_match_builtin_max():
 
 
 def test_clip_command():
-    p = _params(b_cap=5000.0)
+    p = SaturationParams(b_cap=5000.0)
     assert clip_command(123.0, p) == 123.0
     assert clip_command(1.0e7, p) == 5000.0
     assert clip_command(-1.0e7, p) == -5000.0
@@ -282,7 +281,7 @@ def test_forward_invariance_smoke():
     A quick 20-sequence version of the full randomized check in the
     acceptance suite.
     """
-    p = _params()
+    p = SaturationParams()
     a_bound = p.a_max
     rng = random.Random(12)
     for _ in range(20):

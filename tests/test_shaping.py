@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,31 +41,25 @@ EX_HEADING_DOT = -0.019438612402360646
 EX_HEADING_DDOT = -0.0011247631685285231
 
 
-def _params(**kw) -> ShapingParams:
-    p = ShapingParams(**kw)
-    p.validate()
-    return p
-
-
 def test_params_validation():
     with pytest.raises(ConfigError, match="k1"):
-        _params(k1=0.0)
+        ShapingParams(k1=0.0)
     # k1 must leave the demanded lead strictly inside the field of view:
     # for a 60 deg cone that means k1 < 1 - cos(60 deg) = 0.5.
     with pytest.raises(ConfigError, match="0.500000"):
-        _params(k1=0.5)
+        ShapingParams(k1=0.5)
     with pytest.raises(ConfigError, match="phi"):
-        _params(phi=0.0)
+        ShapingParams(phi=0.0)
     with pytest.raises(ConfigError, match="eps_sin"):
-        _params(eps_sin=0.0)
+        ShapingParams(eps_sin=0.0)
     with pytest.raises(ConfigError, match="sigma_max"):
-        _params(sigma_max=math.radians(90.0))
+        ShapingParams(sigma_max=math.radians(90.0))
     with pytest.raises(ConfigError, match="sigma_max"):
-        _params(sigma_max=0.0)
+        ShapingParams(sigma_max=0.0)
 
 
 def test_max_demand_frozen():
-    p = _params()
+    p = ShapingParams()
     assert p.max_demand() == pytest.approx(SIGMA_D_MAX, rel=REL)
     assert math.degrees(p.max_demand()) == pytest.approx(SIGMA_D_MAX_DEG, rel=REL)
     assert p.max_demand() < p.sigma_max
@@ -99,7 +94,7 @@ def test_sgmf_is_odd_monotone_and_slope_bounded():
 
 
 def test_desired_lead():
-    p = _params()
+    p = ShapingParams()
     sigma_d, feasible = desired_lead(0.0, p)
     assert sigma_d == 0.0 and feasible
     # Negative range-time error cannot be absorbed by slowing down along a
@@ -133,7 +128,7 @@ def test_desired_heading_identity():
 
 
 def test_shaping_rates_worked_point():
-    p = _params()
+    p = ShapingParams()
     sh = shaping_rates(150.0, -10.0, 0.0, p)
     assert sh.feasible
     assert sh.sigma_d == pytest.approx(EX_SIGMA_D, rel=REL)
@@ -145,7 +140,7 @@ def test_shaping_rates_worked_point():
 
 
 def test_shaping_rates_flat_outside_layer():
-    p = _params()
+    p = ShapingParams()
     # Above the layer: demand parked at max, all rates exactly zero.
     sh = shaping_rates(301.0, -37.0, 4.0, p)
     assert sh.sigma_d == pytest.approx(SIGMA_D_MAX, rel=REL)
@@ -167,7 +162,7 @@ def test_shaping_rates_flat_outside_layer():
 def test_shaping_rates_small_demand_floor_keeps_rates_finite():
     """Near zero demand the chain divides by sin(sigma_d); the floor keeps
     the result finite and bounded by the floored slope."""
-    p = _params()
+    p = ShapingParams()
     sh = shaping_rates(1.0e-8, -10.0, 3.0, p)
     assert math.isfinite(sh.sigma_d_dot)
     assert math.isfinite(sh.sigma_d_ddot)
@@ -197,16 +192,17 @@ def _old_desired_heading(sigma_d):
 
 
 def test_desired_lead_clamp_matches_builtin_min_max():
-    """Unvalidated gains drive the cosine argument onto the +-1 edges, past
+    """Gains that ``ShapingParams`` refuses, on a stand-in with the two fields
+    ``desired_lead`` reads, drive the cosine argument onto the +-1 edges, past
     them, to +-inf and to NaN; every case gives the builtin-clamp bits."""
     for k1 in CLAMP_GAINS:
-        p = ShapingParams(k1=k1)
+        p = SimpleNamespace(k1=k1, phi=300.0)
         for z1 in CLAMP_ERRORS:
             assert repr(desired_lead(z1, p)) == repr(_old_desired_lead(z1, p)), (k1, z1)
     # k1 = 2 parks the argument on -1 exactly: the demand is pi.
-    assert desired_lead(math.inf, ShapingParams(k1=2.0)) == (math.pi, True)
+    assert desired_lead(math.inf, SimpleNamespace(k1=2.0, phi=300.0)) == (math.pi, True)
     # A NaN argument clamps to 1 as min(1.0, nan) does: zero demand.
-    assert desired_lead(math.nan, _params()) == (0.0, True)
+    assert desired_lead(math.nan, ShapingParams()) == (0.0, True)
 
 
 def test_desired_heading_clamp_matches_builtin_min_max():
@@ -278,7 +274,6 @@ def test_one_pass_layer_matches_the_reference_forms(name):
     """Every field bit for bit, and the record type, on the layer edges, the
     smallest subnormal, NaN and a seeded grid of points inside the layer."""
     p = LAYER_PARAMS[name]
-    p.validate()
     phi = p.phi
     rng = random.Random(20250619)
     errors = [0.0, -0.0, 5e-324, phi / 2, phi, math.nextafter(phi, 0.0), math.nan]

@@ -300,9 +300,7 @@ T_EDGES = (0.0, -0.0, 50.0, 75.0)
 
 
 def _law_kw(rng) -> dict:
-    shaping = ShapingParams()
-    shaping.validate()
-    return dict(speed=rng.choice((250.0, rng.uniform(50.0, 400.0))), t_final=50.0, shaping=shaping)
+    return dict(speed=rng.choice((250.0, rng.uniform(50.0, 400.0))), t_final=50.0, shaping=ShapingParams())
 
 
 def _channel_scales(y, v):
@@ -469,7 +467,6 @@ def test_3d_chain_derivatives_match_the_model():
     states = 0
     while states < 2000:
         shaping = ShapingParams(k1=rng.uniform(0.05, 0.49), phi=rng.uniform(50.0, 500.0))
-        shaping.validate()
         v = rng.uniform(50.0, 400.0)
         r = 10.0 ** rng.uniform(0.0, 4.0)
         k3, k4 = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
@@ -505,7 +502,6 @@ def test_planar_chain_derivatives_match_the_model():
     states = 0
     while states < 1000:
         shaping = ShapingParams(k1=rng.uniform(0.05, 0.49), phi=rng.uniform(50.0, 500.0))
-        shaping.validate()
         v = rng.uniform(50.0, 400.0)
         r = 10.0 ** rng.uniform(0.0, 4.0)
         k2 = rng.uniform(0.2, 3.0)
@@ -567,7 +563,6 @@ def test_shaping_matches_the_differentiated_demand():
     worst = 0.0
     for _ in range(2000):
         p = ShapingParams(k1=rng.uniform(0.01, 0.49), phi=10.0 ** rng.uniform(0.0, 4.0))
-        p.validate()
         x = rng.uniform(-1.0, 1.0) * p.phi
         worst = max(worst, _relative([sgmf(x, p.phi)], [blend(x, p.phi)], 1e-3))
 

@@ -12,9 +12,10 @@ comparison law unclipped and never trip a guard, so the configs in
 ``CONFIGS`` follow, each written to the temporary directory and run with
 ``itcsim run --config``: a clipped comparison law, every step logged on a
 flyby with field-of-view violations and on two short planar runs, a one-row
-overflow trip, and an overflow trip of the comparison law.  The output lists
-``sha256  path`` for every file a run wrote and for its stdout and stderr,
-then ``exit N  name``.
+overflow trip, an overflow trip of the comparison law, and a start too far
+down-range to meet the impact time (the one warning no preset emits).  The
+output lists ``sha256  path`` for every file a run wrote and for its stdout
+and stderr, then ``exit N  name``.
 stderr holds the runs' labelled warnings, in scenario order whatever the job
 count, so it is as deterministic as the other outputs.  Paths are relative
 to the temporary directory, so two checkouts that behave the same print the
@@ -70,6 +71,9 @@ CONFIGS = {
         "scenario.mode = planar\nscenario.law = baseline\ngains.k2 = 10000\n"
         "sim.logStride = 1\n"
     ),
+    # exit 2: a 3D start 1e100 km down-range times out; its unreachable
+    # impact-time warning prints the range in exponent form.
+    "huge-range-warning": "geometry.initialXKm = -1e100\n",
 }
 
 
