@@ -12,7 +12,7 @@ import sys
 from typing import Sequence
 
 from .config import ScenarioConfig, load_config, run_scenario
-from .engine import RunOutcome, RunStatus
+from .engine import RunOutcome, RunStatus, fixed_or_exponent
 from .errors import ConfigError
 # The commands stream each run into a TrajectoryWriter; perfbench/tracer.py
 # still wraps write_trajectory_csv under this module's name.
@@ -94,7 +94,7 @@ def _report(label: str, result: tuple[RunOutcome, Metrics] | str) -> None:
     def show(value: float | None, spec: str, unit: str) -> str:
         if value is None:
             return "-"
-        return f"{value:{spec if abs(value) < 1e15 else '.6g'}} {unit}"  # huge: exponent form
+        return f"{fixed_or_exponent(value, spec)} {unit}"
 
     print(
         f"{label}: {outcome.status.value}  impact={show(metrics.impact_time, '.4f', 's')}  "

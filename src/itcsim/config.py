@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping
 
@@ -54,7 +55,7 @@ class ScenarioConfig:
     """One scenario in raw config units (degrees, g, km).
 
     Field defaults are the nominal 3D engagement: a 250 m/s interceptor
-    10 km down-range of a fixed target, commanded to hit at 50 s, launched
+    10 km down-range of the target at the origin, commanded to hit at 50 s, launched
     with (-10 deg, 10 deg) heading offsets, 60 deg field of view, 10 g
     acceleration limit.  ``k1 = "auto"`` resolves to 1 - cos(sigma_max) - 0.01.
     Building one (``replace`` included) runs ``validate``.
@@ -67,9 +68,6 @@ class ScenarioConfig:
     initial_x_km: float = _key("geometry.initialXKm", -10.0)
     initial_y_km: float = _key("geometry.initialYKm", 0.0)
     initial_z_km: float = _key("geometry.initialZKm", 0.0)
-    target_x_km: float = _key("geometry.targetXKm", 0.0)
-    target_y_km: float = _key("geometry.targetYKm", 0.0)
-    target_z_km: float = _key("geometry.targetZKm", 0.0)
     elevation_deg: float = _key("launch.elevationDeg", -10.0)
     azimuth_deg: float = _key("launch.azimuthDeg", 10.0)
     k1: float | str = _key("gains.k1", "auto", _parse_k1)
@@ -129,15 +127,13 @@ class ScenarioConfig:
             log_stride=self.log_stride,
         )
 
-    def target_m(self) -> tuple[float, float, float]:
-        return (self.target_x_km * 1e3, self.target_y_km * 1e3, self.target_z_km * 1e3)
-
     def _line_of_sight(self) -> tuple[float, float, float, float]:
-        """Offsets dx, dy, dz from interceptor to target and the initial
-        range r0, m; a planar range lies in the x-y plane."""
-        dx = (self.target_x_km - self.initial_x_km) * 1e3
-        dy = (self.target_y_km - self.initial_y_km) * 1e3
-        dz = (self.target_z_km - self.initial_z_km) * 1e3
+        """Offsets dx, dy, dz from interceptor to target (the origin) and the
+        initial range r0, m; a planar range lies in the x-y plane."""
+        # 0.0 - p, not -p: atan2 reads a -0.0 offset as a different angle.
+        dx = (0.0 - self.initial_x_km) * 1e3
+        dy = (0.0 - self.initial_y_km) * 1e3
+        dz = (0.0 - self.initial_z_km) * 1e3
         if self.mode == "planar":
             return dx, dy, dz, math.hypot(dx, dy)
         return dx, dy, dz, math.sqrt(dx * dx + dy * dy + dz * dz)
@@ -174,7 +170,6 @@ class ScenarioConfig:
                 k4=self.k4,
                 ky=self.ky,
                 kz=self.kz,
-                target=self.target_m(),
             )
         if self.law == "baseline":
             return BaselinePlanar(
@@ -183,7 +178,6 @@ class ScenarioConfig:
                 shaping=shaping,
                 k2=self.k2,
                 a_clip=self.a_clip_g * G,
-                target=self.target_m(),
             )
         return GuidancePlanar(
             speed=self.speed,
@@ -192,7 +186,6 @@ class ScenarioConfig:
             sat=self.saturation_params(),
             k2=self.k2,
             ky=self.ky,
-            target=self.target_m(),
         )
 
     # --- Validation --------------------------------------------------------
@@ -200,13 +193,24 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Check every value; errors name the config key.
 
-        Rules on the shaping, saturation and integration parameters belong to
-        their parameter objects; only the rules no such object owns live here.
+        Each value must first have the type its key parses to.  Rules on the
+        shaping, saturation and integration parameters belong to their
+        parameter objects; only the rules no such object owns live here.
         """
+        for key, (name, parse) in KEYS.items():
+            value = getattr(self, name)
+            types, kind = _ACCEPTS[parse]
+            if (isinstance(value, bool) or not isinstance(value, types)) and not (
+                parse is _parse_k1 and value == "auto"
+            ):
+                raise ConfigError(f"{key} must be {kind}, got {type(value).__name__}")
         for key, (name, _) in KEYS.items():
             value = getattr(self, name)
-            if not isinstance(value, float) or math.isfinite(value):
+            # An int compares exactly, however large; NaN and inf fail.
+            if isinstance(value, str) or abs(value) <= sys.float_info.max:
                 continue
+            if isinstance(value, int):
+                raise ConfigError(f"{key} must be finite, got an int beyond the float range")
             if name != "a_clip_g" or math.isnan(value):  # aClipG = inf means no clip
                 raise ConfigError(f"{key} must be finite, got {value}")
         if self.mode not in MODES:
@@ -226,14 +230,14 @@ class ScenarioConfig:
             )
         if self.a_clip_g <= 0.0:
             raise ConfigError(f"baseline.aClipG must be > 0 (inf for no clip), got {self.a_clip_g}")
-        if self.mode == "planar" and self.initial_z_km != self.target_z_km:
-            raise ConfigError("geometry.initialZKm must equal geometry.targetZKm in planar mode")
+        if self.mode == "planar" and self.initial_z_km != 0.0:
+            raise ConfigError("geometry.initialZKm must be 0 in planar mode")
         # The range of the state initial_state builds, checked before its
         # asin(dz / r0) can divide by zero.
         r0 = self._line_of_sight()[3]
         if not 1.0 <= r0 < math.inf:
             raise ConfigError(
-                f"geometry.initial*/target*: initial range must be >= 1 m and finite, got {r0:g} m"
+                f"geometry.initial*: initial range must be >= 1 m and finite, got {r0:g} m"
             )
         if self.hit_radius >= r0:
             raise ConfigError(
@@ -243,7 +247,7 @@ class ScenarioConfig:
         # line of sight; the same test here names the keys instead.
         if self.mode == "3d" and abs(math.cos(self.initial_state()[1])) < EPS_COS:
             raise ConfigError(
-                f"geometry.initial*/target*: line of sight is vertical "
+                f"geometry.initial*: line of sight is vertical "
                 f"(|cos(theta0)| < {EPS_COS:g})"
             )
         for build in (self.shaping_params, self.saturation_params, self.sim_settings):
@@ -276,6 +280,14 @@ KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
 }
 _LOWER_TO_KEY = {k.lower(): k for k in KEYS}
 _FIELD_TO_KEY = {f: k for k, (f, _) in KEYS.items()}
+# The Python types a field takes and their name, by its key's parser: an int
+# passes for a float, a bool for neither.
+_ACCEPTS = {
+    str: (str, "a string"),
+    float: ((float, int), "a number"),
+    int: (int, "an integer"),
+    _parse_k1: ((float, int), "a number or 'auto'"),
+}
 # Parameter-object fields whose config field has another name.
 _OWNER_FIELD = {"sigma_max": "sigma_max_deg", "a_max": "a_max_g", "a_max_l": "a_max_l_g",
                 "mode": "bound_mode"}

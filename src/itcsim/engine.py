@@ -43,6 +43,12 @@ from .errors import ConfigError, GuardTrip
 from .logio import LogRow, RowSink, TrajectoryLog
 
 
+def fixed_or_exponent(value: float, spec: str) -> str:
+    """``value`` in the fixed-point ``spec`` below 1e15 in magnitude and in
+    ``.6g`` exponent form from 1e15 on, so a huge value stays short."""
+    return f"{value:{spec if abs(value) < 1e15 else '.6g'}}"
+
+
 class GuidanceLaw(Protocol):
     """What the engine needs of a law.
 
@@ -193,8 +199,7 @@ def simulate(
     # later than the commanded impact time, or the timing demand is already
     # unmeetable.
     if y[0] > law.speed * law.t_final:
-        # Fixed point, or exponent form from 1e15 m on, as on the CLI's summary line.
-        r0, reach = (f"{d:.1f}" if d < 1e15 else f"{d:.6g}" for d in (y[0], law.speed * law.t_final))
+        r0, reach = (fixed_or_exponent(d, ".1f") for d in (y[0], law.speed * law.t_final))
         warnings.append(f"range {r0} m exceeds speed*t_final = {reach} m; impact-time target unreachable")
 
     r_min, t_r_min = y[0], 0.0
@@ -248,14 +253,15 @@ def simulate(
             break
         if r_new > r_prev and r_min < 10.0 * hit_radius:
             message = (
-                f"flyby: range increasing at t={t:.4f} s after closest "
-                f"approach {r_min:.3f} m at t={t_r_min:.4f} s"
+                f"flyby: range increasing at t={fixed_or_exponent(t, '.4f')} s after closest "
+                f"approach {fixed_or_exponent(r_min, '.3f')} m "
+                f"at t={fixed_or_exponent(t_r_min, '.4f')} s"
             )
             break
         if t >= t_max:
             message = (
-                f"no interception by t={t:.2f} s; closest approach "
-                f"{r_min:.2f} m at t={t_r_min:.2f} s"
+                f"no interception by t={fixed_or_exponent(t, '.2f')} s; closest approach "
+                f"{fixed_or_exponent(r_min, '.2f')} m at t={fixed_or_exponent(t_r_min, '.2f')} s"
             )
             break
 

@@ -86,7 +86,6 @@ class Guidance3D:
     k4: float = 1.0
     ky: float = 7.0
     kz: float = 7.0
-    target: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def evaluate(
         self, t: float, y: tuple[float, float, float, float, float, float, float]
@@ -244,7 +243,7 @@ class Guidance3D:
     ) -> LogRow:
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
         z3, z4, zy, zz = ev.z3, ev.z4, ev.zy, ev.zz
-        px, py, pz = inertial_position(r, theta, psi, self.target)
+        px, py, pz = inertial_position(r, theta, psi)
         # In COLUMNS order; z2 is a planar-only column.  Vz and Vy are the
         # error pairs' quadratic forms.
         return tuple.__new__(LogRow, (

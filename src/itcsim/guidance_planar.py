@@ -38,20 +38,19 @@ def _planar_log_row(
     a_my: float,
     ev: "EvalPlanar",
     lyapunov_y: float,
-    target: tuple[float, float, float],
 ) -> LogRow:
     """Planar run in the shared schema: 3D-only columns stay zero.
 
     The planar LOS angle goes in the ``theta`` column (matching the planar
     state naming); the position columns are ``inertial_position`` with that
-    angle as azimuth at zero elevation, in the plane z = target z.
+    angle as azimuth at zero elevation, in the target's plane z = 0.
     """
     # In COLUMNS order; the zeros are the 3D-only columns.  tuple.__new__
     # skips the named tuple's Python-level __new__.
     return tuple.__new__(LogRow, (
         t, r, theta, 0.0, 0.0, 0.0, sigma, a_my, 0.0, ev.b_y, 0.0,
         ev.z1, ev.z2, 0.0, 0.0, ev.zy, 0.0, ev.a_y_max, 0.0, 0.0, lyapunov_y,
-        *inertial_position(r, 0.0, theta, target),
+        *inertial_position(r, 0.0, theta),
     ))
 
 
@@ -88,7 +87,6 @@ class GuidancePlanar:
     sat: SaturationParams
     k2: float = 1.0
     ky: float = 7.0
-    target: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def evaluate(self, t: float, y: tuple[float, float, float, float]) -> EvalPlanar:
         """``rates(t, y)`` as an ``EvalPlanar``."""
@@ -157,7 +155,7 @@ class GuidancePlanar:
     ) -> LogRow:
         r, theta, sigma, a_my = y
         lyapunov_y = 0.5 * (ev.z2 * ev.z2 + ev.zy * ev.zy)
-        return _planar_log_row(t, r, theta, sigma, a_my, ev, lyapunov_y, self.target)
+        return _planar_log_row(t, r, theta, sigma, a_my, ev, lyapunov_y)
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,6 @@ class BaselinePlanar:
     shaping: ShapingParams
     k2: float = 1.0
     a_clip: float = math.inf
-    target: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def evaluate(self, t: float, y: tuple[float, float, float]) -> EvalPlanar:
         """``rates(t, y)`` as an ``EvalPlanar``."""
@@ -215,7 +212,7 @@ class BaselinePlanar:
     def log_row(self, t: float, y: tuple[float, float, float], ev: EvalPlanar) -> LogRow:
         r, theta, sigma = y
         a_my, lyapunov_y = self._clip(ev.alpha_y), 0.5 * ev.z2 * ev.z2
-        return _planar_log_row(t, r, theta, sigma, a_my, ev, lyapunov_y, self.target)
+        return _planar_log_row(t, r, theta, sigma, a_my, ev, lyapunov_y)
 
     def _clip(self, a: float) -> float:
         """``a`` clipped to +-a_clip as max(-a_clip, min(a_clip, a)) would clip

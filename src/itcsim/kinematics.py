@@ -51,20 +51,19 @@ def effective_lead(theta_m: float, psi_m: float) -> float:
 # --- Inertial position ------------------------------------------------------
 
 
-def inertial_position(
-    r: float, theta: float, psi: float, target: tuple[float, float, float] = (0.0, 0.0, 0.0)
-) -> tuple[float, float, float]:
-    """Interceptor position in the inertial frame, m.
+def inertial_position(r: float, theta: float, psi: float) -> tuple[float, float, float]:
+    """Interceptor position in the inertial frame, m, with the target at
+    the origin.
 
     The LOS unit vector from interceptor to target is
     (cos(theta)cos(psi), cos(theta)sin(psi), sin(theta)); the interceptor
-    sits range ``r`` behind the target along it.  With the default target
-    at the origin and zero initial LOS angles the interceptor starts on
-    the negative x axis.
+    sits range ``r`` behind the target along it, so at zero LOS angles it
+    is on the negative x axis.
     """
     ct = math.cos(theta)
+    # 0.0 - p, not -p, so a zero offset logs as 0.0 rather than -0.0.
     return (
-        target[0] - r * ct * math.cos(psi),
-        target[1] - r * ct * math.sin(psi),
-        target[2] - r * math.sin(theta),
+        0.0 - r * ct * math.cos(psi),
+        0.0 - r * ct * math.sin(psi),
+        0.0 - r * math.sin(theta),
     )

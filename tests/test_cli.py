@@ -197,7 +197,7 @@ def test_run_vertical_line_of_sight_is_a_config_error(tmp_path, capsys):
     ])
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("itcsim: config error: geometry.initial*/target*: line of sight")
+    assert err.startswith("itcsim: config error: geometry.initial*: line of sight")
     assert "Traceback" not in err
     assert not (tmp_path / "t.csv").exists() and not (tmp_path / "m.json").exists()
 
@@ -427,17 +427,30 @@ def test_validate_config_with_a_utf8_byte_order_mark(tmp_path, capsys):
     assert f"{bom}: not UTF-8 text at byte 18 " in capsys.readouterr().err
 
 
+# Keys that are no longer config keys: g-unit bounds convert with a fixed
+# 9.81 m/s^2, and the target is the origin.
+_REMOVED_KEYS = (
+    "saturation.g", "geometry.targetXKm", "geometry.targetYKm", "geometry.targetZKm",
+)
+
+
 def test_validate_rejects_the_removed_g_key_in_a_file(tmp_path, capsys):
+    """A file that sets a removed key fails as an unknown key."""
     cfg = tmp_path / "g.cfg"
-    cfg.write_text("scenario.tf = 50\nsaturation.g = 9.81\n")
-    assert main(["validate", "--config", str(cfg)]) == EXIT_ERROR
-    assert f"{cfg}:2: unknown config key 'saturation.g'" in capsys.readouterr().err
+    for key in _REMOVED_KEYS:
+        cfg.write_text(f"scenario.tf = 50\n{key} = 0\n")
+        assert main(["validate", "--config", str(cfg)]) == EXIT_ERROR
+        assert f"{cfg}:2: unknown config key '{key}'" in capsys.readouterr().err
 
 
 def test_validate_rejects_the_removed_g_key_in_the_environment(micro_cfg, monkeypatch, capsys):
-    monkeypatch.setenv("ITCSIM_SATURATION_G", "9.81")
-    assert main(["validate", "--config", str(micro_cfg)]) == EXIT_ERROR
-    assert "ITCSIM_SATURATION_G matches no config key" in capsys.readouterr().err
+    """An ``ITCSIM_*`` variable for a removed key matches no config key."""
+    for key in _REMOVED_KEYS:
+        name = "ITCSIM_" + key.replace(".", "_").upper()
+        with monkeypatch.context() as env:
+            env.setenv(name, "0")
+            assert main(["validate", "--config", str(micro_cfg)]) == EXIT_ERROR
+        assert f"{name} matches no config key" in capsys.readouterr().err
 
 
 def test_validate_rejects_infinite_env_override(micro_cfg, monkeypatch, capsys):

@@ -35,7 +35,7 @@ def test_defaults_describe_the_nominal_engagement():
     cfg = ScenarioConfig()
     assert cfg.mode == "3d" and cfg.law == "proposed"
     assert cfg.speed == 250.0 and cfg.tf == 50.0
-    assert cfg.initial_x_km == -10.0 and cfg.target_x_km == 0.0
+    assert (cfg.initial_x_km, cfg.initial_y_km, cfg.initial_z_km) == (-10.0, 0.0, 0.0)
     assert (cfg.elevation_deg, cfg.azimuth_deg) == (-10.0, 10.0)
     assert cfg.sigma_max_deg == 60.0 and cfg.a_max_g == 10.0
     assert (cfg.k2, cfg.k3, cfg.k4, cfg.ky, cfg.kz) == (1.0, 1.0, 1.0, 7.0, 7.0)
@@ -49,7 +49,7 @@ def test_defaults_describe_the_nominal_engagement():
 def test_keys_cover_every_field_exactly_once():
     mapped = [field_name for field_name, _ in KEYS.values()]
     assert sorted(mapped) == sorted(f.name for f in fields(ScenarioConfig))
-    assert len(mapped) == len(set(mapped)) == 32
+    assert len(mapped) == len(set(mapped)) == 29
 
 
 def test_parse_config_text():
@@ -111,9 +111,9 @@ def test_env_overrides():
 
 
 # Keys whose valid values depend on each other (a baseline law needs planar
-# mode, and a planar start needs initialZKm == targetZKm): each layer sets
-# all of them or none, so every composed config comes from valid draws.
-_COUPLED_KEYS = ("scenario.mode", "scenario.law", "geometry.initialZKm", "geometry.targetZKm")
+# mode, and a planar start needs initialZKm == 0): each layer sets all of
+# them or none, so every composed config comes from valid draws.
+_COUPLED_KEYS = ("scenario.mode", "scenario.law", "geometry.initialZKm")
 
 
 def test_load_config_precedence(tmp_path):
@@ -210,7 +210,6 @@ def _drawn_config(rng: random.Random, trial: int) -> ScenarioConfig:
     or a number in turn."""
     u = rng.uniform
     mode, law = (("3d", "proposed"), ("planar", "proposed"), ("planar", "baseline"))[trial % 3]
-    z_km = u(-2.0, 2.0)
     values = {
         "scenario.mode": mode,
         "scenario.law": law,
@@ -218,10 +217,7 @@ def _drawn_config(rng: random.Random, trial: int) -> ScenarioConfig:
         "scenario.tf": u(40.0, 60.0),
         "geometry.initialXKm": u(-12.0, -8.0),
         "geometry.initialYKm": u(-2.0, 2.0),
-        "geometry.initialZKm": z_km if mode == "planar" else u(-2.0, 2.0),
-        "geometry.targetXKm": u(-1.0, 1.0),
-        "geometry.targetYKm": u(-1.0, 1.0),
-        "geometry.targetZKm": z_km,
+        "geometry.initialZKm": 0.0 if mode == "planar" else u(-2.0, 2.0),
         "launch.elevationDeg": u(-20.0, 0.0),
         "launch.azimuthDeg": u(0.0, 20.0),
         "gains.k1": "auto" if trial % 2 else u(0.05, 0.2),
@@ -299,13 +295,29 @@ def test_validation_messages_name_the_key():
         (dict(a_clip_g=math.nan), "aClipG"),
         (dict(mode="planar", initial_z_km=1.0), "initialZKm"),
         (dict(initial_x_km=0.0), "initial range"),
-        (dict(target_x_km=1e160), r"geometry\.initial\*/target\*: initial range"),
-        (dict(initial_x_km=0.0, initial_z_km=-10.0), r"geometry\.initial\*/target\*: line of"),
-        (dict(initial_x_km=1e-13, initial_z_km=-10.0), r"geometry\.initial\*/target\*: line of"),
+        (dict(initial_x_km=-1e160), r"geometry\.initial\*: initial range"),
+        (dict(initial_x_km=0.0, initial_z_km=-10.0), r"geometry\.initial\*: line of"),
+        (dict(initial_x_km=1e-13, initial_z_km=-10.0), r"geometry\.initial\*: line of"),
+        # A value of the wrong type, as a config built in Python can hold,
+        # is checked against its key's parsed type before any other rule.
+        (dict(k1="abc"), r"gains\.k1 must be a number or 'auto', got str"),
+        (dict(k1=True), r"gains\.k1 must be a number or 'auto', got bool"),
+        (dict(tf="50"), r"scenario\.tf must be a number, got str"),
+        (dict(speed=None), r"scenario\.speed must be a number, got NoneType"),
+        (dict(speed=True), r"scenario\.speed must be a number, got bool"),
+        (dict(log_stride=2.5), r"sim\.logStride must be an integer, got float"),
+        (dict(n=4.0), r"saturation\.n must be an integer, got float"),
+        (dict(mode=None), r"scenario\.mode must be a string, got NoneType"),
+        (dict(tf="50", speed=0.0), r"scenario\.tf must be a number"),
+        (dict(speed=10**400), r"scenario\.speed must be finite, got an int beyond"),
+        (dict(log_stride=10**400), r"sim\.logStride must be finite, got an int beyond"),
     ]
     for overrides, fragment in cases:
         with pytest.raises(ConfigError, match=fragment):
             replace(ScenarioConfig(), **overrides)
+    # An int stays a valid float value, and k1 takes a number or "auto".
+    assert replace(ScenarioConfig(), tf=50, speed=250, k1=0.3).tf == 50.0
+    assert replace(ScenarioConfig(), k1=0.3).resolved_k1() == 0.3
 
 
 @pytest.mark.parametrize(
@@ -411,7 +423,9 @@ def test_initial_state_geometry():
     y0 = ScenarioConfig().initial_state()
     assert len(y0) == 7
     assert y0[0] == pytest.approx(10000.0, rel=1e-12)
-    assert y0[1] == 0.0 and y0[2] == 0.0
+    # The target is the origin; the start's zero offsets give LOS angles of
+    # +0.0, not -0.0 (the CSV would print "-0").
+    assert repr(y0[1:3]) == repr((0.0, 0.0))
     assert y0[3] == pytest.approx(math.radians(-10.0), rel=1e-12)
     assert y0[4] == pytest.approx(math.radians(10.0), rel=1e-12)
     assert y0[5] == y0[6] == 0.0
@@ -422,10 +436,17 @@ def test_initial_state_geometry():
     assert y0[0] == pytest.approx(5000.0, rel=1e-12)
     assert y0[1] == pytest.approx(math.asin(0.8), rel=1e-12)
 
+    # Off the x axis: the line of sight from the start to the origin.
+    cfg = replace(ScenarioConfig(), initial_y_km=2.0, initial_z_km=-1.5)
+    r0, theta0, psi0 = cfg.initial_state()[:3]
+    assert r0 == pytest.approx(math.sqrt(10000.0**2 + 2000.0**2 + 1500.0**2), rel=1e-12)
+    assert theta0 == pytest.approx(math.asin(1500.0 / r0), rel=1e-12)
+    assert psi0 == pytest.approx(math.atan2(-2000.0, 10000.0), rel=1e-12)
+
     # Planar shaped law: 4 states, lead from the launch azimuth.
     planar = replace(ScenarioConfig(), mode="planar", azimuth_deg=20.0)
     y0 = planar.initial_state()
-    assert y0 == (10000.0, 0.0, math.radians(20.0), 0.0)
+    assert repr(y0) == repr((10000.0, 0.0, math.radians(20.0), 0.0))
     # Baseline law: acceleration is not a state.
     base = replace(planar, law="baseline")
     assert base.initial_state() == (10000.0, 0.0, math.radians(20.0))
@@ -451,7 +472,6 @@ def test_law_parameters_are_converted_units():
     assert law.shaping.sigma_max == pytest.approx(math.radians(60.0), rel=1e-12)
     assert law.shaping.k1 == pytest.approx(0.49, rel=1e-12)
     assert law.sat.a_max == pytest.approx(98.1, rel=1e-12)
-    assert law.target == (0.0, 0.0, 0.0)
 
 
 def test_presets():

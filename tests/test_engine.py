@@ -245,6 +245,29 @@ def test_unreachable_target_warns_up_front():
     assert "unreachable" in out.warnings[0]
 
 
+def test_end_messages_print_a_huge_range_in_exponent_form():
+    """The timeout and flyby messages print ranges and times in fixed point
+    below 1e15 and in exponent form from 1e15 on, as the unreachable-impact-
+    time warning does, so a 1e120 m start gives a short message."""
+    law = _MiniLaw(lambda t, y: (0.0,), t_final=1.0)
+    _, out = simulate(law, (1e120,), SimSettings(dt=0.5))
+    assert out.status is RunStatus.TIMEOUT
+    assert out.message == "no interception by t=1.50 s; closest approach 1e+120 m at t=0.00 s"
+    assert out.warnings[0].startswith("range 1e+120 m exceeds")
+
+    # Closing at 1e119 m/s until t = 0.5 s, then opening: a flyby about
+    # 9.6e119 m out (RK4 averages the switch), inside ten hit radii of 1e119 m.
+    law = _MiniLaw(lambda t, y: (-1e119 if t < 0.5 else 1e119,), t_final=10.0)
+    _, out = simulate(law, (1e120,), SimSettings(dt=0.25, hit_radius=1e119))
+    assert out.message == (
+        "flyby: range increasing at t=0.7500 s after closest approach 9.58333e+119 m at t=0.5000 s"
+    )
+
+    # Below 1e15 the digits are unchanged.
+    _, out = simulate(_MiniLaw(lambda t, y: (0.0,), t_final=1.0), (123.456,), SimSettings(dt=0.5))
+    assert out.message == "no interception by t=1.50 s; closest approach 123.46 m at t=0.00 s"
+
+
 def test_infeasible_shaping_warns_once_per_run():
     """The clamp warning fires on the first feasible->infeasible transition
     only; later flickers would flood the list (the z1 column already holds

@@ -163,7 +163,7 @@ def test_command_cap_engages():
 
 
 def test_log_row_mapping():
-    law = _law(target=(0.0, 0.0, 0.0))
+    law = _law()
     ev = law.evaluate(T_REF, Y_REF)
     row = law.log_row(T_REF, Y_REF, ev)
     assert row.t == T_REF
@@ -183,9 +183,7 @@ def test_log_row_mapping():
     assert row.a_y_max == ev.a_y_max
     assert row.lyapunov_z == 0.5 * (ev.z3 * ev.z3 + ev.zz * ev.zz)
     assert row.lyapunov_y == 0.5 * (ev.z4 * ev.z4 + ev.zy * ev.zy)
-    assert (row.x, row.y, row.z) == inertial_position(
-        Y_REF[0], Y_REF[1], Y_REF[2], (0.0, 0.0, 0.0)
-    )
+    assert (row.x, row.y, row.z) == inertial_position(Y_REF[0], Y_REF[1], Y_REF[2])
 
 
 # --- evaluate() is rates() named, for all three laws ---------------------------

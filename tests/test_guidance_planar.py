@@ -152,7 +152,7 @@ def test_baseline_clip_matches_builtin_min_max():
 
 
 def test_log_row_mapping():
-    law = _law(target=(0.0, 0.0, 0.0))
+    law = _law()
     ev = law.evaluate(T_REF, Y_REF)
     row = law.log_row(T_REF, Y_REF, ev)
     r, theta, sigma, a_my = Y_REF

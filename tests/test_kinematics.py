@@ -133,22 +133,24 @@ def test_heading_rates_acceleration_channels():
 
 
 def test_inertial_position_geometry():
-    x, y, z = inertial_position(10000.0, 0.0, 0.0, (0.0, 0.0, 0.0))
-    assert (x, y, z) == (-10000.0, 0.0, 0.0)
+    # The target is the origin; zero LOS angles put the vehicle on the
+    # negative x axis, its zero offsets +0.0 (a CSV prints -0.0 as "-0").
+    position = inertial_position(10000.0, 0.0, 0.0)
+    assert repr(position) == repr((-10000.0, 0.0, 0.0))
 
     # Zero range collapses onto the target regardless of angles.
-    assert inertial_position(0.0, 0.4, -0.3, (12.0, -7.0, 3.0)) == (12.0, -7.0, 3.0)
+    assert repr(inertial_position(0.0, 0.4, -0.3)) == repr((0.0, 0.0, 0.0))
 
     # Straight-up line of sight puts the vehicle one range below the target.
-    x, y, z = inertial_position(5000.0, math.pi / 2.0, 0.0, (0.0, 0.0, 0.0))
+    x, y, z = inertial_position(5000.0, math.pi / 2.0, 0.0)
     assert x == pytest.approx(0.0, abs=1e-9)
     assert y == pytest.approx(0.0, abs=1e-9)
     assert z == pytest.approx(-5000.0, rel=REL)
 
-    # Translation by the target point.
-    x0, y0, z0 = inertial_position(8000.0, 0.2, -0.5, (0.0, 0.0, 0.0))
-    x1, y1, z1 = inertial_position(8000.0, 0.2, -0.5, (100.0, 200.0, -50.0))
-    assert (x1 - x0, y1 - y0, z1 - z0) == (100.0, 200.0, -50.0)
+    # An off-axis line of sight: the vehicle is at -r times its unit vector.
+    x, y, z = inertial_position(8000.0, 0.2, -0.5)
+    unit = (math.cos(0.2) * math.cos(-0.5), math.cos(0.2) * math.sin(-0.5), math.sin(0.2))
+    assert (x, y, z) == pytest.approx(tuple(-8000.0 * u for u in unit), rel=REL)
 
 
 def test_planar_section_is_bitwise_exact():

@@ -12,8 +12,10 @@ comparison law unclipped and never trip a guard, so the configs in
 ``CONFIGS`` follow, each written to the temporary directory and run with
 ``itcsim run --config``: a clipped comparison law, every step logged on a
 flyby with field-of-view violations and on two short planar runs, a one-row
-overflow trip, an overflow trip of the comparison law, and a start too far
-down-range to meet the impact time (the one warning no preset emits).  The
+overflow trip, an overflow trip of the comparison law, a start too far
+down-range to meet the impact time (the one warning no preset emits), and a
+3D start off the x axis (no preset has a non-zero initial line-of-sight
+angle).  The
 output lists ``sha256  path`` for every file a run wrote and for its stdout
 and stderr, then ``exit N  name``.
 stderr holds the runs' labelled warnings, in scenario order whatever the job
@@ -74,6 +76,9 @@ CONFIGS = {
     # exit 2: a 3D start 1e100 km down-range times out; its unreachable
     # impact-time warning prints the range in exponent form.
     "huge-range-warning": "geometry.initialXKm = -1e100\n",
+    # exit 0: a 3D start off the x axis, so theta0 and psi0 are not zero;
+    # it intercepts at 49.996 s.
+    "3d-off-axis": "geometry.initialYKm = 2\ngeometry.initialZKm = -1.5\n",
 }
 
 
