@@ -46,7 +46,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="itcsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate one scenario", parents=[], description="Simulate one scenario and write its trajectory CSV and metrics JSON.")
+    run = sub.add_parser("run", help="simulate one scenario", description="Simulate one scenario and write its trajectory CSV and metrics JSON.")
     run.add_argument("--config", help="config file (flat key = value lines)")
     run.add_argument("--preset", choices=PRESET_NAMES, help="single-scenario preset to start from")
     run.add_argument("--out-traj", required=True, help="output trajectory CSV path")

@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .guidance3d import Guidance3D
 from .guidance_planar import BaselinePlanar, GuidancePlanar
 from .kinematics import EPS_COS
-from .logio import LogRow, RowSink, TrajectoryLog
+from .logio import LogRow, RowSink
 
 # run_scenario scores its rows with a MetricsFold as they come, and calls no
 # interception_metrics; perfbench/tracer.py still wraps that name here.
@@ -385,33 +385,18 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 # --- Running -----------------------------------------------------------------
 
 
-class _Tee:
-    """A row sink that passes each row to two sinks, in order."""
-
-    def __init__(self, first: RowSink, second: RowSink) -> None:
-        self._first, self._second = first.append, second.append
-
-    def append(self, row: LogRow) -> None:
-        self._first(row)
-        self._second(row)
-
-
 def run_scenario(
     cfg: ScenarioConfig, sink: RowSink | None = None
-) -> tuple[TrajectoryLog, RunOutcome, Metrics]:
+) -> tuple[list[LogRow] | RowSink, RunOutcome, Metrics]:
     """Simulate and score one scenario (``cfg`` validated itself when built).
 
     While the run integrates, each row is scored by a ``MetricsFold`` and
-    then appended to ``sink`` (a new list by default) as soon as the engine
-    builds it.  Returns (log, outcome, metrics); ``log.rows`` is the sink.
-    A run whose first evaluation trips a guard logs no row and scores
-    ``Metrics()``.
+    then appended to ``sink`` (a new list by default).  Returns (rows,
+    outcome, metrics), where rows is that sink.  A run whose first
+    evaluation trips a guard logs no row and scores ``Metrics()``.
     """
     law = cfg.make_law()
     rows = [] if sink is None else sink
-    fold = MetricsFold(
-        t_final=cfg.tf, sigma_max=math.radians(cfg.sigma_max_deg), hit_radius=cfg.hit_radius
-    )
-    log, outcome = simulate(law, cfg.initial_state(), cfg.sim_settings(), _Tee(fold, rows))
-    return replace(log, rows=rows), outcome, fold.metrics()
-
+    fold = MetricsFold(t_final=cfg.tf, sigma_max=law.shaping.sigma_max, hit_radius=cfg.hit_radius)
+    outcome = simulate(law, cfg.initial_state(), cfg.sim_settings(), fold, rows)
+    return rows, outcome, fold.metrics()

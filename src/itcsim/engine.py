@@ -15,9 +15,13 @@ step update, is code generated once per state size on the first step of that
 size: the same expressions in the same order as a loop over the components,
 so the results are bit-identical, without the loop's per-component overhead.
 
-Each logged row goes to the row sink given to ``simulate`` (anything with
-``append``; a new list by default) as soon as it is built, so a caller can
-write or score the rows while the run integrates instead of holding them.
+Each logged row is appended, as soon as it is built, to every row sink
+given to ``simulate`` (anything with ``append``), in the order given, so a
+caller can write or score the rows while the run integrates instead of
+holding them.  ``simulate`` returns only the ``RunOutcome``.  With no sink
+the rows are still built, and dropped: a list, a ``TrajectoryWriter`` or a
+``MetricsFold`` raises no guard's exception on a row, so whether and when a
+run ends depends only on the law and the integrator.
 
 A run terminates when the range first drops to the hit radius
 (``intercepted``), when the range starts growing again after a closest
@@ -25,8 +29,9 @@ approach inside ten hit radii (a near-miss flyby, reported as ``timeout``
 with the closest approach in its message), when simulated time exceeds
 ``t_max_factor`` times the commanded impact time (``timeout``), or when a
 numerical guard fires (``guard-tripped``).  A chain that overflows a float
-(``OverflowError``, e.g. a huge saturation exponent) ends the run as the
-guard ``overflow``.
+(``OverflowError``, e.g. a huge saturation exponent), or a row whose
+acceleration column is past ``logio.ERROR_MAX``, ends the run as the guard
+``overflow``.
 
 A run's warnings (an unreachable impact time, the first shaping clamp) are
 messages in ``RunOutcome.warnings``; no Python warning is raised.
@@ -40,7 +45,7 @@ from enum import Enum
 from typing import Protocol
 
 from .errors import ConfigError, GuardTrip
-from .logio import LogRow, RowSink, TrajectoryLog
+from .logio import LogRow, RowSink
 
 
 def fixed_or_exponent(value: float, spec: str) -> str:
@@ -56,7 +61,8 @@ class GuidanceLaw(Protocol):
     item 1 the shaping feasibility; the engine reads no other item and no
     field name.  ``evaluate`` is that tuple, named, and serves as RK4 stage
     1 of a logged step; ``log_row`` maps it to a trajectory row, computing
-    sigma, Vz and Vy.
+    sigma, Vz and Vy, and raises ``OverflowError`` on an acceleration
+    column past ``logio.ERROR_MAX``.
     """
 
     state_size: int
@@ -175,21 +181,20 @@ def simulate(
     law: GuidanceLaw,
     y0: tuple[float, ...],
     settings: SimSettings = SimSettings(),
-    sink: RowSink | None = None,
-) -> tuple[TrajectoryLog, RunOutcome]:
+    *sinks: RowSink,
+) -> RunOutcome:
     """Integrate one engagement to termination.
 
     The state convention is fixed only in its first component: y[0] must be
     the range to target, which drives the interception and flyby logic.
-    Logged rows are appended to ``sink`` in time order; the returned log's
-    ``rows`` is that sink (a new list when none is given).  ``settings``
-    checked its own values when it was built.
+    Each logged row, in time order, is appended to every sink in the order
+    the sinks are given.  ``settings`` checked its own values when it was
+    built.
     """
     if len(y0) != law.state_size:
         raise ConfigError(f"initial state has {len(y0)} components, law expects {law.state_size}")
 
-    log = TrajectoryLog(rows=[] if sink is None else sink)
-    append_row = log.rows.append
+    appends = tuple(sink.append for sink in sinks)
     warnings: list[str] = []
     dt = settings.dt
     t_max = settings.t_max_factor * law.t_final
@@ -215,7 +220,9 @@ def simulate(
             ev = None
             if step % log_stride == 0:
                 ev = law.evaluate(t, y)
-                append_row(law.log_row(t, y, ev))
+                row = law.log_row(t, y, ev)
+                for append in appends:
+                    append(row)
                 last_logged = step
             y_new, feasible = rk4_step(law, t, y, dt, ev)
         except (GuardTrip, OverflowError) as exc:
@@ -233,8 +240,8 @@ def simulate(
             )
 
         if not all(map(math.isfinite, y_new)):
-            # No row for a non-finite state: the log ends with the rows it has.
-            return log, RunOutcome(
+            # No row for a non-finite state: the sinks keep the rows they have.
+            return RunOutcome(
                 RunStatus.GUARD_TRIPPED, t, "nonfinite-state",
                 f"non-finite state component after step at t={t:.6f} s", warnings,
             )
@@ -271,7 +278,9 @@ def simulate(
     # the trip is at the step boundary itself and the log just ends early.
     if last_logged != step:
         try:
-            append_row(law.log_row(t, y, law.evaluate(t, y)))
+            row = law.log_row(t, y, law.evaluate(t, y))
+            for append in appends:
+                append(row)
         except (GuardTrip, OverflowError):
             pass
-    return log, RunOutcome(status, t, guard, message, warnings)
+    return RunOutcome(status, t, guard, message, warnings)

@@ -43,8 +43,11 @@ def _planar_log_row(
 
     The planar LOS angle goes in the ``theta`` column (matching the planar
     state naming); the position columns are ``inertial_position`` with that
-    angle as azimuth at zero elevation, in the target's plane z = 0.
+    angle as azimuth at zero elevation, in the target's plane z = 0.  An
+    ``a_my`` past ERROR_MAX raises OverflowError.
     """
+    if not -ERROR_MAX < a_my < ERROR_MAX:
+        raise OverflowError(f"logged acceleration a_my={a_my:.3e}")
     # In COLUMNS order; the zeros are the 3D-only columns.  tuple.__new__
     # skips the named tuple's Python-level __new__.
     return tuple.__new__(LogRow, (

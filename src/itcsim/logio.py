@@ -67,11 +67,12 @@ _HEADER = {
 }
 COLUMNS = tuple(_HEADER.get(f, f) for f in LogRow._fields)
 
-# The largest error coordinate (z2, z3, z4, zy, zz) whose logged Vz/Vy stays
-# finite: (a*a + b*b)/2 overflows once a term passes sqrt(float max / 2)
-# ~ 9.5e153, even while the clipped command is finite (z2, z3 and z4 are
-# angles, but they integrate a/v).  Each law's ``rates`` raises
-# OverflowError beyond it.
+# The largest error coordinate (z2, z3, z4, zy, zz) and logged acceleration
+# (a_my, a_mz) that a row may hold: a*a + b*b overflows once a term passes
+# sqrt(float max / 2) ~ 9.5e153, so below it the logged Vz/Vy and the
+# metrics' a_my^2 + a_mz^2 stay finite (z2, z3 and z4 are angles, but they
+# integrate a/v).  Each law's ``rates`` raises OverflowError past it on an
+# error coordinate, and its ``log_row`` on an acceleration column.
 ERROR_MAX = 9e153
 
 
@@ -84,13 +85,9 @@ class RowSink(Protocol):
 
 @dataclass
 class TrajectoryLog:
-    """Sampled trajectory of one run.
+    """The rows of a trajectory CSV, in time order."""
 
-    ``rows`` is the sink the rows went to: a list of them unless the run
-    was given another sink.
-    """
-
-    rows: list[LogRow] | RowSink = field(default_factory=list)
+    rows: list[LogRow] = field(default_factory=list)
 
 
 # --- CSV ----------------------------------------------------------------------

@@ -57,7 +57,8 @@ class MetricsFold:
     ``append`` takes the rows in time order, so a fold is a row sink the
     engine can feed while it integrates; ``metrics()`` scores the rows seen
     so far, and ``Metrics()`` before the first row.  Only the first and last
-    rows are kept.
+    rows are kept.  Squares are products, not ``**``, so folding a finite row
+    never raises: a huge acceleration folds to an infinite effort.
     """
 
     def __init__(self, t_final: float, sigma_max: float, hit_radius: float) -> None:
@@ -73,8 +74,9 @@ class MetricsFold:
         self._last_sq = 0.0
 
     def append(self, row: LogRow) -> None:
-        lead, ay, az = abs(row.sigma), abs(row.a_my), abs(row.a_mz)
-        sq = row.a_my**2 + row.a_mz**2
+        a_my, a_mz = row.a_my, row.a_mz
+        lead, ay, az = abs(row.sigma), abs(a_my), abs(a_mz)
+        sq = a_my * a_my + a_mz * a_mz
         prev = self.last
         if prev is None:
             self.first = row

@@ -27,7 +27,7 @@ import pytest
 
 from itcsim.config import ScenarioConfig, run_scenario
 from itcsim.engine import RunOutcome
-from itcsim.logio import TrajectoryLog
+from itcsim.logio import LogRow
 from itcsim.metrics import Metrics
 from itcsim.presets import PRESET_NAMES, preset_scenarios
 
@@ -38,7 +38,7 @@ class RunBundle:
 
     label: str
     cfg: ScenarioConfig
-    log: TrajectoryLog
+    rows: list[LogRow]
     outcome: RunOutcome
     metrics: Metrics
     elapsed: float
@@ -46,9 +46,9 @@ class RunBundle:
 
 def run_bundle(label: str, cfg: ScenarioConfig) -> RunBundle:
     start = time.perf_counter()
-    log, outcome, mets = run_scenario(cfg)
+    rows, outcome, mets = run_scenario(cfg)
     elapsed = time.perf_counter() - start
-    return RunBundle(label, cfg, log, outcome, mets, elapsed)
+    return RunBundle(label, cfg, rows, outcome, mets, elapsed)
 
 
 def _studies() -> dict[str, list[tuple[str, ScenarioConfig]]]:

@@ -119,12 +119,12 @@ def test_c3_heading_sweep(heading_sweep_runs, criterion_recorder):
 def test_c4_roll_coupled_bounds(rollcoupled_run, criterion_recorder):
     b = rollcoupled_run
     worst_resultant = max(
-        math.hypot(row.a_my, row.a_mz) for row in b.log.rows
+        math.hypot(row.a_my, row.a_mz) for row in b.rows
     )
     per_axis_ok = all(
         abs(row.a_my) <= row.a_y_max + BOUND_TOL
         and abs(row.a_mz) <= row.a_z_max + BOUND_TOL
-        for row in b.log.rows
+        for row in b.rows
     )
     checks = {
         "intercepted@50": _intercepted_on_time(b, 50.0),
@@ -150,7 +150,7 @@ def test_c5_wing_tail_bounds(wingtail_run, criterion_recorder):
     a_lo = b.cfg.a_max_l_g * G    # 9.81
     per_axis_ok = True
     bounds_in_range = True
-    for row in b.log.rows:
+    for row in b.rows:
         if abs(row.a_my) > row.a_y_max + BOUND_TOL or abs(row.a_mz) > row.a_z_max + BOUND_TOL:
             per_axis_ok = False
         if not (
@@ -346,16 +346,16 @@ def test_c8b_lyapunov_descent(nominal_run, planar_compare_runs, criterion_record
         return start, pairs
 
     shaping = nominal_run.cfg.shaping_params()
-    start3, pairs3 = check(nominal_run.log.rows, shaping, nominal_run.cfg.b_cap, "yz")
+    start3, pairs3 = check(nominal_run.rows, shaping, nominal_run.cfg.b_cap, "yz")
 
     planar = next(b for b in planar_compare_runs if b.label == "tf50-angle10-proposed")
-    startp, pairsp = check(planar.log.rows, planar.cfg.shaping_params(), planar.cfg.b_cap, "y")
+    startp, pairsp = check(planar.rows, planar.cfg.shaping_params(), planar.cfg.b_cap, "y")
 
     ok = not rises and pairs3 > 1000 and pairsp > 1000
     detail = (
         f"3D: {pairs3} row pairs monotone from t="
-        f"{nominal_run.log.rows[start3].t:.2f} s; planar: {pairsp} pairs from t="
-        f"{planar.log.rows[startp].t:.2f} s"
+        f"{nominal_run.rows[start3].t:.2f} s; planar: {pairsp} pairs from t="
+        f"{planar.rows[startp].t:.2f} s"
         if not rises
         else f"violations: {rises[:3]} (3D pairs {pairs3}, planar pairs {pairsp})"
     )
@@ -419,7 +419,7 @@ def test_c8c_analytic_derivatives_match_finite_differences(
     # 3D closed loop: second LOS derivatives and stabilizing-acceleration
     # rates, probed by stepping the true dynamics +-h around logged states.
     law3 = nominal_run.cfg.make_law()
-    samples = _fd_samples(nominal_run.log.rows, nominal_run.cfg.b_cap)
+    samples = _fd_samples(nominal_run.rows, nominal_run.cfg.b_cap)
     assert len(samples) >= 8, f"only {len(samples)} usable probe rows"
     for row in samples:
         t, y = row.t, (row.r, row.theta, row.psi, row.theta_m, row.psi_m, row.a_my, row.a_mz)
@@ -440,7 +440,7 @@ def test_c8c_analytic_derivatives_match_finite_differences(
     # Planar closed loop: stabilizing-acceleration rate.
     planar = next(b for b in planar_compare_runs if b.label == "tf50-angle10-proposed")
     lawp = planar.cfg.make_law()
-    psamples = _fd_samples(planar.log.rows, planar.cfg.b_cap)
+    psamples = _fd_samples(planar.rows, planar.cfg.b_cap)
     assert len(psamples) >= 8
     for row in psamples:
         t, y = row.t, (row.r, row.theta, row.sigma, row.a_my)
@@ -550,7 +550,7 @@ def test_c8f_lead_identities(nominal_run, criterion_recorder):
     # Logged lead is exactly the composition of the logged heading components.
     worst_row = max(
         abs(effective_lead(row.theta_m, row.psi_m) - row.sigma)
-        for row in nominal_run.log.rows
+        for row in nominal_run.rows
     )
     ok = worst_split < 1e-12 and worst_trip < 1e-9 and worst_row <= 1e-9
     detail = (

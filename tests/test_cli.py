@@ -553,9 +553,9 @@ def _warning_micro_runs(monkeypatch):
     def fake(cfg, sink=None):
         micro = replace(cfg, mode="planar", tf=2.0, initial_x_km=-0.5,
                         elevation_deg=0.0, azimuth_deg=0.0)
-        log, outcome, mets = run_scenario(micro, sink)
+        rows, outcome, mets = run_scenario(micro, sink)
         outcome.warnings.insert(0, f"stub warning for tf={cfg.tf:g}")
-        return log, outcome, mets
+        return rows, outcome, mets
 
     monkeypatch.setattr(cli, "run_scenario", fake)
 

@@ -15,12 +15,13 @@ from typing import NamedTuple
 
 import pytest
 
-from itcsim.config import ScenarioConfig
+from itcsim.config import ScenarioConfig, run_scenario
 from itcsim.engine import (
-    _STAGE_ARITHMETIC, RunStatus, SimSettings, _stage_arithmetic, rk4_step, simulate,
+    _STAGE_ARITHMETIC, RunOutcome, RunStatus, SimSettings, _stage_arithmetic, rk4_step,
+    simulate,
 )
 from itcsim.errors import ConfigError, GuardTrip
-from itcsim.logio import LogRow
+from itcsim.logio import LogRow, TrajectoryLog
 from itcsim.metrics import Metrics, interception_metrics
 
 
@@ -144,39 +145,45 @@ def test_rk4_accuracy_harmonic_oscillator():
     assert y[1] == pytest.approx(-math.sin(2.0), abs=1e-11)
 
 
-def _metrics(log, law: _MiniLaw, settings: SimSettings) -> Metrics:
+def _run(law, y0, settings: SimSettings = SimSettings()) -> tuple[list[LogRow], RunOutcome]:
+    """``simulate`` with a list sink: the rows it logged, and its outcome."""
+    rows: list[LogRow] = []
+    return rows, simulate(law, y0, settings, rows)
+
+
+def _metrics(rows: list[LogRow], law: _MiniLaw, settings: SimSettings) -> Metrics:
     """The run's rows folded as ``run_scenario`` folds them."""
-    return interception_metrics(log, law.t_final, math.inf, settings.hit_radius)
+    return interception_metrics(TrajectoryLog(rows), law.t_final, math.inf, settings.hit_radius)
 
 
 def test_interception_interpolates_the_crossing():
     # Range 10 m closing at 2 m/s crosses a 1 m hit radius at t = 4.5 s.
     law = _MiniLaw(lambda t, y: (-2.0,), t_final=10.0)
     settings = SimSettings(dt=1.0, log_stride=1)
-    log, out = simulate(law, (10.0,), settings)
+    rows, out = _run(law, (10.0,), settings)
     assert out.status is RunStatus.INTERCEPTED
     assert out.final_time == pytest.approx(5.0, abs=1e-12)
-    m = _metrics(log, law, settings)
+    m = _metrics(rows, law, settings)
     assert m.impact_time == pytest.approx(4.5, abs=1e-12)
     assert m.miss_distance == pytest.approx(0.0, abs=1e-12)
     # Stride 1: a row per step plus the forced final row.
-    times = [row.t for row in log.rows]
+    times = [row.t for row in rows]
     assert times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-    assert log.rows[-1].r == pytest.approx(0.0, abs=1e-12)
+    assert rows[-1].r == pytest.approx(0.0, abs=1e-12)
 
 
 def test_timeout_without_closing():
     # Range never decreases: the loop runs to t_max_factor * t_final.
     law = _MiniLaw(lambda t, y: (0.0,), t_final=2.0)
     settings = SimSettings(dt=0.25, log_stride=4)
-    log, out = simulate(law, (50.0,), settings)
+    rows, out = _run(law, (50.0,), settings)
     assert out.status is RunStatus.TIMEOUT
     assert out.final_time == pytest.approx(3.0, abs=1e-12)
-    m = _metrics(log, law, settings)
+    m = _metrics(rows, law, settings)
     assert m.impact_time is None
     assert m.miss_distance == 50.0
     assert "closest approach" in out.message
-    times = [row.t for row in log.rows]
+    times = [row.t for row in rows]
     assert times == [0.0, 1.0, 2.0, 3.0]
     assert len(set(times)) == len(times)  # forced final row is not duplicated
 
@@ -187,19 +194,19 @@ def test_flyby_stops_the_run_early():
     t_max, with the closest approach reported as the miss."""
     law = _MiniLaw(lambda t, y: (2.0 * (t - 5.0) / 5.0,), t_final=10.0)
     settings = SimSettings(dt=0.5, log_stride=1)
-    log, out = simulate(law, (7.0,), settings)
+    rows, out = _run(law, (7.0,), settings)
     assert out.status is RunStatus.TIMEOUT
     assert "flyby" in out.message
     assert out.final_time == pytest.approx(5.5, abs=1e-12)  # not 15 s
-    assert _metrics(log, law, settings).miss_distance == pytest.approx(2.0, abs=1e-9)
-    assert log.rows[-1].t == pytest.approx(5.5, abs=1e-12)
+    assert _metrics(rows, law, settings).miss_distance == pytest.approx(2.0, abs=1e-9)
+    assert rows[-1].t == pytest.approx(5.5, abs=1e-12)
 
 
 def test_far_flyby_does_not_stop_early():
     """Range increasing far from the target is normal lead-shaping detour
     geometry, not a flyby; the run continues to timeout."""
     law = _MiniLaw(lambda t, y: (2.0 * (t - 1.0),), t_final=2.0)
-    log, out = simulate(law, (100.0,), SimSettings(dt=0.5))
+    out = simulate(law, (100.0,), SimSettings(dt=0.5))
     assert out.status is RunStatus.TIMEOUT
     assert "flyby" not in out.message
     assert out.final_time == pytest.approx(3.0, abs=1e-12)
@@ -213,15 +220,15 @@ def test_guard_trip_reports_and_logs_last_state():
 
     law = _MiniLaw(f, t_final=10.0)
     settings = SimSettings(dt=0.5, log_stride=100)
-    log, out = simulate(law, (100.0,), settings)
+    rows, out = _run(law, (100.0,), settings)
     assert out.status is RunStatus.GUARD_TRIPPED
     assert out.guard == "test-guard"
     # The trip happens inside the step starting at t=1.5 (a later RK4 stage
     # reaches t=2.0); the loop reports that step's start time.
     assert out.final_time == pytest.approx(1.5, abs=1e-12)
-    assert _metrics(log, law, settings).impact_time is None
+    assert _metrics(rows, law, settings).impact_time is None
     # The last healthy state was captured even with a huge stride.
-    assert log.rows[-1].t == pytest.approx(1.5, abs=1e-12)
+    assert rows[-1].t == pytest.approx(1.5, abs=1e-12)
 
 
 def test_nonfinite_state_is_a_guard():
@@ -230,17 +237,17 @@ def test_nonfinite_state_is_a_guard():
     non-finite state and none added for the pre-step state."""
     law = _MiniLaw(lambda t, y: (-1.0,) if t < 1.0 else (math.nan,), t_final=1.0)
     for stride, times in ((1, [0.0, 0.5]), (10, [0.0])):
-        log, out = simulate(law, (10.0,), SimSettings(dt=0.5, log_stride=stride))
+        rows, out = _run(law, (10.0,), SimSettings(dt=0.5, log_stride=stride))
         assert out.status is RunStatus.GUARD_TRIPPED
         assert out.guard == "nonfinite-state"
         assert out.final_time == 0.5
-        assert [row.t for row in log.rows] == times
+        assert [row.t for row in rows] == times
 
 
 def test_unreachable_target_warns_up_front():
     # 300 m to cover in 1 s at 250 m/s cannot meet the impact time.
     law = _MiniLaw(lambda t, y: (-1.0,), speed=250.0, t_final=1.0)
-    log, out = simulate(law, (300.0,), SimSettings(dt=0.5))
+    out = simulate(law, (300.0,), SimSettings(dt=0.5))
     assert len(out.warnings) == 1
     assert "unreachable" in out.warnings[0]
 
@@ -250,7 +257,7 @@ def test_end_messages_print_a_huge_range_in_exponent_form():
     below 1e15 and in exponent form from 1e15 on, as the unreachable-impact-
     time warning does, so a 1e120 m start gives a short message."""
     law = _MiniLaw(lambda t, y: (0.0,), t_final=1.0)
-    _, out = simulate(law, (1e120,), SimSettings(dt=0.5))
+    out = simulate(law, (1e120,), SimSettings(dt=0.5))
     assert out.status is RunStatus.TIMEOUT
     assert out.message == "no interception by t=1.50 s; closest approach 1e+120 m at t=0.00 s"
     assert out.warnings[0].startswith("range 1e+120 m exceeds")
@@ -258,13 +265,13 @@ def test_end_messages_print_a_huge_range_in_exponent_form():
     # Closing at 1e119 m/s until t = 0.5 s, then opening: a flyby about
     # 9.6e119 m out (RK4 averages the switch), inside ten hit radii of 1e119 m.
     law = _MiniLaw(lambda t, y: (-1e119 if t < 0.5 else 1e119,), t_final=10.0)
-    _, out = simulate(law, (1e120,), SimSettings(dt=0.25, hit_radius=1e119))
+    out = simulate(law, (1e120,), SimSettings(dt=0.25, hit_radius=1e119))
     assert out.message == (
         "flyby: range increasing at t=0.7500 s after closest approach 9.58333e+119 m at t=0.5000 s"
     )
 
     # Below 1e15 the digits are unchanged.
-    _, out = simulate(_MiniLaw(lambda t, y: (0.0,), t_final=1.0), (123.456,), SimSettings(dt=0.5))
+    out = simulate(_MiniLaw(lambda t, y: (0.0,), t_final=1.0), (123.456,), SimSettings(dt=0.5))
     assert out.message == "no interception by t=1.50 s; closest approach 123.46 m at t=0.00 s"
 
 
@@ -278,7 +285,7 @@ def test_infeasible_shaping_warns_once_per_run():
         speed=250.0,
         feasible=lambda t: not (1.0 <= t < 2.0 or 3.0 <= t < 4.0),
     )
-    log, out = simulate(law, (40.0,), SimSettings(dt=0.25))
+    out = simulate(law, (40.0,), SimSettings(dt=0.25))
     assert out.status is RunStatus.TIMEOUT
     assert len(out.warnings) == 1
     assert "clamped" in out.warnings[0]
@@ -286,9 +293,9 @@ def test_infeasible_shaping_warns_once_per_run():
 
 def test_log_stride_pattern():
     law = _MiniLaw(lambda t, y: (-1.0,), t_final=100.0)
-    log, out = simulate(law, (10.0,), SimSettings(dt=1.0, log_stride=3))
+    rows, out = _run(law, (10.0,), SimSettings(dt=1.0, log_stride=3))
     # Steps 0,3,6 logged by stride; interception at step 9 forces the last row.
-    assert [row.t for row in log.rows] == [0.0, 3.0, 6.0, 9.0]
+    assert [row.t for row in rows] == [0.0, 3.0, 6.0, 9.0]
     assert out.status is RunStatus.INTERCEPTED
 
 
@@ -313,13 +320,13 @@ def test_diagnostics_only_for_logged_rows():
     """Exactly four chain evaluations per step: ``evaluate`` runs once per
     logged row and supplies stage 1 of a logged step, ``rates`` the rest."""
     law = _CountingLaw(lambda t, y: (-1.0,), t_final=100.0)
-    log, out = simulate(law, (55.5,), SimSettings(dt=1.0, log_stride=10))
+    rows, out = _run(law, (55.5,), SimSettings(dt=1.0, log_stride=10))
     assert out.status is RunStatus.INTERCEPTED
     steps = round(out.final_time)
     assert steps == 55
     # Steps 0, 10, ..., 50 by stride plus the terminal row at step 55.
-    assert len(log.rows) == 7
-    assert law.eval_calls == len(log.rows)
+    assert len(rows) == 7
+    assert law.eval_calls == len(rows)
     # The six stride-logged steps take stage 1 from their evaluate call.
     assert law.rate_calls + 6 == 4 * steps
 
@@ -332,10 +339,10 @@ def test_logged_step_guard_trip_keeps_one_pre_step_row():
         return (-1.0,)
 
     law = _CountingLaw(f, t_final=10.0)
-    log, out = simulate(law, (100.0,), SimSettings(dt=0.5, log_stride=4))
+    rows, out = _run(law, (100.0,), SimSettings(dt=0.5, log_stride=4))
     assert out.status is RunStatus.GUARD_TRIPPED
     assert out.final_time == 2.0
-    assert [row.t for row in log.rows] == [0.0, 2.0]
+    assert [row.t for row in rows] == [0.0, 2.0]
     assert law.eval_calls == 2
 
 
@@ -352,11 +359,11 @@ def test_guard_trip_at_step_start_ends_the_log_at_the_last_row(stride, times):
         return (-1.0, y[1])
 
     law = _CountingLaw(f, state_size=2, t_final=10.0)
-    log, out = simulate(law, (100.0, 1.0), SimSettings(dt=0.5, log_stride=stride))
+    rows, out = _run(law, (100.0, 1.0), SimSettings(dt=0.5, log_stride=stride))
     assert out.status is RunStatus.GUARD_TRIPPED
     assert out.guard == "test-guard"
     assert out.final_time == 2.0
-    assert [row.t for row in log.rows] == times
+    assert [row.t for row in rows] == times
     # One evaluate per logged row, the tripping one at step 4 (stride 4 only)
     # and the end-row attempt.
     assert law.eval_calls == len(times) + 1 + (stride == 4)
@@ -373,12 +380,12 @@ def test_overflow_ends_the_run_as_a_guard_trip(stride, times):
         return (-1.0, y[1])
 
     law = _CountingLaw(f, state_size=2, t_final=10.0)
-    log, out = simulate(law, (100.0, 1.0), SimSettings(dt=0.5, log_stride=stride))
+    rows, out = _run(law, (100.0, 1.0), SimSettings(dt=0.5, log_stride=stride))
     assert out.status is RunStatus.GUARD_TRIPPED
     assert out.guard == "overflow"
     assert out.message.startswith("guard 'overflow' tripped at t=2.000000 s: ")
     assert out.final_time == 2.0
-    assert [row.t for row in log.rows] == times
+    assert [row.t for row in rows] == times
     assert law.eval_calls == len(times) + 1 + (stride == 4)
 
 
@@ -399,13 +406,33 @@ def test_logging_does_not_perturb_the_trajectory():
     runs = {}
     for stride in (1, 7):
         cfg = replace(base, log_stride=stride)
-        runs[stride] = simulate(cfg.make_law(), cfg.initial_state(), cfg.sim_settings())
+        runs[stride] = _run(cfg.make_law(), cfg.initial_state(), cfg.sim_settings())
     (dense, out_dense), (sparse, out_sparse) = runs[1], runs[7]
     assert out_dense.status is RunStatus.TIMEOUT
     assert repr(out_dense) == repr(out_sparse)
     assert out_dense.warnings == out_sparse.warnings and len(out_dense.warnings) == 1
-    steps = len(dense.rows) - 1  # stride 1: a row per step plus the terminal row
-    assert len(sparse.rows) == (steps - 1) // 7 + 2
-    for i, row in enumerate(sparse.rows[:-1]):
-        assert _hex_row(row) == _hex_row(dense.rows[7 * i])
-    assert _hex_row(sparse.rows[-1]) == _hex_row(dense.rows[-1])
+    steps = len(dense) - 1  # stride 1: a row per step plus the terminal row
+    assert len(sparse) == (steps - 1) // 7 + 2
+    for i, row in enumerate(sparse[:-1]):
+        assert _hex_row(row) == _hex_row(dense[7 * i])
+    assert _hex_row(sparse[-1]) == _hex_row(dense[-1])
+
+
+def test_a_run_ends_where_it_would_whatever_its_sinks():
+    """The comparison law at k2 = 1e4, every step logged (``tools/
+    preset_digests.py``'s ``baseline-k2-overflow-stride1``): the logged
+    acceleration passes ERROR_MAX at t = 0.06 s.  ``simulate`` with no sink
+    and with a list, and ``run_scenario``, which also folds the metrics, all
+    end there as the ``overflow`` guard; both paths that keep rows keep the
+    same 60."""
+    cfg = ScenarioConfig(mode="planar", law="baseline", k2=10000.0, log_stride=1)
+    bare = simulate(cfg.make_law(), cfg.initial_state(), cfg.sim_settings())
+    rows, listed = _run(cfg.make_law(), cfg.initial_state(), cfg.sim_settings())
+    scored_rows, scored, mets = run_scenario(cfg)
+    assert bare == listed == scored
+    assert (bare.status, bare.guard) == (RunStatus.GUARD_TRIPPED, "overflow")
+    assert bare.final_time == pytest.approx(0.06, abs=1e-12)
+    assert "logged acceleration" in bare.message
+    assert len(rows) == 60
+    assert scored_rows == rows
+    assert math.isfinite(mets.control_effort)

@@ -13,6 +13,7 @@ import pytest
 
 from itcsim.errors import GuardTrip
 from itcsim.guidance_planar import BaselinePlanar, GuidancePlanar
+from itcsim.logio import ERROR_MAX
 from itcsim.saturation import SaturationParams
 from itcsim.shaping import ShapingParams
 
@@ -138,17 +139,39 @@ def test_baseline_clip():
     assert not free.evaluate(T_REF, y).capped
 
 
+# Clip edges, +-inf and NaN, for the clip tests.
+_CLIP_VALUES = (0.0, -0.0, 1.0, -1.0, 98.1, -98.1, 1e308, math.inf, -math.inf, math.nan)
+
+
+def _baselines():
+    return [
+        BaselinePlanar(speed=250.0, t_final=50.0, shaping=ShapingParams(), a_clip=a_clip)
+        for a_clip in (math.inf, 98.1)
+    ]
+
+
 def test_baseline_clip_matches_builtin_min_max():
-    """The clip in the chain and in ``log_row`` gives max(-a, min(a, x)) bits
-    on the edges, at +-inf and for NaN, with and without a finite clip."""
+    """``_clip`` gives max(-a, min(a, x)) bits on the edges, at +-inf and for
+    NaN, with and without a finite clip."""
+    for law in _baselines():
+        a_clip = law.a_clip
+        for a in _CLIP_VALUES:
+            assert repr(law._clip(a)) == repr(max(-a_clip, min(a_clip, a))), (a_clip, a)
+
+
+def test_baseline_log_row_logs_the_builtin_min_max_bits():
+    """``log_row`` logs those bits for every clipped value within ERROR_MAX;
+    past it, ``log_row`` raises (checked for every law in
+    ``test_guidance3d.py``)."""
     y = Y_REF[:3]
-    values = (0.0, -0.0, 1.0, -1.0, 98.1, -98.1, 1e308, math.inf, -math.inf, math.nan)
-    for a_clip in (math.inf, 98.1):
-        law = BaselinePlanar(speed=250.0, t_final=50.0, shaping=ShapingParams(), a_clip=a_clip)
+    for law in _baselines():
+        a_clip = law.a_clip
         ev = law.evaluate(T_REF, y)
-        for a in values:
-            row = law.log_row(T_REF, y, ev._replace(alpha_y=a))
-            assert repr(row.a_my) == repr(max(-a_clip, min(a_clip, a))), (a_clip, a)
+        for a in _CLIP_VALUES:
+            clipped = max(-a_clip, min(a_clip, a))
+            if -ERROR_MAX < clipped < ERROR_MAX:
+                row = law.log_row(T_REF, y, ev._replace(alpha_y=a))
+                assert repr(row.a_my) == repr(clipped), (a_clip, a)
 
 
 def test_log_row_mapping():

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
-from itcsim.logio import LogRow, TrajectoryLog
+from itcsim.logio import LogRow, TrajectoryLog, write_metrics_json
 from itcsim.metrics import (
     BOUND_TOL,
     REPORT_HEADER,
     Metrics,
+    MetricsFold,
     compare_report,
     interception_metrics,
 )
@@ -127,16 +129,33 @@ def test_metrics_to_dict_keys():
     }
 
 
+def test_a_huge_finite_acceleration_folds_to_an_infinite_effort(tmp_path):
+    """1e200 squares past the float range: the fold and
+    ``interception_metrics`` score an infinite effort instead of raising,
+    and the metrics JSON writes it as null."""
+    rows = [_row(t=0.0, r=5.0, a_my=1e200), _row(t=1.0, r=4.0, a_my=1e200)]
+    fold = MetricsFold(t_final=1.0, sigma_max=math.inf, hit_radius=1.0)
+    for row in rows:
+        fold.append(row)
+    m = interception_metrics(_log(rows), t_final=1.0, sigma_max=math.inf, hit_radius=1.0)
+    assert m == fold.metrics()
+    assert m.control_effort == math.inf
+    assert m.max_ay == 1e200
+    path = tmp_path / "m.json"
+    write_metrics_json(m.to_dict(), str(path))
+    assert json.loads(path.read_text())["controlEffort"] is None
+
+
 def test_effort_prefix_monotone_and_subsample_stable(nominal_run):
     """On the nominal engagement log the effort integral grows with the
     prefix length and is insensitive to halving the sample rate."""
-    rows = nominal_run.log.rows
+    rows = nominal_run.rows
     prev = 0.0
     for end in range(500, len(rows) + 1, 500):
         effort = _effort(_log(rows[:end]))
         assert effort >= prev - 1e-9
         prev = effort
-    full = _effort(nominal_run.log)
+    full = _effort(_log(rows))
     half = _effort(_log(rows[::2] + ([rows[-1]] if (len(rows) - 1) % 2 else [])))
     assert half == pytest.approx(full, rel=1e-3)
 

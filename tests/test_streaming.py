@@ -19,7 +19,9 @@ import pytest
 from itcsim.cli import main
 from itcsim.config import load_config, run_scenario
 from itcsim.guidance_planar import GuidancePlanar
-from itcsim.logio import TrajectoryWriter, read_trajectory_csv, write_trajectory_csv
+from itcsim.logio import (
+    TrajectoryLog, TrajectoryWriter, read_trajectory_csv, write_trajectory_csv,
+)
 from itcsim.metrics import interception_metrics
 
 # 0.5 km at 2 s: about 2 000 steps, every one logged.
@@ -63,9 +65,9 @@ def test_streamed_outputs_equal_the_in_memory_path(tmp_path, name, capsys):
     assert payload["status"] == STATUS.get(name, "intercepted")
 
     cfg = load_config(str(path))
-    log, outcome, mets = run_scenario(cfg)
+    rows, outcome, mets = run_scenario(cfg)
     in_memory = tmp_path / "in_memory.csv"
-    write_trajectory_csv(log, str(in_memory))
+    write_trajectory_csv(TrajectoryLog(rows), str(in_memory))
     assert streamed.read_bytes() == in_memory.read_bytes()
     assert outcome.status.value == payload["status"]
     assert outcome.warnings == payload["warnings"]

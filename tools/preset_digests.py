@@ -67,8 +67,10 @@ CONFIGS = {
     # exit 3: a stage of the first step drives an error coordinate past
     # ERROR_MAX: one row, then the overflow trip.
     "3d-tiny-speed": "scenario.speed = 1e-300\nscenario.tf = 3\ngeometry.initialXKm = -0.5\n",
-    # exit 3: the comparison law at k2 = 1e4 overflows with a finite effort
-    # of about 1.27e300, which the summary line prints in exponent form.
+    # exit 3: the comparison law at k2 = 1e4 trips the overflow guard at
+    # t = 0.06 s, where its logged acceleration passes ERROR_MAX (the bound
+    # in each law's log_row), with a finite effort of about 1.27e300, which
+    # the summary line prints in exponent form.
     "baseline-k2-overflow-stride1": (
         "scenario.mode = planar\nscenario.law = baseline\ngains.k2 = 10000\n"
         "sim.logStride = 1\n"
