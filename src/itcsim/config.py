@@ -339,12 +339,6 @@ def _parse_values(kv: Mapping[str, str]) -> dict[str, object]:
     return updates
 
 
-def apply_kv(base: ScenarioConfig, *layers: Mapping[str, str]) -> ScenarioConfig:
-    """Overlay raw key-value layers onto a config, later layers winning; every
-    value is parsed, layer by layer, before the result is built once."""
-    return replace(base, **{f: v for kv in layers for f, v in _parse_values(kv).items()})
-
-
 def load_config(
     path: str | None,
     environ: Mapping[str, str] = os.environ,

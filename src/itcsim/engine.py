@@ -4,16 +4,16 @@ The engine is law-agnostic: anything shaped like ``GuidanceLaw`` can be
 integrated.  Every Runge-Kutta stage re-evaluates the guidance commands, so
 the closed loop is integrated as one smooth vector field rather than with a
 held command, and each step runs the control chain exactly four times.  The
-stages call ``rates(t, y)``, the law's control chain; of the tuple it
-returns the engine reads only item 0, the state derivatives, and item 1, the
-shaping-feasibility flag.  ``evaluate(t, y)``, that tuple as the law's named
-record, is built only for the rows that are logged (``log_row(t, y, eval)``,
-which adds sigma, Vz and Vy): every ``log_stride``-th step plus the terminal
-or guard-trip row; on a logged step it serves as stage 1 itself.  The
-per-component stage arithmetic, each stage state ``y[i] + h * k[i]`` and the
-step update, is code generated once per state size on the first step of that
-size: the same expressions in the same order as a loop over the components,
-so the results are bit-identical, without the loop's per-component overhead.
+stages call ``rates(t, y)``, the law's control chain; of the tuple it returns
+the engine reads only item 0, the state derivatives.  ``evaluate(t, y)``,
+that tuple as the law's named record, is built only for the rows that are
+logged (``log_row(t, y, eval)``, which adds sigma, Vz and Vy): every
+``log_stride``-th step plus the terminal or guard-trip row; on a logged step
+it serves as stage 1 itself.  The per-component stage arithmetic, each stage
+state ``y[i] + h * k[i]`` and the step update, is code generated once per
+state size on the first step of that size: the same expressions in the same
+order as a loop over the components, so the results are bit-identical,
+without the loop's per-component overhead.
 
 Each logged row is appended, as soon as it is built, to every row sink
 given to ``simulate`` (anything with ``append``), in the order given, so a
@@ -33,8 +33,10 @@ numerical guard fires (``guard-tripped``).  A chain that overflows a float
 acceleration column is past ``logio.ERROR_MAX``, ends the run as the guard
 ``overflow``.
 
-A run's warnings (an unreachable impact time, the first shaping clamp) are
-messages in ``RunOutcome.warnings``; no Python warning is raised.
+A run's warnings are messages in ``RunOutcome.warnings``; no Python warning
+is raised: an unreachable impact time, and the first step that starts with
+z1 = v * (t_final - t) - r < 0, computed as every law computes it, where the
+shaping clamps its demand to zero lead.
 """
 
 from __future__ import annotations
@@ -57,12 +59,12 @@ def fixed_or_exponent(value: float, spec: str) -> str:
 class GuidanceLaw(Protocol):
     """What the engine needs of a law.
 
-    ``rates`` returns a tuple whose item 0 is the state derivatives and
-    item 1 the shaping feasibility; the engine reads no other item and no
-    field name.  ``evaluate`` is that tuple, named, and serves as RK4 stage
-    1 of a logged step; ``log_row`` maps it to a trajectory row, computing
-    sigma, Vz and Vy, and raises ``OverflowError`` on an acceleration
-    column past ``logio.ERROR_MAX``.
+    ``rates`` returns a tuple whose item 0 is the state derivatives; the
+    engine reads no other item and no field name, and of the law's fields
+    only ``speed`` and ``t_final``.  ``evaluate`` is that tuple, named, and
+    serves as RK4 stage 1 of a logged step; ``log_row`` maps it to a
+    trajectory row, computing sigma, Vz and Vy, and raises
+    ``OverflowError`` on an acceleration column past ``logio.ERROR_MAX``.
     """
 
     state_size: int
@@ -135,24 +137,22 @@ def rk4_step(
     law: GuidanceLaw,
     t: float,
     y: tuple[float, ...],
-    dt: float,
+    h: float,
     stage1: tuple | None = None,
-) -> tuple[tuple[float, ...], bool]:
-    """One classical RK4 step; returns the new state and the stage-1 feasibility.
+) -> tuple[float, ...]:
+    """One classical RK4 step of size ``h``; returns the new state.
 
     ``stage1`` is ``law.rates(t, y)`` or ``law.evaluate(t, y)`` when the
-    caller already has it; only its items 0 and 1 are read.
+    caller already has it; only its item 0 is read.
     """
     rates = law.rates
     stage, update = _STAGE_ARITHMETIC.get(len(y)) or _stage_arithmetic(len(y))
-    if stage1 is None:
-        stage1 = rates(t, y)
-    k1 = stage1[0]
-    h2 = 0.5 * dt
+    k1 = (rates(t, y) if stage1 is None else stage1)[0]
+    h2 = 0.5 * h
     k2 = rates(t + h2, stage(y, h2, k1))[0]
     k3 = rates(t + h2, stage(y, h2, k2))[0]
-    k4 = rates(t + dt, stage(y, dt, k3))[0]
-    return update(y, dt / 6.0, k1, k2, k3, k4), stage1[1]
+    k4 = rates(t + h, stage(y, h, k3))[0]
+    return update(y, h / 6.0, k1, k2, k3, k4)
 
 
 # State size -> the (stage, update) pair ``_stage_arithmetic`` generated for it.
@@ -197,20 +197,22 @@ def simulate(
     appends = tuple(sink.append for sink in sinks)
     warnings: list[str] = []
     dt = settings.dt
-    t_max = settings.t_max_factor * law.t_final
-    y = tuple(float(v) for v in y0)
+    v, t_final = law.speed, law.t_final
+    t_max = settings.t_max_factor * t_final
+    y = tuple(float(c) for c in y0)
 
     # Up-front feasibility: flying dead straight must reach the target no
     # later than the commanded impact time, or the timing demand is already
     # unmeetable.
-    if y[0] > law.speed * law.t_final:
-        r0, reach = (fixed_or_exponent(d, ".1f") for d in (y[0], law.speed * law.t_final))
+    budget = v * t_final
+    if y[0] > budget:
+        r0, reach = (fixed_or_exponent(d, ".1f") for d in (y[0], budget))
         warnings.append(f"range {r0} m exceeds speed*t_final = {reach} m; impact-time target unreachable")
 
     r_min, t_r_min = y[0], 0.0
     step, t = 0, 0.0
     last_logged = -1
-    warned_infeasible = False
+    warned_clamp = False
     status, guard = RunStatus.TIMEOUT, None
 
     hit_radius = settings.hit_radius
@@ -224,26 +226,28 @@ def simulate(
                 for append in appends:
                     append(row)
                 last_logged = step
-            y_new, feasible = rk4_step(law, t, y, dt, ev)
+            y_new = rk4_step(law, t, y, dt, ev)
         except (GuardTrip, OverflowError) as exc:
             trip = exc if isinstance(exc, GuardTrip) else GuardTrip("overflow", t, str(exc))
             status, guard, message = RunStatus.GUARD_TRIPPED, trip.guard, str(trip)
             break
 
-        # Report the first clamp only; a run hovering at the feasibility
-        # boundary would otherwise flood the warning list, and the logged z1
-        # column already carries the step-by-step detail.
-        if not feasible and not warned_infeasible:
-            warned_infeasible = True
+        # Report the first clamp only (the step starts with the law's z1 < 0):
+        # a run hovering at the boundary would otherwise flood the list, and
+        # the logged z1 column already carries the step-by-step detail.
+        if not warned_clamp and v * (t_final - t) - y[0] < 0.0:
+            warned_clamp = True
             warnings.append(
-                f"shaping demand clamped to zero lead at t={t:.3f} s (range-time error < 0)"
+                f"shaping demand clamped to zero lead at t={fixed_or_exponent(t, '.3f')} s "
+                "(range-time error < 0)"
             )
 
         if not all(map(math.isfinite, y_new)):
             # No row for a non-finite state: the sinks keep the rows they have.
             return RunOutcome(
                 RunStatus.GUARD_TRIPPED, t, "nonfinite-state",
-                f"non-finite state component after step at t={t:.6f} s", warnings,
+                f"non-finite state component after step at t={fixed_or_exponent(t, '.6f')} s",
+                warnings,
             )
 
         step += 1
@@ -256,7 +260,9 @@ def simulate(
 
         if r_new <= hit_radius:
             status = RunStatus.INTERCEPTED
-            message = f"range crossed {hit_radius} m in the step to t={t:.4f} s"
+            message = (
+                f"range crossed {hit_radius} m in the step to t={fixed_or_exponent(t, '.4f')} s"
+            )
             break
         if r_new > r_prev and r_min < 10.0 * hit_radius:
             message = (

@@ -6,7 +6,8 @@ Each stage feeds the next its value *and* its analytic time derivative, so no
 numerical differentiation happens anywhere in the loop:
 
 1. z1 = v*(t_final - t) - r is shaped into a demanded lead (``shaping``)
-   split evenly across the two heading components.
+   split evenly across the two heading components.  The engine computes
+   the same z1, bit for bit, for its clamp warning.
 2. Heading errors z3 = theta_m - heading_d and z4 = psi_m - heading_d are
    driven out by stabilizing accelerations alpha_z, alpha_y chosen to cancel
    the LOS coupling terms in the heading dynamics.
@@ -41,12 +42,11 @@ from .shaping import ShapingParams, shaping_rates
 class Eval3D(NamedTuple):
     """One evaluation of the 3D law: ``Guidance3D.rates``'s tuple, named.
 
-    Items 0 and 1 (``derivs``, ``feasible``) are all the integrator reads.
+    Item 0 (``derivs``) is all the integrator reads.
     """
 
     # Derivatives of (r, theta, psi, theta_m, psi_m, a_my, a_mz).
     derivs: tuple[float, float, float, float, float, float, float]
-    feasible: bool
     capped: bool
     sigma_d: float
     z1: float
@@ -96,8 +96,8 @@ class Guidance3D:
 
     def rates(self, t: float, y: tuple[float, ...]) -> tuple:
         """The control chain, the integrator's hot path: a flat tuple of the
-        ``Eval3D`` fields, led by the state derivatives and the shaping
-        feasibility, so no record is built per stage."""
+        ``Eval3D`` fields, led by the state derivatives, so no record is
+        built per stage."""
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
         v = self.speed
         if r < EPS_RANGE:
@@ -148,7 +148,7 @@ class Guidance3D:
         z1 = v * (self.t_final - t) - r
         z1_dot = -v - r_dot
         z1_ddot = -v * (sin_tm * cos_pm * theta_m_dot + cos_tm * sin_pm * psi_m_dot)
-        sigma_d, _, _, heading_d, heading_d_dot, heading_d_ddot, feasible = shaping_rates(
+        sigma_d, _, _, heading_d, heading_d_dot, heading_d_ddot = shaping_rates(
             z1, z1_dot, z1_ddot, self.shaping
         )
 
@@ -232,7 +232,6 @@ class Guidance3D:
 
         return (
             (r_dot, theta_dot, psi_dot, theta_m_dot, psi_m_dot, a_my_dot, a_mz_dot),
-            feasible,
             b_y != raw_b_y or b_z != raw_b_z,
             sigma_d, z1, z3, z4, zy, zz, alpha_y, alpha_z, alpha_y_dot, alpha_z_dot,
             theta_ddot, psi_ddot, b_y, b_z, a_y_max, a_z_max,

@@ -15,6 +15,7 @@ feedback, but the stabilizing acceleration is applied directly as if the
 actuator were ideal, with at most a hard clip at the acceleration bound.  It
 has no actuator state and no knowledge of the saturation dynamics, which is
 exactly what makes it a fair efficiency benchmark for the compensated law.
+Both laws compute z1 = v*(t_final - t) - r as the engine's warnings do.
 """
 
 from __future__ import annotations
@@ -60,13 +61,12 @@ def _planar_log_row(
 class EvalPlanar(NamedTuple):
     """One evaluation of a planar law: its ``rates`` tuple, named.
 
-    ``derivs`` covers (r, theta, sigma, a_my) for the compensated law and
-    (r, theta, sigma) for the baseline, whose acceleration is not a state.
-    Items 0 and 1 (``derivs``, ``feasible``) are all the integrator reads.
+    ``derivs``, all the integrator reads, covers (r, theta, sigma, a_my) for
+    the compensated law and (r, theta, sigma) for the baseline, whose
+    acceleration is not a state.
     """
 
     derivs: tuple[float, ...]
-    feasible: bool
     capped: bool
     sigma_d: float
     z1: float
@@ -97,8 +97,7 @@ class GuidancePlanar:
 
     def rates(self, t: float, y: tuple[float, ...]) -> tuple:
         """The control chain, the integrator's hot path: a flat tuple of the
-        ``EvalPlanar`` fields, led by the state derivatives and the shaping
-        feasibility."""
+        ``EvalPlanar`` fields, led by the state derivatives."""
         r, _theta, sigma, a_my = y
         v = self.speed
         if r < EPS_RANGE:
@@ -117,7 +116,7 @@ class GuidancePlanar:
         z1 = v * (self.t_final - t) - r
         z1_dot = -v - r_dot
         z1_ddot = -v_sin_s * sigma_dot
-        sigma_d, sigma_d_dot, sigma_d_ddot, _, _, _, feasible = shaping_rates(
+        sigma_d, sigma_d_dot, sigma_d_ddot, _, _, _ = shaping_rates(
             z1, z1_dot, z1_ddot, self.shaping
         )
 
@@ -148,7 +147,6 @@ class GuidancePlanar:
         a_my_dot = bracket * b_y - leak
         return (
             (r_dot, theta_dot, sigma_dot, a_my_dot),
-            feasible,
             b_y != raw_b,
             sigma_d, z1, z2, zy, alpha_y, alpha_y_dot, b_y, a_y_max,
         )
@@ -199,7 +197,7 @@ class BaselinePlanar:
         z1_dot = -v - r_dot
         # The demand rates only need z1 and z1_dot here; the second-derivative
         # slot feeds sigma_d_ddot, which this law never uses.
-        sigma_d, sigma_d_dot, _, _, _, _, feasible = shaping_rates(z1, z1_dot, 0.0, self.shaping)
+        sigma_d, sigma_d_dot, _, _, _, _ = shaping_rates(z1, z1_dot, 0.0, self.shaping)
         z2 = sigma - sigma_d
         a_raw = v * (sigma_d_dot - v_sin_s / r - self.k2 * z2)
         # ``_clip`` would pass an infinite demand and map NaN to +a_clip.
@@ -208,7 +206,7 @@ class BaselinePlanar:
         a_my = self._clip(a_raw)
         sigma_dot = a_my / v - theta_dot
         return (
-            (r_dot, theta_dot, sigma_dot), feasible, a_my != a_raw,
+            (r_dot, theta_dot, sigma_dot), a_my != a_raw,
             sigma_d, z1, z2, 0.0, a_raw, 0.0, a_raw, self.a_clip,
         )
 

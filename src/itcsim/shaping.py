@@ -22,8 +22,9 @@ psi_m_d = theta_m_d = arccos(2*cos(sigma_d) - 1) / 2, which reproduces the
 combined lead: cos(sigma_d) = cos^2(heading_d).
 
 Negative z1 means the target can no longer be reached in the remaining
-time even flying straight; the demand clamps to zero (the engine logs the
-first clamp as a run warning) rather than handing back a complex angle.
+time even flying straight; the demand clamps to zero rather than handing
+back a complex angle.  The engine tests the same z1 itself and reports the
+first clamp of a run as a warning.
 
 ``sgmf``, ``desired_lead`` and ``desired_heading`` are the reference forms
 of each piece.  ``shaping_rates``, the guidance laws' hot path, builds the
@@ -114,9 +115,8 @@ class ShapingParams:
         built once by the same functions as any demand, so bit-identical."""
         out = []
         for z1 in (math.inf, -1.0):
-            sigma_d, feasible = desired_lead(z1, self)
-            heading_d = desired_heading(sigma_d)
-            out.append(ShapingRates(sigma_d, 0.0, 0.0, heading_d, 0.0, 0.0, feasible))
+            sigma_d = desired_lead(z1, self)
+            out.append(ShapingRates(sigma_d, 0.0, 0.0, desired_heading(sigma_d), 0.0, 0.0))
         return out[0], out[1]
 
 
@@ -135,19 +135,16 @@ def sgmf(x: float, phi: float) -> float:
 # --- Demand and its rates -----------------------------------------------------
 
 
-def desired_lead(z1: float, params: ShapingParams) -> tuple[float, bool]:
-    """Demanded lead angle for range-time error z1; returns (sigma_d, feasible).
-
-    feasible is False when z1 < 0 (not enough flight time left); the demand
-    is then clamped to zero.
-    """
+def desired_lead(z1: float, params: ShapingParams) -> float:
+    """Demanded lead angle sigma_d for range-time error z1, rad; clamped to
+    zero when z1 < 0 (not enough flight time left)."""
     if z1 < 0.0:
-        return 0.0, False
+        return 0.0
     c = 1.0 - params.k1 * sgmf(z1, params.phi)
     # Clamp to [-1, 1] as max(-1.0, min(1.0, c)) would, NaN -> 1.0 included,
     # without the builtin calls.
     c = c if c < 1.0 else 1.0
-    return math.acos(c if c > -1.0 else -1.0), True
+    return math.acos(c if c > -1.0 else -1.0)
 
 
 def desired_heading(sigma_d: float) -> float:
@@ -158,11 +155,8 @@ def desired_heading(sigma_d: float) -> float:
 
 
 class ShapingRates(NamedTuple):
-    """Demanded lead/heading and their first two time derivatives.
-
-    sigma_d / heading_d in rad, rates in rad/s and rad/s^2.  ``feasible`` is
-    False when the demand was clamped for negative range-time error.
-    """
+    """Demanded lead and heading, rad, and their first two time derivatives,
+    rad/s and rad/s^2."""
 
     sigma_d: float
     sigma_d_dot: float
@@ -170,7 +164,6 @@ class ShapingRates(NamedTuple):
     heading_d: float
     heading_d_dot: float
     heading_d_ddot: float
-    feasible: bool
 
 
 def shaping_rates(z1: float, z1_dot: float, z1_ddot: float, params: ShapingParams) -> ShapingRates:
@@ -222,5 +215,5 @@ def shaping_rates(z1: float, z1_dot: float, z1_ddot: float, params: ShapingParam
     # tuple.__new__ skips the named tuple's Python-level __new__.
     return tuple.__new__(
         ShapingRates,
-        (sigma_d, sigma_d_dot, sigma_d_ddot, heading_d, heading_d_dot, heading_d_ddot, True),
+        (sigma_d, sigma_d_dot, sigma_d_ddot, heading_d, heading_d_dot, heading_d_ddot),
     )

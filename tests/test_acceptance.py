@@ -307,8 +307,8 @@ def test_c8a_saturation_forward_invariance(criterion_recorder):
 def _guard_free_3d(row, shaping, b_cap):
     if row.z1 <= 0.0 or abs(row.z1 - shaping.phi) <= 30.0:
         return False
-    sigma_d, feasible = desired_lead(row.z1, shaping)
-    if not feasible or math.sin(sigma_d) <= shaping.eps_sin:
+    sigma_d = desired_lead(row.z1, shaping)
+    if math.sin(sigma_d) <= shaping.eps_sin:
         return False
     if math.sin(2.0 * desired_heading(sigma_d)) <= shaping.eps_sin:
         return False
@@ -424,8 +424,8 @@ def test_c8c_analytic_derivatives_match_finite_differences(
     for row in samples:
         t, y = row.t, (row.r, row.theta, row.psi, row.theta_m, row.psi_m, row.a_my, row.a_mz)
         ev0 = law3.evaluate(t, y)
-        y_p, _ = rk4_step(law3, t, y, h)
-        y_m, _ = rk4_step(law3, t, y, -h)
+        y_p = rk4_step(law3, t, y, h)
+        y_m = rk4_step(law3, t, y, -h)
         ev_p = law3.evaluate(t + h, y_p)
         ev_m = law3.evaluate(t - h, y_m)
         pairs = (
@@ -445,8 +445,8 @@ def test_c8c_analytic_derivatives_match_finite_differences(
     for row in psamples:
         t, y = row.t, (row.r, row.theta, row.sigma, row.a_my)
         ev0 = lawp.evaluate(t, y)
-        y_p, _ = rk4_step(lawp, t, y, h)
-        y_m, _ = rk4_step(lawp, t, y, -h)
+        y_p = rk4_step(lawp, t, y, h)
+        y_m = rk4_step(lawp, t, y, -h)
         fd = (lawp.evaluate(t + h, y_p).alpha_y - lawp.evaluate(t - h, y_m).alpha_y) / (2 * h)
         worst = max(worst, _rel_err(fd, ev0.alpha_y_dot, 1e-6))
 
@@ -474,8 +474,8 @@ class _PlanarSection:
 
     def rates(self, t, y):
         r, _theta, psi, _theta_m, psi_m, a_my, _a_mz = y
-        pl_derivs, feasible = self.planar.rates(t, (r, psi, psi_m, a_my))[:2]
-        return (*model_rates(t, y, self.speed), pl_derivs[3], 0.0), feasible
+        pl_derivs = self.planar.rates(t, (r, psi, psi_m, a_my))[0]
+        return ((*model_rates(t, y, self.speed), pl_derivs[3], 0.0),)
 
 
 def _compare_section(cfg, steps, dt=1e-3):
@@ -487,8 +487,8 @@ def _compare_section(cfg, steps, dt=1e-3):
     worst = 0.0
     for k in range(steps):
         t = k * dt
-        y2, _ = rk4_step(planar_law, t, y2, dt)
-        y7, _ = rk4_step(section, t, y7, dt)
+        y2 = rk4_step(planar_law, t, y2, dt)
+        y7 = rk4_step(section, t, y7, dt)
         assert y7[1] == 0.0 and y7[3] == 0.0 and y7[6] == 0.0
         for a, b in zip(y2, (y7[0], y7[2], y7[4], y7[5])):
             worst = max(worst, abs(a - b))

@@ -14,7 +14,6 @@ from itcsim.config import (
     G,
     KEYS,
     ScenarioConfig,
-    apply_kv,
     env_overrides,
     load_config,
     parse_config_text,
@@ -78,21 +77,27 @@ def test_parse_errors_carry_source_and_line():
         parse_config_text("scenario.bogus = 1\n", source="myfile")
 
 
-def test_apply_kv_parses_types():
-    cfg = apply_kv(ScenarioConfig(), {
-        "scenario.tf": "45.5",
-        "saturation.n": "4",
-        "gains.k1": "0.3",
-        "scenario.mode": "planar",
-    })
+def _load_text(tmp_path, text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
+    """``text`` written as a config file and loaded as every command loads
+    one, with no environment."""
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
+    return load_config(str(path), environ={}, base=base)
+
+
+def test_load_config_parses_types(tmp_path):
+    cfg = _load_text(
+        tmp_path,
+        "scenario.tf = 45.5\nsaturation.n = 4\ngains.k1 = 0.3\nscenario.mode = planar\n",
+    )
     assert cfg.tf == 45.5
     assert cfg.n == 4 and isinstance(cfg.n, int)
     assert cfg.k1 == 0.3
     assert cfg.mode == "planar"
     # k1 accepts the literal "auto".
-    assert apply_kv(cfg, {"gains.k1": "auto"}).k1 == "auto"
+    assert _load_text(tmp_path, "gains.k1 = auto\n", base=cfg).k1 == "auto"
     with pytest.raises(ConfigError, match="cannot parse"):
-        apply_kv(cfg, {"scenario.tf": "fifty"})
+        _load_text(tmp_path, "scenario.tf = fifty\n", base=cfg)
 
 
 def test_env_overrides():
@@ -245,8 +250,8 @@ def _drawn_config(rng: random.Random, trial: int) -> ScenarioConfig:
     return replace(ScenarioConfig(), **{KEYS[key][0]: value for key, value in values.items()})
 
 
-def test_serialize_round_trip():
-    """Every key survives serialize_config -> parse_config_text -> apply_kv
+def test_serialize_round_trip(tmp_path):
+    """Every key survives serialize_config -> a config file -> load_config
     with a valid non-default value."""
     rng = random.Random(19)
     defaults = ScenarioConfig()
@@ -256,12 +261,13 @@ def test_serialize_round_trip():
         changed |= {
             key for key, (name, _) in KEYS.items() if getattr(cfg, name) != getattr(defaults, name)
         }
-        back = apply_kv(ScenarioConfig(), parse_config_text(serialize_config(cfg)))
+        back = _load_text(tmp_path, serialize_config(cfg))
         assert back == cfg
         assert isinstance(back.n, int) and isinstance(back.log_stride, int)
     assert changed == set(KEYS)
-    # The defaults, with k1 = auto and aClipG = inf, survive too.
-    assert apply_kv(defaults, parse_config_text(serialize_config(defaults))) == defaults
+    # The defaults, with k1 = auto and aClipG = inf, survive too, over a
+    # drawn base.
+    assert _load_text(tmp_path, serialize_config(defaults), base=cfg) == defaults
 
 
 def test_validation_messages_name_the_key():
@@ -404,10 +410,10 @@ def test_validate_checks_the_range_of_the_initial_state(overrides):
         replace(cfg, hit_radius=r0)
     replace(cfg, hit_radius=math.nextafter(r0, 0.0))
 
-def test_readme_config_docs_match_keys():
+def test_readme_config_docs_match_keys(tmp_path):
     text = README.read_text()
     example = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
-    apply_kv(ScenarioConfig(), parse_config_text(example, source="README"))
+    _load_text(tmp_path, example)
 
     rows = [line.split("|") for line in text.splitlines() if line.startswith("| `")]
     documented = {

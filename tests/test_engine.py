@@ -36,22 +36,19 @@ def _row(t: float, r: float) -> LogRow:
 
 class _Ev(NamedTuple):
     derivs: tuple[float, ...]
-    feasible: bool = True
 
 
 class _MiniLaw:
     """Wrap a plain derivative function as a guidance law."""
 
-    def __init__(self, f, state_size=1, speed=250.0, t_final=1.0, feasible=None):
+    def __init__(self, f, state_size=1, speed=250.0, t_final=1.0):
         self.f = f
         self.state_size = state_size
         self.speed = speed
         self.t_final = t_final
-        self.feasible_fn = feasible
 
     def rates(self, t, y):
-        feasible = True if self.feasible_fn is None else self.feasible_fn(t)
-        return self.f(t, y), feasible
+        return (self.f(t, y),)
 
     def evaluate(self, t, y):
         return _Ev(*self.rates(t, y))
@@ -87,19 +84,14 @@ def test_state_size_mismatch():
 def test_rk4_step_basics():
     # Zero derivative: state unchanged bit-for-bit.
     law = _MiniLaw(lambda t, y: (0.0, 0.0), state_size=2)
-    y_new, feasible = rk4_step(law, 0.0, (3.5, -2.25), 0.1)
-    assert y_new == (3.5, -2.25)
-    assert feasible is True
-    # The returned flag is the stage-1 feasibility.
-    law = _MiniLaw(lambda t, y: (0.0,), feasible=lambda t: t > 0.0)
-    assert rk4_step(law, 0.0, (1.0,), 0.1)[1] is False
+    assert rk4_step(law, 0.0, (3.5, -2.25), 0.1) == (3.5, -2.25)
     # Unit derivative advances by exactly one step (up to one rounding).
     law = _MiniLaw(lambda t, y: (1.0,))
-    y_new, _ = rk4_step(law, 0.0, (0.0,), 0.125)
+    y_new = rk4_step(law, 0.0, (0.0,), 0.125)
     assert y_new[0] == pytest.approx(0.125, rel=1e-15)
-    # A supplied stage 1 replaces the first rates call, flag included.
+    # A supplied stage 1 replaces the first rates call; only its item 0 is read.
     law = _CountingLaw(lambda t, y: (1.0,))
-    assert rk4_step(law, 0.0, (0.0,), 0.125, ((1.0,), False)) == (y_new, False)
+    assert rk4_step(law, 0.0, (0.0,), 0.125, ((1.0,), "unread")) == y_new
     assert law.rate_calls == 3
 
 
@@ -140,7 +132,7 @@ def test_rk4_accuracy_harmonic_oscillator():
     y = (1.0, 0.0)
     dt = 1e-3
     for k in range(2000):
-        y, _ = rk4_step(law, k * dt, y, dt)
+        y = rk4_step(law, k * dt, y, dt)
     assert y[0] == pytest.approx(math.cos(2.0), abs=1e-11)
     assert y[1] == pytest.approx(-math.sin(2.0), abs=1e-11)
 
@@ -245,11 +237,20 @@ def test_nonfinite_state_is_a_guard():
 
 
 def test_unreachable_target_warns_up_front():
-    # 300 m to cover in 1 s at 250 m/s cannot meet the impact time.
+    """300 m to cover in 1 s at 250 m/s cannot meet the impact time, and
+    z1 = 250 - 300 is already negative at the first step's start, so the
+    run warns twice at t = 0, as a real law's run does."""
     law = _MiniLaw(lambda t, y: (-1.0,), speed=250.0, t_final=1.0)
     out = simulate(law, (300.0,), SimSettings(dt=0.5))
-    assert len(out.warnings) == 1
-    assert "unreachable" in out.warnings[0]
+    assert out.warnings == [
+        "range 300.0 m exceeds speed*t_final = 250.0 m; impact-time target unreachable",
+        "shaping demand clamped to zero lead at t=0.000 s (range-time error < 0)",
+    ]
+    cfg = ScenarioConfig(initial_x_km=-20.0, dt=0.05)
+    assert run_scenario(cfg)[1].warnings == [
+        "range 20000.0 m exceeds speed*t_final = 12500.0 m; impact-time target unreachable",
+        "shaping demand clamped to zero lead at t=0.000 s (range-time error < 0)",
+    ]
 
 
 def test_end_messages_print_a_huge_range_in_exponent_form():
@@ -275,20 +276,74 @@ def test_end_messages_print_a_huge_range_in_exponent_form():
     assert out.message == "no interception by t=1.50 s; closest approach 123.46 m at t=0.00 s"
 
 
-def test_infeasible_shaping_warns_once_per_run():
-    """The clamp warning fires on the first feasible->infeasible transition
-    only; later flickers would flood the list (the z1 column already holds
-    the detail)."""
-    law = _MiniLaw(
-        lambda t, y: (0.0,),
-        t_final=4.0,
-        speed=250.0,
-        feasible=lambda t: not (1.0 <= t < 2.0 or 3.0 <= t < 4.0),
+@pytest.mark.parametrize(
+    "mode, name", [("3d", "proposed"), ("planar", "proposed"), ("planar", "baseline")]
+)
+def test_every_law_computes_the_engines_impact_time_budget(mode, name):
+    """The engine warns on the first clamp from its own z1 = v * (t_final -
+    t) - r; every law's logged z1 is that expression bit for bit, over
+    seeded speeds, impact times, times and states with z1 below zero, in
+    the blend layer and above it."""
+    rng = random.Random(29)
+    base = ScenarioConfig(mode=mode, law=name).make_law()
+    regimes = set()
+    for _ in range(300):
+        law = replace(base, speed=rng.uniform(50.0, 500.0), t_final=rng.uniform(5.0, 80.0))
+        t = rng.uniform(0.0, 1.5 * law.t_final)
+        # Half the ranges put z1 within two boundary layers of zero.
+        r = rng.uniform(10.0, 2e4)
+        if rng.random() < 0.5:
+            r = law.speed * (law.t_final - t) - rng.uniform(-2.0, 2.0) * law.shaping.phi
+        if r < 10.0:
+            continue
+        angles = [rng.uniform(-0.5, 0.5) for _ in range(4)]
+        accels = [rng.uniform(-50.0, 50.0) for _ in range(2)]
+        y = (r, *angles, *accels) if mode == "3d" else (r, *angles[:2], accels[0])
+        y = y[: law.state_size]
+        z1 = law.evaluate(t, y).z1
+        assert z1.hex() == (law.speed * (law.t_final - t) - y[0]).hex(), (law, t, y)
+        regimes.add((z1 > 0.0) + (z1 > law.shaping.phi))
+    assert regimes == {0, 1, 2}
+
+
+def test_huge_times_print_in_exponent_form():
+    """fig6's tf50-angle10 comparison-law run with time scaled by 1e15
+    (``tools/preset_digests.py``'s ``huge-time-clamp-warning``) clamps and
+    intercepts past 1e15 s: the clamp warning and the intercept message
+    print t in exponent form, as the timeout and flyby messages do, and so
+    does the non-finite-state message."""
+    cfg = ScenarioConfig(
+        mode="planar", law="baseline", speed=2.5e-13, tf=5e16, azimuth_deg=10.0, k2=1e-15,
+        dt=1e12,
     )
-    out = simulate(law, (40.0,), SimSettings(dt=0.25))
-    assert out.status is RunStatus.TIMEOUT
-    assert len(out.warnings) == 1
-    assert "clamped" in out.warnings[0]
+    out = simulate(cfg.make_law(), cfg.initial_state(), cfg.sim_settings())
+    assert out.status is RunStatus.INTERCEPTED
+    assert out.warnings == [
+        "shaping demand clamped to zero lead at t=4.7866e+16 s (range-time error < 0)"
+    ]
+    assert out.message == "range crossed 1.0 m in the step to t=4.9997e+16 s"
+
+    law = _MiniLaw(lambda t, y: (-1e-16,) if t < 2e15 else (math.nan,), t_final=1e16)
+    out = simulate(law, (100.0,), SimSettings(dt=1e15))
+    assert out.guard == "nonfinite-state"
+    assert out.message == "non-finite state component after step at t=1e+15 s"
+
+
+def test_infeasible_shaping_warns_once_per_run():
+    """The clamp warning fires at the first step that starts with
+    z1 = v * (t_final - t) - r < 0 only; later dips would flood the list
+    (the z1 column already holds the detail).  Closing at 200 and 300 m/s in
+    turn, one second each, against a 250 m/s budget takes z1 from +25 m
+    below zero and back again, second after second."""
+    law = _MiniLaw(lambda t, y: (-200.0 if int(t) % 2 == 0 else -300.0,), t_final=10.0)
+    rows, out = _run(law, (2475.0,), SimSettings(dt=0.25, log_stride=1))
+    assert out.status is RunStatus.INTERCEPTED
+    negative = [250.0 * (10.0 - row.t) - row.r < 0.0 for row in rows]
+    dips = sum(1 for was, now in zip([False, *negative], negative) if now and not was)
+    assert dips >= 2
+    assert out.warnings == [
+        "shaping demand clamped to zero lead at t=0.750 s (range-time error < 0)"
+    ]
 
 
 def test_log_stride_pattern():

@@ -95,7 +95,6 @@ def test_reference_state_full_chain():
     assert ev.b_y == pytest.approx(f["b_y"], rel=REL)
     assert ev.b_z == pytest.approx(f["b_z"], rel=REL)
 
-    assert ev.feasible
     assert not ev.capped
     assert ev.a_y_max == ev.a_z_max == 98.1
     assert row.lyapunov_z == pytest.approx(0.5 * (f["z3"] ** 2 + f["zz"] ** 2), rel=1e-9)
@@ -243,9 +242,9 @@ def test_rates_match_evaluate_bit_for_bit(name):
     for case, (t, y) in cases.items():
         ev = law.evaluate(t, y)
         assert type(ev) is record, case
-        assert len(ev) == len(record._fields), case  # 19 in 3D, 11 in the plane
+        assert len(ev) == len(record._fields), case  # 18 in 3D, 10 in the plane
         assert tuple(ev) == law.rates(t, y), case
-        assert ev.feasible is (case != "infeasible"), case
+        assert (ev.z1 < 0.0) is (case == "infeasible"), case
         assert ev.capped is (case == "capped"), case
         assert (ev.z1 > law.shaping.phi) is (case == "out-of-layer"), case
 

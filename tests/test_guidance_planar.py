@@ -66,7 +66,6 @@ def test_reference_state_full_chain():
     assert law.log_row(T_REF, Y_REF, ev).lyapunov_y == pytest.approx(
         0.5 * (f["z2"] ** 2 + f["zy"] ** 2), rel=1e-9
     )
-    assert ev.feasible
     assert not ev.capped
     assert ev.a_y_max == 98.1
 

@@ -95,21 +95,16 @@ def test_sgmf_is_odd_monotone_and_slope_bounded():
 
 def test_desired_lead():
     p = ShapingParams()
-    sigma_d, feasible = desired_lead(0.0, p)
-    assert sigma_d == 0.0 and feasible
+    assert desired_lead(0.0, p) == 0.0
     # Negative range-time error cannot be absorbed by slowing down along a
-    # detour; the demand clamps to zero lead and reports infeasibility.
-    sigma_d, feasible = desired_lead(-1.0, p)
-    assert sigma_d == 0.0 and not feasible
+    # detour; the demand clamps to zero lead.
+    assert desired_lead(-1.0, p) == 0.0
     # Beyond the blend layer the demand parks at its maximum.
-    sigma_d, feasible = desired_lead(2500.0, p)
-    assert feasible
-    assert sigma_d == pytest.approx(SIGMA_D_MAX, rel=REL)
+    assert desired_lead(2500.0, p) == pytest.approx(SIGMA_D_MAX, rel=REL)
     # Monotone nondecreasing in the range-time error, never above the cap.
     prev = 0.0
     for z1 in [0.0, 1.0, 10.0, 50.0, 120.0, 200.0, 280.0, 300.0, 500.0]:
-        sigma_d, feasible = desired_lead(z1, p)
-        assert feasible
+        sigma_d = desired_lead(z1, p)
         assert sigma_d >= prev
         assert sigma_d <= p.max_demand() + 1e-15
         prev = sigma_d
@@ -130,7 +125,6 @@ def test_desired_heading_identity():
 def test_shaping_rates_worked_point():
     p = ShapingParams()
     sh = shaping_rates(150.0, -10.0, 0.0, p)
-    assert sh.feasible
     assert sh.sigma_d == pytest.approx(EX_SIGMA_D, rel=REL)
     assert sh.sigma_d_dot == pytest.approx(EX_SIGMA_D_DOT, rel=REL)
     assert sh.sigma_d_ddot == pytest.approx(EX_SIGMA_D_DDOT, rel=REL)
@@ -148,9 +142,8 @@ def test_shaping_rates_flat_outside_layer():
     assert sh.sigma_d_ddot == 0.0
     assert sh.heading_d_dot == 0.0
     assert sh.heading_d_ddot == 0.0
-    # Infeasible: demand and rates all zero.
+    # Clamped (z1 < 0): demand and rates all zero.
     sh = shaping_rates(-5.0, -10.0, 0.0, p)
-    assert not sh.feasible
     assert sh.sigma_d == 0.0
     assert sh.heading_d == 0.0
     assert sh.sigma_d_dot == 0.0
@@ -181,9 +174,9 @@ CLAMP_ERRORS = (0.0, 5e-324, 150.0, 300.0, 1e9, math.inf, math.nan)
 
 def _old_desired_lead(z1, params):
     if z1 < 0.0:
-        return 0.0, False
+        return 0.0
     c = 1.0 - params.k1 * sgmf(z1, params.phi)
-    return math.acos(max(-1.0, min(1.0, c))), True
+    return math.acos(max(-1.0, min(1.0, c)))
 
 
 def _old_desired_heading(sigma_d):
@@ -200,9 +193,9 @@ def test_desired_lead_clamp_matches_builtin_min_max():
         for z1 in CLAMP_ERRORS:
             assert repr(desired_lead(z1, p)) == repr(_old_desired_lead(z1, p)), (k1, z1)
     # k1 = 2 parks the argument on -1 exactly: the demand is pi.
-    assert desired_lead(math.inf, SimpleNamespace(k1=2.0, phi=300.0)) == (math.pi, True)
+    assert desired_lead(math.inf, SimpleNamespace(k1=2.0, phi=300.0)) == math.pi
     # A NaN argument clamps to 1 as min(1.0, nan) does: zero demand.
-    assert desired_lead(math.nan, ShapingParams()) == (0.0, True)
+    assert desired_lead(math.nan, ShapingParams()) == 0.0
 
 
 def test_desired_heading_clamp_matches_builtin_min_max():
@@ -225,7 +218,7 @@ def _composed_rates(z1, z1_dot, z1_ddot, params):
     before the composition became one pass."""
     k1 = params.k1
     phi = params.phi
-    sigma_d, feasible = desired_lead(z1, params)
+    sigma_d = desired_lead(z1, params)
     heading_d = desired_heading(sigma_d)
     s1 = -3.0 * z1**2 / (2.0 * phi**3) + 3.0 / (2.0 * phi)
     s2 = -3.0 * z1 / phi**3
@@ -245,7 +238,7 @@ def _composed_rates(z1, z1_dot, z1_ddot, params):
         sigma_d_ddot * sin_sd + sigma_d_dot**2 * cos_sd - 2.0 * heading_d_dot**2 * cos_2h
     ) / sin_2h
     return ShapingRates(
-        sigma_d, sigma_d_dot, sigma_d_ddot, heading_d, heading_d_dot, heading_d_ddot, feasible
+        sigma_d, sigma_d_dot, sigma_d_ddot, heading_d, heading_d_dot, heading_d_ddot
     )
 
 

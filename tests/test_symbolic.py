@@ -452,7 +452,7 @@ def _in_layer_time(rng, r, v, shaping, t_final):
     """A time that puts z1 inside the blend layer, clear of its edges and of
     the eps_sin floors; None when the draw lands on a floor."""
     z1 = rng.uniform(0.01, 0.99) * shaping.phi
-    sigma_d, _ = desired_lead(z1, shaping)
+    sigma_d = desired_lead(z1, shaping)
     floor = 10.0 * shaping.eps_sin
     if math.sin(sigma_d) <= floor or math.sin(2.0 * desired_heading(sigma_d)) <= floor:
         return None

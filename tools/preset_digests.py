@@ -13,9 +13,9 @@ comparison law unclipped and never trip a guard, so the configs in
 ``itcsim run --config``: a clipped comparison law, every step logged on a
 flyby with field-of-view violations and on two short planar runs, a one-row
 overflow trip, an overflow trip of the comparison law, a start too far
-down-range to meet the impact time (the one warning no preset emits), and a
-3D start off the x axis (no preset has a non-zero initial line-of-sight
-angle).  The
+down-range to meet the impact time (the one warning no preset emits), a 3D
+start off the x axis (no preset has a non-zero initial line-of-sight angle),
+and a comparison-law run whose clamp warning comes after 1e15 s.  The
 output lists ``sha256  path`` for every file a run wrote and for its stdout
 and stderr, then ``exit N  name``.
 stderr holds the runs' labelled warnings, in scenario order whatever the job
@@ -81,6 +81,13 @@ CONFIGS = {
     # exit 0: a 3D start off the x axis, so theta0 and psi0 are not zero;
     # it intercepts at 49.996 s.
     "3d-off-axis": "geometry.initialYKm = 2\ngeometry.initialZKm = -1.5\n",
+    # exit 0: fig6's tf50-angle10 comparison law with time scaled by 1e15;
+    # it intercepts at 4.9996e16 s, and its clamp warning prints
+    # t=4.7866e+16 s in exponent form.
+    "huge-time-clamp-warning": (
+        "scenario.mode = planar\nscenario.law = baseline\nscenario.speed = 2.5e-13\n"
+        "scenario.tf = 5e16\nlaunch.azimuthDeg = 10\ngains.k2 = 1e-15\nsim.dt = 1e12\n"
+    ),
 }
 
 
