@@ -79,7 +79,6 @@ class ScenarioConfig:
     a_clip_g: float = _key("baseline.aClipG", math.inf)
     phi: float = _key("shaping.phi", 300.0)
     sigma_max_deg: float = _key("shaping.sigmaMaxDeg", 60.0)
-    eps_sin: float = _key("shaping.epsSin", 1e-3)
     n: int = _key("saturation.n", 2)
     rho: float = _key("saturation.rho", 0.1)
     bound_mode: str = _key("saturation.boundMode", "constant")
@@ -106,7 +105,6 @@ class ScenarioConfig:
             k1=self.resolved_k1(),
             phi=self.phi,
             sigma_max=math.radians(self.sigma_max_deg),
-            eps_sin=self.eps_sin,
         )
 
     def saturation_params(self) -> SaturationParams:

@@ -31,7 +31,11 @@ with the closest approach in its message), when simulated time exceeds
 numerical guard fires (``guard-tripped``).  A chain that overflows a float
 (``OverflowError``, e.g. a huge saturation exponent), or a row whose
 acceleration column is past ``logio.ERROR_MAX``, ends the run as the guard
-``overflow``.
+``overflow``.  A ``GuardTrip`` carries only the guard's name and a detail;
+the engine writes every trip's message, overflow included, as
+``guard '<name>' tripped at t=<t> s: <detail>``, where t is the start of the
+step the run ended on, ``RunOutcome.final_time``, even when a later RK4
+stage tripped.
 
 A run's warnings are messages in ``RunOutcome.warnings``; no Python warning
 is raised: an unreachable impact time, and the first step that starts with
@@ -228,8 +232,9 @@ def simulate(
                 last_logged = step
             y_new = rk4_step(law, t, y, dt, ev)
         except (GuardTrip, OverflowError) as exc:
-            trip = exc if isinstance(exc, GuardTrip) else GuardTrip("overflow", t, str(exc))
-            status, guard, message = RunStatus.GUARD_TRIPPED, trip.guard, str(trip)
+            status = RunStatus.GUARD_TRIPPED
+            guard = exc.guard if isinstance(exc, GuardTrip) else "overflow"
+            message = f"guard '{guard}' tripped at t={fixed_or_exponent(t, '.6f')} s: {exc}"
             break
 
         # Report the first clamp only (the step starts with the law's z1 < 0):

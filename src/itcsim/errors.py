@@ -20,10 +20,12 @@ class GuardTrip(RuntimeError):
     """Raised inside the integration loop when a numerical guard fires.
 
     The run loop catches this and reports the run as guard-tripped rather
-    than letting a division blow up or NaNs propagate into the log.
+    than letting a division blow up or NaNs propagate into the log.  It
+    carries only the guard's name and its detail, which is ``str(trip)``;
+    ``engine.simulate`` writes the run's message, ``guard '<name>' tripped
+    at t=<t> s: <detail>``, with t the start of the step the run ended on.
     """
 
-    def __init__(self, guard: str, t: float, detail: str = "") -> None:
+    def __init__(self, guard: str, detail: str) -> None:
+        super().__init__(detail)
         self.guard = guard
-        msg = f"guard '{guard}' tripped at t={t:.6f} s"
-        super().__init__(f"{msg}: {detail}" if detail else msg)

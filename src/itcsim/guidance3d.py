@@ -101,10 +101,10 @@ class Guidance3D:
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
         v = self.speed
         if r < EPS_RANGE:
-            raise GuardTrip("range-floor", t, f"r={r:.3e} m")
+            raise GuardTrip("range-floor", f"r={r:.3e} m")
         cos_t = math.cos(theta)
         if abs(cos_t) < EPS_COS:
-            raise GuardTrip("polar-singularity", t, f"theta={theta:.6f} rad")
+            raise GuardTrip("polar-singularity", f"theta={theta:.6f} rad")
 
         sin_t = math.sin(theta)
         cos_tm = math.cos(theta_m)
@@ -215,9 +215,9 @@ class Guidance3D:
         sat = self.sat
         bracket_y, bracket_z, a_y_max, a_z_max = axis_brackets(a_my, a_mz, sat)
         if bracket_y < EPS_DEN:
-            raise GuardTrip("denominator-singular", t, f"horizontal bracket={bracket_y:.3e}")
+            raise GuardTrip("denominator-singular", f"horizontal bracket={bracket_y:.3e}")
         if bracket_z < EPS_DEN:
-            raise GuardTrip("denominator-singular", t, f"vertical bracket={bracket_z:.3e}")
+            raise GuardTrip("denominator-singular", f"vertical bracket={bracket_z:.3e}")
 
         # The leak terms, shared by the commands and the channel rates.
         leak_y = sat.rho * a_my

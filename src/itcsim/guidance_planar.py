@@ -101,7 +101,7 @@ class GuidancePlanar:
         r, _theta, sigma, a_my = y
         v = self.speed
         if r < EPS_RANGE:
-            raise GuardTrip("range-floor", t, f"r={r:.3e} m")
+            raise GuardTrip("range-floor", f"r={r:.3e} m")
 
         # --- Kinematics: the range and LOS rates, and the lead rate, the
         # velocity's turn rate less the LOS rate.  -(v * x) is (-v) * x bit
@@ -140,7 +140,7 @@ class GuidancePlanar:
         sat = self.sat
         bracket, _, a_y_max, _ = axis_brackets(a_my, 0.0, sat)
         if bracket < EPS_DEN:
-            raise GuardTrip("denominator-singular", t, f"bracket={bracket:.3e}")
+            raise GuardTrip("denominator-singular", f"bracket={bracket:.3e}")
         leak = sat.rho * a_my
         raw_b = (leak + alpha_y_dot - z2 / v - self.ky * zy) / bracket
         b_y = clip_command(raw_b, sat)
@@ -187,7 +187,7 @@ class BaselinePlanar:
         r, _theta, sigma = y
         v = self.speed
         if r < EPS_RANGE:
-            raise GuardTrip("range-floor", t, f"r={r:.3e} m")
+            raise GuardTrip("range-floor", f"r={r:.3e} m")
 
         # Kinematics as in ``GuidancePlanar.rates``.
         v_sin_s = v * math.sin(sigma)

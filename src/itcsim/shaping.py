@@ -45,9 +45,9 @@ from typing import NamedTuple
 
 from .errors import ConfigError
 
-# Default floor applied to sin(sigma_d) and sin(2*heading_d) where they
-# divide the shaping rates; the demand passes through zero lead smoothly but
-# the raw quotient is 0/0 there.
+# Floor applied to sin(sigma_d) and sin(2*heading_d) where they divide the
+# shaping rates; the demand passes through zero lead smoothly but the raw
+# quotient is 0/0 there.  A numerical guard, not a design constant.
 EPS_SIN = 1e-3
 
 
@@ -59,13 +59,11 @@ class ShapingParams:
                demanded lead never reaches the field-of-view limit
     phi        boundary-layer half-width of the sigmoid, m
     sigma_max  seeker field-of-view half-angle, rad
-    eps_sin    floor on the sine factors dividing the demand rates
     """
 
     k1: float = 0.49
     phi: float = 300.0
     sigma_max: float = math.radians(60.0)
-    eps_sin: float = EPS_SIN
 
     def __post_init__(self) -> None:
         if not 0.0 < self.sigma_max < math.pi / 2:
@@ -90,10 +88,6 @@ class ShapingParams:
             raise ConfigError(
                 f"boundary layer phi**3 must be a positive finite float, got phi = {self.phi}",
                 field="phi",
-            )
-        if not 0.0 < self.eps_sin < 0.1:
-            raise ConfigError(
-                f"rate-guard floor eps_sin must be in (0, 0.1), got {self.eps_sin}", field="eps_sin"
             )
 
     def max_demand(self) -> float:
@@ -183,7 +177,6 @@ def shaping_rates(z1: float, z1_dot: float, z1_ddot: float, params: ShapingParam
         return params._flat_demands[1]
     phi3, two_phi3, two_phi, three_two_phi = params._layer_constants
     k1 = params.k1
-    eps_sin = params.eps_sin
 
     # desired_lead, with sgmf's cubic branch.
     c = 1.0 - k1 * (-(z1**3) / two_phi3 + 3.0 * z1 / two_phi)
@@ -195,19 +188,19 @@ def shaping_rates(z1: float, z1_dot: float, z1_ddot: float, params: ShapingParam
     c = c if c < 1.0 else 1.0
     heading_d = 0.5 * math.acos(c if c > -1.0 else -1.0)
 
-    # sgmf's first and second derivatives; floors as max(sin, eps_sin) would
+    # sgmf's first and second derivatives; floors as max(sin, EPS_SIN) would
     # apply them (a NaN sine passes through).
     k1_s1 = k1 * (-3.0 * z1**2 / two_phi3 + three_two_phi)
     s2 = -3.0 * z1 / phi3
     sin_sd = math.sin(sigma_d)
-    sin_sd = eps_sin if eps_sin > sin_sd else sin_sd
+    sin_sd = EPS_SIN if EPS_SIN > sin_sd else sin_sd
     sigma_d_dot = k1_s1 * z1_dot / sin_sd
     sd_dot2_cos = sigma_d_dot**2 * cos_sd
     sigma_d_ddot = (k1 * s2 * z1_dot**2 + k1_s1 * z1_ddot - sd_dot2_cos) / sin_sd
 
     two_h = 2.0 * heading_d
     sin_2h = math.sin(two_h)
-    sin_2h = eps_sin if eps_sin > sin_2h else sin_2h
+    sin_2h = EPS_SIN if EPS_SIN > sin_2h else sin_2h
     heading_d_dot = sigma_d_dot * sin_sd / sin_2h
     heading_d_ddot = (
         sigma_d_ddot * sin_sd + sd_dot2_cos - 2.0 * heading_d_dot**2 * math.cos(two_h)

@@ -21,7 +21,7 @@ from itcsim.guidance_planar import GuidancePlanar
 from itcsim.kinematics import effective_lead
 from itcsim.presets import PLANAR_COMPARE_ROWS
 from itcsim.saturation import SaturationParams, axis_brackets
-from itcsim.shaping import desired_heading, desired_lead, shaping_rates
+from itcsim.shaping import EPS_SIN, desired_heading, desired_lead, shaping_rates
 from test_symbolic import model_rates
 
 G = 9.81
@@ -308,9 +308,9 @@ def _guard_free_3d(row, shaping, b_cap):
     if row.z1 <= 0.0 or abs(row.z1 - shaping.phi) <= 30.0:
         return False
     sigma_d = desired_lead(row.z1, shaping)
-    if math.sin(sigma_d) <= shaping.eps_sin:
+    if math.sin(sigma_d) <= EPS_SIN:
         return False
-    if math.sin(2.0 * desired_heading(sigma_d)) <= shaping.eps_sin:
+    if math.sin(2.0 * desired_heading(sigma_d)) <= EPS_SIN:
         return False
     cap = b_cap * (1.0 - 1e-12)
     return abs(row.b_y) < cap and abs(row.b_z) < cap

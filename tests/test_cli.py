@@ -222,11 +222,11 @@ def test_run_overflow_is_a_guard_trip(tmp_path, capsys):
 
 
 def test_run_that_logs_no_row_is_a_guard_trip(tmp_path, capsys):
-    """z1 is exactly 0 at launch, so sigma_d = 0 and the floored sine makes
-    sigma_d_dot**2 overflow on the first evaluation and again on the end-row
-    retry: the log has no row, and the run ends as any other guard trip."""
+    """At 1.5e154 m/s the 3D law's acceleration errors zy and zz pass
+    logio.ERROR_MAX on the first evaluation and again on the end-row retry:
+    the log has no row, and the run ends as any other guard trip."""
     cfg = tmp_path / "no-row.cfg"
-    cfg.write_text("scenario.tf = 40\nshaping.epsSin = 1e-300\n")
+    cfg.write_text("scenario.tf = 40\nscenario.speed = 1.5e154\n")
     assert main(["validate", "--config", str(cfg)]) == EXIT_OK
     code = main([
         "run", "--config", str(cfg),
@@ -428,9 +428,11 @@ def test_validate_config_with_a_utf8_byte_order_mark(tmp_path, capsys):
 
 
 # Keys that are no longer config keys: g-unit bounds convert with a fixed
-# 9.81 m/s^2, and the target is the origin.
+# 9.81 m/s^2, the target is the origin, and the sine floor of the shaping
+# rates is the constant shaping.EPS_SIN.
 _REMOVED_KEYS = (
     "saturation.g", "geometry.targetXKm", "geometry.targetYKm", "geometry.targetZKm",
+    "shaping.epsSin",
 )
 
 

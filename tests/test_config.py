@@ -48,7 +48,7 @@ def test_defaults_describe_the_nominal_engagement():
 def test_keys_cover_every_field_exactly_once():
     mapped = [field_name for field_name, _ in KEYS.values()]
     assert sorted(mapped) == sorted(f.name for f in fields(ScenarioConfig))
-    assert len(mapped) == len(set(mapped)) == 29
+    assert len(mapped) == len(set(mapped)) == 28
 
 
 def test_parse_config_text():
@@ -234,7 +234,6 @@ def _drawn_config(rng: random.Random, trial: int) -> ScenarioConfig:
         "baseline.aClipG": math.inf if trial % 2 else u(5.0, 20.0),
         "shaping.phi": u(100.0, 250.0),
         "shaping.sigmaMaxDeg": u(40.0, 55.0),
-        "shaping.epsSin": u(1e-4, 1e-2),
         "saturation.n": rng.choice((4, 6, 8)),
         "saturation.rho": u(0.01, 0.09),
         "saturation.boundMode": rng.choice(("roll-coupled", "wing-tail")),
@@ -284,7 +283,6 @@ def test_validation_messages_name_the_key():
         (dict(k2=0.0), "gains.k2"),
         (dict(ky=-1.0), "gains.ky"),
         (dict(phi=0.0), "shaping.phi"),
-        (dict(eps_sin=0.5), "epsSin"),
         (dict(n=3), "even"),
         (dict(rho=0.0), "saturation.rho"),
         (dict(bound_mode="gimbal"), "boundMode"),
@@ -352,7 +350,6 @@ def test_owner_rule_errors_name_the_config_key():
         (dict(phi=0.0), "shaping.phi = 0.0"),
         (dict(phi=1e103), "shaping.phi = 1e+103"),
         (dict(phi=1e-110), "shaping.phi = 1e-110"),
-        (dict(eps_sin=0.5), "shaping.epsSin = 0.5"),
         (dict(n=3), "saturation.n = 3"),
         (dict(rho=0.0), "saturation.rho = 0.0"),
         # aMaxG and aMaxLG: test_g_unit_bound_errors_name_the_product.

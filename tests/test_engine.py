@@ -17,8 +17,8 @@ import pytest
 
 from itcsim.config import ScenarioConfig, run_scenario
 from itcsim.engine import (
-    _STAGE_ARITHMETIC, RunOutcome, RunStatus, SimSettings, _stage_arithmetic, rk4_step,
-    simulate,
+    _STAGE_ARITHMETIC, RunOutcome, RunStatus, SimSettings, _stage_arithmetic, fixed_or_exponent,
+    rk4_step, simulate,
 )
 from itcsim.errors import ConfigError, GuardTrip
 from itcsim.logio import LogRow, TrajectoryLog
@@ -207,7 +207,7 @@ def test_far_flyby_does_not_stop_early():
 def test_guard_trip_reports_and_logs_last_state():
     def f(t, y):
         if t >= 2.0:
-            raise GuardTrip("test-guard", t, "synthetic")
+            raise GuardTrip("test-guard", "synthetic")
         return (-1.0,)
 
     law = _MiniLaw(f, t_final=10.0)
@@ -216,8 +216,10 @@ def test_guard_trip_reports_and_logs_last_state():
     assert out.status is RunStatus.GUARD_TRIPPED
     assert out.guard == "test-guard"
     # The trip happens inside the step starting at t=1.5 (a later RK4 stage
-    # reaches t=2.0); the loop reports that step's start time.
+    # reaches t=2.0); the loop reports that step's start time, in the
+    # message too.
     assert out.final_time == pytest.approx(1.5, abs=1e-12)
+    assert out.message == "guard 'test-guard' tripped at t=1.500000 s: synthetic"
     assert _metrics(rows, law, settings).impact_time is None
     # The last healthy state was captured even with a huge stride.
     assert rows[-1].t == pytest.approx(1.5, abs=1e-12)
@@ -311,7 +313,7 @@ def test_huge_times_print_in_exponent_form():
     (``tools/preset_digests.py``'s ``huge-time-clamp-warning``) clamps and
     intercepts past 1e15 s: the clamp warning and the intercept message
     print t in exponent form, as the timeout and flyby messages do, and so
-    does the non-finite-state message."""
+    do the non-finite-state message and a guard trip's."""
     cfg = ScenarioConfig(
         mode="planar", law="baseline", speed=2.5e-13, tf=5e16, azimuth_deg=10.0, k2=1e-15,
         dt=1e12,
@@ -327,6 +329,16 @@ def test_huge_times_print_in_exponent_form():
     out = simulate(law, (100.0,), SimSettings(dt=1e15))
     assert out.guard == "nonfinite-state"
     assert out.message == "non-finite state component after step at t=1e+15 s"
+
+    # The comparison law's overflow trip, time scaled up until it ends past
+    # 1e15 s: a guard trip's time prints in exponent form too.
+    cfg = ScenarioConfig(
+        mode="planar", law="baseline", speed=2.5e-15, tf=5e18, azimuth_deg=10.0, k2=1e-13,
+        dt=1e14, log_stride=1,
+    )
+    out = simulate(cfg.make_law(), cfg.initial_state(), cfg.sim_settings())
+    assert out.guard == "overflow"
+    assert out.message.startswith("guard 'overflow' tripped at t=7.4e+15 s: ")
 
 
 def test_infeasible_shaping_warns_once_per_run():
@@ -390,7 +402,7 @@ def test_logged_step_guard_trip_keeps_one_pre_step_row():
     """A trip in a later stage of a logged step leaves that step's row once."""
     def f(t, y):
         if t >= 2.5:
-            raise GuardTrip("test-guard", t, "synthetic")
+            raise GuardTrip("test-guard", "synthetic")
         return (-1.0,)
 
     law = _CountingLaw(f, t_final=10.0)
@@ -410,7 +422,7 @@ def test_guard_trip_at_step_start_ends_the_log_at_the_last_row(stride, times):
     ``rates``, stride 4 in the logged step's own ``evaluate``."""
     def f(t, y):
         if t >= 2.0 and y[1] < 7.4:
-            raise GuardTrip("test-guard", t, "synthetic")
+            raise GuardTrip("test-guard", "synthetic")
         return (-1.0, y[1])
 
     law = _CountingLaw(f, state_size=2, t_final=10.0)
@@ -422,6 +434,22 @@ def test_guard_trip_at_step_start_ends_the_log_at_the_last_row(stride, times):
     # One evaluate per logged row, the tripping one at step 4 (stride 4 only)
     # and the end-row attempt.
     assert law.eval_calls == len(times) + 1 + (stride == 4)
+
+
+def test_a_laws_guard_trip_prints_the_step_start():
+    """A real law's range-floor trip comes in an RK4 stage past the step
+    start; its message prints the step start, which is the run's final time
+    and the time of its last row, as the other end messages do."""
+    cfg = ScenarioConfig(
+        mode="planar", tf=2.0, initial_x_km=-0.5, elevation_deg=0.0, azimuth_deg=0.0,
+        hit_radius=1e-9,
+    )
+    rows, out, _ = run_scenario(cfg)
+    assert out.guard == "range-floor"
+    stamp = fixed_or_exponent(out.final_time, ".6f")
+    assert stamp == "1.999000"
+    assert out.message.startswith(f"guard 'range-floor' tripped at t={stamp} s: r=")
+    assert rows[-1].t == out.final_time
 
 
 @pytest.mark.parametrize("stride, times", [(3, [0.0, 1.5]), (4, [0.0])])

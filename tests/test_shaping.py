@@ -15,6 +15,7 @@ import pytest
 
 from itcsim.errors import ConfigError
 from itcsim.shaping import (
+    EPS_SIN,
     ShapingParams,
     ShapingRates,
     desired_heading,
@@ -50,8 +51,6 @@ def test_params_validation():
         ShapingParams(k1=0.5)
     with pytest.raises(ConfigError, match="phi"):
         ShapingParams(phi=0.0)
-    with pytest.raises(ConfigError, match="eps_sin"):
-        ShapingParams(eps_sin=0.0)
     with pytest.raises(ConfigError, match="sigma_max"):
         ShapingParams(sigma_max=math.radians(90.0))
     with pytest.raises(ConfigError, match="sigma_max"):
@@ -161,8 +160,8 @@ def test_shaping_rates_small_demand_floor_keeps_rates_finite():
     assert math.isfinite(sh.sigma_d_ddot)
     assert math.isfinite(sh.heading_d_dot)
     assert math.isfinite(sh.heading_d_ddot)
-    # |sigma_d_dot| <= k1 * s'(z1) * |z1_dot| / eps_sin
-    cap = p.k1 * SGMF_D1_0 * 10.0 / p.eps_sin
+    # |sigma_d_dot| <= k1 * s'(z1) * |z1_dot| / EPS_SIN
+    cap = p.k1 * SGMF_D1_0 * 10.0 / EPS_SIN
     assert abs(sh.sigma_d_dot) <= cap * (1.0 + 1e-12)
 
 
@@ -222,16 +221,15 @@ def _composed_rates(z1, z1_dot, z1_ddot, params):
     heading_d = desired_heading(sigma_d)
     s1 = -3.0 * z1**2 / (2.0 * phi**3) + 3.0 / (2.0 * phi)
     s2 = -3.0 * z1 / phi**3
-    eps_sin = params.eps_sin
     sin_sd = math.sin(sigma_d)
-    sin_sd = eps_sin if eps_sin > sin_sd else sin_sd
+    sin_sd = EPS_SIN if EPS_SIN > sin_sd else sin_sd
     cos_sd = math.cos(sigma_d)
     sigma_d_dot = k1 * s1 * z1_dot / sin_sd
     sigma_d_ddot = (
         k1 * s2 * z1_dot**2 + k1 * s1 * z1_ddot - sigma_d_dot**2 * cos_sd
     ) / sin_sd
     sin_2h = math.sin(2.0 * heading_d)
-    sin_2h = eps_sin if eps_sin > sin_2h else sin_2h
+    sin_2h = EPS_SIN if EPS_SIN > sin_2h else sin_2h
     cos_2h = math.cos(2.0 * heading_d)
     heading_d_dot = sigma_d_dot * sin_sd / sin_2h
     heading_d_ddot = (
@@ -255,8 +253,6 @@ LAYER_PARAMS = {
     "default": ShapingParams(),
     "phi-1e-3": ShapingParams(phi=1e-3),
     "phi-1e30": ShapingParams(phi=1e30),
-    "eps_sin-1e-6": ShapingParams(eps_sin=1e-6),
-    "eps_sin-0.099": ShapingParams(eps_sin=0.099),
     "k1-at-limit": ShapingParams(k1=math.nextafter(1.0 - math.cos(math.radians(60.0)), 0.0)),
 }
 LAYER_RATES = (0.0, 1e6, -1e6, math.nan)

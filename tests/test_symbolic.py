@@ -44,7 +44,7 @@ The checks, each printing its worst value:
     laws against the theta = theta_m = 0 section;
 (b) the 3D chain's theta_ddot, psi_ddot, alpha_z, alpha_y and the two alpha
     rates, and the planar alpha_y and its rate, inside the blend layer and
-    away from the ``eps_sin`` floors;
+    away from the ``EPS_SIN`` floors;
 (c) ``sgmf`` and ``shaping_rates`` against the differentiated demand.
 """
 
@@ -62,7 +62,9 @@ from itcsim.guidance3d import Guidance3D
 from itcsim.guidance_planar import BaselinePlanar, GuidancePlanar
 from itcsim.kinematics import EPS_COS, EPS_RANGE
 from itcsim.saturation import SaturationParams
-from itcsim.shaping import ShapingParams, desired_heading, desired_lead, sgmf, shaping_rates
+from itcsim.shaping import (
+    EPS_SIN, ShapingParams, desired_heading, desired_lead, sgmf, shaping_rates,
+)
 
 T, R, THETA, PSI, THETA_M, PSI_M, A_MY, A_MZ, V = sp.symbols(
     "t r theta psi theta_m psi_m a_my a_mz v"
@@ -450,10 +452,10 @@ def test_planar_law_rates_match_the_model():
 
 def _in_layer_time(rng, r, v, shaping, t_final):
     """A time that puts z1 inside the blend layer, clear of its edges and of
-    the eps_sin floors; None when the draw lands on a floor."""
+    the EPS_SIN floors; None when the draw lands on a floor."""
     z1 = rng.uniform(0.01, 0.99) * shaping.phi
     sigma_d = desired_lead(z1, shaping)
-    floor = 10.0 * shaping.eps_sin
+    floor = 10.0 * EPS_SIN
     if math.sin(sigma_d) <= floor or math.sin(2.0 * desired_heading(sigma_d)) <= floor:
         return None
     return t_final - (z1 + r) / v
@@ -570,7 +572,7 @@ def test_shaping_matches_the_differentiated_demand():
         z1_dot = rng.uniform(-400.0, 400.0)
         z1_ddot = rng.uniform(-100.0, 100.0)
         sh = shaping_rates(z1, z1_dot, z1_ddot, p)
-        floor = 10.0 * p.eps_sin
+        floor = 10.0 * EPS_SIN
         if math.sin(sh.sigma_d) <= floor or math.sin(2.0 * sh.heading_d) <= floor:
             continue
         want = fn(z1, z1_dot, z1_ddot, p.k1, p.phi)

@@ -15,7 +15,8 @@ flyby with field-of-view violations and on two short planar runs, a one-row
 overflow trip, an overflow trip of the comparison law, a start too far
 down-range to meet the impact time (the one warning no preset emits), a 3D
 start off the x axis (no preset has a non-zero initial line-of-sight angle),
-and a comparison-law run whose clamp warning comes after 1e15 s.  The
+a comparison-law run whose clamp warning comes after 1e15 s, and a planar
+run that ends on the range-floor guard, which the law raises by name.  The
 output lists ``sha256  path`` for every file a run wrote and for its stdout
 and stderr, then ``exit N  name``.
 stderr holds the runs' labelled warnings, in scenario order whatever the job
@@ -87,6 +88,13 @@ CONFIGS = {
     "huge-time-clamp-warning": (
         "scenario.mode = planar\nscenario.law = baseline\nscenario.speed = 2.5e-13\n"
         "scenario.tf = 5e16\nlaunch.azimuthDeg = 10\ngains.k2 = 1e-15\nsim.dt = 1e12\n"
+    ),
+    # exit 3: the planar law's range-floor guard, raised by name in an RK4
+    # stage of the step from t = 1.999 s, since the hit radius lies below
+    # the floor; the metrics JSON has "guard": "range-floor".
+    "range-floor-trip": (
+        "scenario.mode = planar\nscenario.tf = 2.0\ngeometry.initialXKm = -0.5\n"
+        "launch.elevationDeg = 0\nlaunch.azimuthDeg = 0\nsim.hitRadius = 1e-9\n"
     ),
 }
 
