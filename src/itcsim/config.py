@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping
 
-from .engine import RunOutcome, SimSettings, simulate
+from .engine import T_MAX_FACTOR, RunOutcome, SimSettings, simulate
 from .errors import ConfigError
 from .guidance3d import Guidance3D
 from .guidance_planar import BaselinePlanar, GuidancePlanar
@@ -84,10 +84,8 @@ class ScenarioConfig:
     bound_mode: str = _key("saturation.boundMode", "constant")
     a_max_g: float = _key("saturation.aMaxG", 10.0)
     a_max_l_g: float = _key("saturation.aMaxLG", 1.0)
-    b_cap: float = _key("saturation.bCap", 5000.0)
     dt: float = _key("sim.dt", 1e-3)
     hit_radius: float = _key("sim.hitRadius", 1.0)
-    t_max_factor: float = _key("sim.tMaxFactor", 1.5)
     log_stride: int = _key("sim.logStride", 10)
 
     def __post_init__(self) -> None:
@@ -114,16 +112,10 @@ class ScenarioConfig:
             a_max=self.a_max_g * G,
             a_max_l=self.a_max_l_g * G,
             mode=BoundMode(self.bound_mode),
-            b_cap=self.b_cap,
         )
 
     def sim_settings(self) -> SimSettings:
-        return SimSettings(
-            dt=self.dt,
-            hit_radius=self.hit_radius,
-            t_max_factor=self.t_max_factor,
-            log_stride=self.log_stride,
-        )
+        return SimSettings(dt=self.dt, hit_radius=self.hit_radius, log_stride=self.log_stride)
 
     def _line_of_sight(self) -> tuple[float, float, float, float]:
         """Offsets dx, dy, dz from interceptor to target (the origin) and the
@@ -257,11 +249,11 @@ class ScenarioConfig:
                 raise ConfigError(f"{culprit}: {exc}") from None
         # Bound a run's length and its log (a 3D CSV row is about 470 B) at
         # the timeout; ceil(steps) > N exactly when steps > N for a whole N.
-        steps = self.t_max_factor * self.tf / self.dt
+        steps = T_MAX_FACTOR * self.tf / self.dt
         if steps > MAX_STEPS:
             raise ConfigError(
                 f"sim.dt = {self.dt}: a run of up to {steps:.3g} steps "
-                f"(sim.tMaxFactor * scenario.tf / sim.dt) exceeds the {MAX_STEPS:g}-step limit"
+                f"({T_MAX_FACTOR:g} * scenario.tf / sim.dt) exceeds the {MAX_STEPS:g}-step limit"
             )
         if steps / self.log_stride > MAX_LOG_ROWS:
             raise ConfigError(

@@ -27,7 +27,7 @@ A run terminates when the range first drops to the hit radius
 (``intercepted``), when the range starts growing again after a closest
 approach inside ten hit radii (a near-miss flyby, reported as ``timeout``
 with the closest approach in its message), when simulated time exceeds
-``t_max_factor`` times the commanded impact time (``timeout``), or when a
+``T_MAX_FACTOR`` times the commanded impact time (``timeout``), or when a
 numerical guard fires (``guard-tripped``).  A chain that overflows a float
 (``OverflowError``, e.g. a huge saturation exponent), or a row whose
 acceleration column is past ``logio.ERROR_MAX``, ends the run as the guard
@@ -52,6 +52,10 @@ from typing import Protocol
 
 from .errors import ConfigError, GuardTrip
 from .logio import LogRow, RowSink
+
+# A run that has not ended by this multiple of the commanded impact time
+# ends as a timeout.
+T_MAX_FACTOR = 1.5
 
 
 def fixed_or_exponent(value: float, spec: str) -> str:
@@ -86,15 +90,13 @@ class GuidanceLaw(Protocol):
 class SimSettings:
     """Integration and logging controls.
 
-    dt            fixed integration step, s
-    hit_radius    range at which the target counts as intercepted, m
-    t_max_factor  stop (timeout) at t_max_factor * t_final
-    log_stride    log every Nth step (first and last steps always logged)
+    dt          fixed integration step, s
+    hit_radius  range at which the target counts as intercepted, m
+    log_stride  log every Nth step (first and last steps always logged)
     """
 
     dt: float = 1e-3
     hit_radius: float = 1.0
-    t_max_factor: float = 1.5
     log_stride: int = 10
 
     def __post_init__(self) -> None:
@@ -106,11 +108,6 @@ class SimSettings:
         if not 0.0 < self.hit_radius < math.inf:
             raise ConfigError(
                 f"hit radius must be finite and > 0, got {self.hit_radius}", field="hit_radius"
-            )
-        if not 1.0 < self.t_max_factor < math.inf:
-            raise ConfigError(
-                f"t_max_factor must be finite and > 1, got {self.t_max_factor}",
-                field="t_max_factor",
             )
         if self.log_stride < 1:
             raise ConfigError(f"log stride must be >= 1, got {self.log_stride}", field="log_stride")
@@ -202,7 +199,7 @@ def simulate(
     warnings: list[str] = []
     dt = settings.dt
     v, t_final = law.speed, law.t_final
-    t_max = settings.t_max_factor * t_final
+    t_max = T_MAX_FACTOR * t_final
     y = tuple(float(c) for c in y0)
 
     # Up-front feasibility: flying dead straight must reach the target no

@@ -224,8 +224,8 @@ class Guidance3D:
         leak_z = sat.rho * a_mz
         raw_b_y = (leak_y + alpha_y_dot - z4 / v_cos_tm - self.ky * zy) / bracket_y
         raw_b_z = (leak_z + alpha_z_dot - z3 / v - self.kz * zz) / bracket_z
-        b_y = clip_command(raw_b_y, sat)
-        b_z = clip_command(raw_b_z, sat)
+        b_y = clip_command(raw_b_y)
+        b_z = clip_command(raw_b_z)
 
         a_my_dot = bracket_y * b_y - leak_y
         a_mz_dot = bracket_z * b_z - leak_z

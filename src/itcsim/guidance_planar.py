@@ -143,7 +143,7 @@ class GuidancePlanar:
             raise GuardTrip("denominator-singular", f"bracket={bracket:.3e}")
         leak = sat.rho * a_my
         raw_b = (leak + alpha_y_dot - z2 / v - self.ky * zy) / bracket
-        b_y = clip_command(raw_b, sat)
+        b_y = clip_command(raw_b)
         a_my_dot = bracket * b_y - leak
         return (
             (r_dot, theta_dot, sigma_dot, a_my_dot),

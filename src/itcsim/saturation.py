@@ -8,11 +8,11 @@ where ``b`` is the commanded input, ``n`` an even exponent and ``rho`` a
 positive leak rate.  The bracket vanishes as |a| approaches the axis bound,
 and at the bound the leak term points back inside, so |a| <= a_axis_max is
 forward-invariant for any finite ``b`` -- the channel physically cannot be
-driven past its limit.  Commanded inputs are additionally clipped to a large
-finite magnitude ``b_cap``; the invariance argument needs finiteness, and an
-uncapped feedback command can grow without bound exactly when the bracket
-shrinks, which would both defeat the barrier and make the system arbitrarily
-stiff to integrate.
+driven past its limit.  Commanded inputs are additionally clipped to the
+large finite magnitude ``B_CAP``, a constant like the guard floors below;
+the invariance argument needs finiteness, and an uncapped feedback command
+can grow without bound exactly when the bracket shrinks, which would both
+defeat the barrier and make the system arbitrarily stiff to integrate.
 
 Three bound schedules are supported; ||a|| is the resultant of the two
 channel accelerations:
@@ -45,10 +45,16 @@ EPS_RESULTANT = 1e-6
 # The smallest bound a_max that SaturationParams accepts, m/s^2.
 _EPS_BOUND = EPS_RESULTANT * EPS_RESULTANT
 
+# Magnitude clip on commanded actuator inputs; the barrier needs a finite
+# one (see the module docstring).
+B_CAP = 5000.0
+
 # Input-effectiveness brackets below this are reported by the guidance laws
-# as a numerical guard rather than divided by; with the command cap in place
-# the actuator state cannot actually reach its bound, so a trip indicates a
-# mis-set scenario.
+# as a numerical guard rather than divided by.  With the command cap in place
+# the continuous-time actuator state cannot reach its bound, but an RK4
+# trial stage of a coarse step can leave the actuator set: no preset trips
+# at sim.dt = 1 ms, while fig5-wingtail trips from 6 ms, fig4-rollcoupled at
+# 10 ms and 15 of the 16 shaped-law study scenarios at 20 ms.
 EPS_DEN = 1e-6
 
 _SQRT2 = math.sqrt(2.0)
@@ -75,7 +81,6 @@ class SaturationParams:
     a_max     resultant (or per-axis, for constant mode) bound, m/s^2
     a_max_l   lower per-axis bound for the wing-tail schedule, m/s^2
     mode      bound schedule
-    b_cap     magnitude clip applied to commanded inputs, m/s^3-like units
     """
 
     n: int = 2
@@ -83,7 +88,6 @@ class SaturationParams:
     a_max: float = 98.1
     a_max_l: float = 9.81
     mode: BoundMode = BoundMode.CONSTANT
-    b_cap: float = 5000.0
 
     def __post_init__(self) -> None:
         # ``axis_brackets`` dispatches on the members by identity, so an equal
@@ -108,11 +112,6 @@ class SaturationParams:
             raise ConfigError(
                 f"wing-tail lower bound a_max_l must be in (0, a_max], got {self.a_max_l}",
                 field="a_max_l",
-            )
-        # The barrier needs a finite cap (see the module docstring).
-        if not 0.0 < self.b_cap < math.inf:
-            raise ConfigError(
-                f"command cap b_cap must be finite and > 0, got {self.b_cap}", field="b_cap"
             )
 
 
@@ -168,17 +167,17 @@ def axis_brackets(
     return bracket, bracket, a_y_max, a_z_max
 
 
-def clip_command(b: float, params: SaturationParams) -> float:
-    """Apply the finite command cap; the saturation barrier requires it.
+def clip_command(b: float) -> float:
+    """Clip ``b`` to the finite command cap ``B_CAP``; the saturation
+    barrier requires it.
 
     A NaN command (an inf - inf in the chain) raises ``OverflowError``, which
     the engine ends as the ``overflow`` guard.
     """
-    cap = params.b_cap
-    if b > cap:
-        return cap
-    if b >= -cap:
+    if b > B_CAP:
+        return B_CAP
+    if b >= -B_CAP:
         return b
-    if b < -cap:
-        return -cap
+    if b < -B_CAP:
+        return -B_CAP
     raise OverflowError(f"actuator command is {b}")

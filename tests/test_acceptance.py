@@ -20,7 +20,7 @@ from itcsim.engine import RunStatus, rk4_step
 from itcsim.guidance_planar import GuidancePlanar
 from itcsim.kinematics import effective_lead
 from itcsim.presets import PLANAR_COMPARE_ROWS
-from itcsim.saturation import SaturationParams, axis_brackets
+from itcsim.saturation import B_CAP, SaturationParams, axis_brackets
 from itcsim.shaping import EPS_SIN, desired_heading, desired_lead, shaping_rates
 from test_symbolic import model_rates
 
@@ -346,10 +346,10 @@ def test_c8b_lyapunov_descent(nominal_run, planar_compare_runs, criterion_record
         return start, pairs
 
     shaping = nominal_run.cfg.shaping_params()
-    start3, pairs3 = check(nominal_run.rows, shaping, nominal_run.cfg.b_cap, "yz")
+    start3, pairs3 = check(nominal_run.rows, shaping, B_CAP, "yz")
 
     planar = next(b for b in planar_compare_runs if b.label == "tf50-angle10-proposed")
-    startp, pairsp = check(planar.rows, planar.cfg.shaping_params(), planar.cfg.b_cap, "y")
+    startp, pairsp = check(planar.rows, planar.cfg.shaping_params(), B_CAP, "y")
 
     ok = not rises and pairs3 > 1000 and pairsp > 1000
     detail = (
@@ -419,7 +419,7 @@ def test_c8c_analytic_derivatives_match_finite_differences(
     # 3D closed loop: second LOS derivatives and stabilizing-acceleration
     # rates, probed by stepping the true dynamics +-h around logged states.
     law3 = nominal_run.cfg.make_law()
-    samples = _fd_samples(nominal_run.rows, nominal_run.cfg.b_cap)
+    samples = _fd_samples(nominal_run.rows, B_CAP)
     assert len(samples) >= 8, f"only {len(samples)} usable probe rows"
     for row in samples:
         t, y = row.t, (row.r, row.theta, row.psi, row.theta_m, row.psi_m, row.a_my, row.a_mz)
@@ -440,7 +440,7 @@ def test_c8c_analytic_derivatives_match_finite_differences(
     # Planar closed loop: stabilizing-acceleration rate.
     planar = next(b for b in planar_compare_runs if b.label == "tf50-angle10-proposed")
     lawp = planar.cfg.make_law()
-    psamples = _fd_samples(planar.rows, planar.cfg.b_cap)
+    psamples = _fd_samples(planar.rows, B_CAP)
     assert len(psamples) >= 8
     for row in psamples:
         t, y = row.t, (row.r, row.theta, row.sigma, row.a_my)

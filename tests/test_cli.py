@@ -427,12 +427,15 @@ def test_validate_config_with_a_utf8_byte_order_mark(tmp_path, capsys):
     assert f"{bom}: not UTF-8 text at byte 18 " in capsys.readouterr().err
 
 
-# Keys that are no longer config keys: g-unit bounds convert with a fixed
-# 9.81 m/s^2, the target is the origin, and the sine floor of the shaping
-# rates is the constant shaping.EPS_SIN.
+# Keys that are no longer config keys, as README's "Removed keys and options"
+# lists them: no law read the comparison law's navigation constant, g-unit
+# bounds convert with a fixed 9.81 m/s^2, the target is the origin, and the
+# sine floor of the shaping rates, the command cap and the timeout multiple
+# are not part of the paper's model and no preset set them, so they are the
+# constants shaping.EPS_SIN, saturation.B_CAP and engine.T_MAX_FACTOR.
 _REMOVED_KEYS = (
-    "saturation.g", "geometry.targetXKm", "geometry.targetYKm", "geometry.targetZKm",
-    "shaping.epsSin",
+    "baseline.navConstant", "saturation.g", "geometry.targetXKm", "geometry.targetYKm",
+    "geometry.targetZKm", "shaping.epsSin", "saturation.bCap", "sim.tMaxFactor",
 )
 
 
@@ -465,7 +468,11 @@ def test_validate_rejects_infinite_env_override(micro_cfg, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "text, fragment",
     [
-        ("sim.dt = 1e-9\n", "sim.dt = 1e-09: a run of up to 7.5e+10 steps"),
+        (
+            "sim.dt = 1e-9\n",
+            "sim.dt = 1e-09: a run of up to 7.5e+10 steps (1.5 * scenario.tf / sim.dt) "
+            "exceeds the 1e+07-step limit",
+        ),
         ("sim.dt = 1e-5\nsim.logStride = 1\n", "sim.logStride = 1: a log of up to 7.5e+06 rows"),
     ],
     ids=["steps", "rows"],

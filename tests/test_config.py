@@ -26,6 +26,7 @@ from itcsim.guidance_planar import BaselinePlanar, GuidancePlanar
 from itcsim.presets import PLANAR_COMPARE_ROWS, PRESET_NAMES, preset_scenarios
 from itcsim.saturation import BoundMode, SaturationParams
 from itcsim.shaping import ShapingParams
+from test_cli import _REMOVED_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,7 +49,7 @@ def test_defaults_describe_the_nominal_engagement():
 def test_keys_cover_every_field_exactly_once():
     mapped = [field_name for field_name, _ in KEYS.values()]
     assert sorted(mapped) == sorted(f.name for f in fields(ScenarioConfig))
-    assert len(mapped) == len(set(mapped)) == 28
+    assert len(mapped) == len(set(mapped)) == 26
 
 
 def test_parse_config_text():
@@ -239,10 +240,8 @@ def _drawn_config(rng: random.Random, trial: int) -> ScenarioConfig:
         "saturation.boundMode": rng.choice(("roll-coupled", "wing-tail")),
         "saturation.aMaxG": u(11.0, 20.0),
         "saturation.aMaxLG": u(0.1, 0.9),
-        "saturation.bCap": u(1000.0, 4000.0),
         "sim.dt": u(5e-4, 9e-4),
         "sim.hitRadius": u(0.5, 0.9),
-        "sim.tMaxFactor": u(1.2, 1.4),
         "sim.logStride": rng.randrange(11, 50),
     }
     assert set(values) == set(KEYS)  # a new key needs a draw here
@@ -288,12 +287,10 @@ def test_validation_messages_name_the_key():
         (dict(bound_mode="gimbal"), "boundMode"),
         (dict(a_max_g=0.0), "aMaxG"),
         (dict(bound_mode="wing-tail", a_max_l_g=20.0), "aMaxLG"),
-        (dict(b_cap=0.0), "bCap"),
         (dict(dt=0.0), "sim.dt"),
         (dict(hit_radius=0.0), "hitRadius"),
         (dict(hit_radius=math.inf), "hitRadius"),
         (dict(hit_radius=20000.0), r"sim\.hitRadius = 20000\.0: must be below the initial range"),
-        (dict(t_max_factor=1.0), "tMaxFactor"),
         (dict(log_stride=0), "logStride"),
         (dict(a_clip_g=0.0), "aClipG"),
         (dict(a_clip_g=math.nan), "aClipG"),
@@ -353,10 +350,8 @@ def test_owner_rule_errors_name_the_config_key():
         (dict(n=3), "saturation.n = 3"),
         (dict(rho=0.0), "saturation.rho = 0.0"),
         # aMaxG and aMaxLG: test_g_unit_bound_errors_name_the_product.
-        (dict(b_cap=0.0), "saturation.bCap = 0.0"),
         (dict(dt=0.0), "sim.dt = 0.0"),
         (dict(hit_radius=0.0), "sim.hitRadius = 0.0"),
-        (dict(t_max_factor=1.0), "sim.tMaxFactor = 1.0"),
         (dict(log_stride=0), "sim.logStride = 0"),
     ]
     for overrides, prefix in cases:
@@ -419,6 +414,17 @@ def test_readme_config_docs_match_keys(tmp_path):
     assert documented and documented <= set(KEYS)
     (bound_row,) = [row for row in rows if "`saturation.boundMode`" in row[1]]
     assert set(re.findall(r"`([\w-]+)`", bound_row[3])) == {m.value for m in BoundMode}
+
+
+def test_readme_removed_keys_match_the_cli_tests():
+    """README's "Removed keys and options" list names exactly the keys whose
+    refusal the CLI tests check (its ``run --dt`` item is an option, not a
+    key), and none of them is a config key."""
+    section = README.read_text().split("Removed keys and options", 1)[1].split("\n## ", 1)[0]
+    heads = [line.split(":", 1)[0] for line in section.splitlines() if line.startswith("- `")]
+    removed = {key for head in heads for key in re.findall(r"`(\w+\.\w+)`", head)}
+    assert removed == set(_REMOVED_KEYS)
+    assert not removed & set(KEYS)
 
 
 def test_initial_state_geometry():

@@ -63,12 +63,10 @@ def test_settings_validation():
         SimSettings(dt=0.0)
     with pytest.raises(ConfigError, match="hit radius"):
         SimSettings(hit_radius=0.0)
-    with pytest.raises(ConfigError, match="t_max_factor"):
-        SimSettings(t_max_factor=1.0)
     with pytest.raises(ConfigError, match="stride"):
         SimSettings(log_stride=0)
     # NaN fails every comparison, so each bound is a range that excludes it.
-    for field in ("dt", "hit_radius", "t_max_factor"):
+    for field in ("dt", "hit_radius"):
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError) as err:
                 SimSettings(**{field: value})
@@ -165,7 +163,7 @@ def test_interception_interpolates_the_crossing():
 
 
 def test_timeout_without_closing():
-    # Range never decreases: the loop runs to t_max_factor * t_final.
+    # Range never decreases: the loop runs to T_MAX_FACTOR * t_final.
     law = _MiniLaw(lambda t, y: (0.0,), t_final=2.0)
     settings = SimSettings(dt=0.25, log_stride=4)
     rows, out = _run(law, (50.0,), settings)

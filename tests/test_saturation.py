@@ -15,6 +15,7 @@ import pytest
 from itcsim.config import _FIELD_TO_KEY, _OWNER_FIELD
 from itcsim.errors import ConfigError
 from itcsim.saturation import (
+    B_CAP,
     EPS_RESULTANT,
     BoundMode,
     SaturationParams,
@@ -87,8 +88,6 @@ def test_params_validation_rejects_bad_values():
         SaturationParams(mode=BoundMode.WING_TAIL, a_max_l=0.0)
     with pytest.raises(ConfigError, match="a_max_l"):
         SaturationParams(mode=BoundMode.WING_TAIL, a_max_l=99.0, a_max=98.1)
-    with pytest.raises(ConfigError, match="b_cap"):
-        SaturationParams(b_cap=0.0)
     # a_max_l is ignored outside the wing-tail schedule.
     SaturationParams(mode=BoundMode.CONSTANT, a_max_l=-5.0)
 
@@ -102,7 +101,7 @@ def test_params_reject_a_bound_mode_that_is_not_a_member():
     assert _FIELD_TO_KEY[_OWNER_FIELD[err.value.field]] == "saturation.boundMode"
 
 
-@pytest.mark.parametrize("name", ["rho", "a_max", "b_cap"])
+@pytest.mark.parametrize("name", ["rho", "a_max"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_validation_rejects_non_finite_values(name, value):
     with pytest.raises(ConfigError, match="finite") as err:
@@ -263,16 +262,16 @@ def test_wing_tail_brackets_match_builtin_max():
 
 
 def test_clip_command():
-    p = SaturationParams(b_cap=5000.0)
-    assert clip_command(123.0, p) == 123.0
-    assert clip_command(1.0e7, p) == 5000.0
-    assert clip_command(-1.0e7, p) == -5000.0
-    assert clip_command(-5000.0, p) == -5000.0
-    assert clip_command(math.inf, p) == 5000.0
-    assert clip_command(-math.inf, p) == -5000.0
+    assert B_CAP == 5000.0
+    assert clip_command(123.0) == 123.0
+    assert clip_command(1.0e7) == 5000.0
+    assert clip_command(-1.0e7) == -5000.0
+    assert clip_command(-5000.0) == -5000.0
+    assert clip_command(math.inf) == 5000.0
+    assert clip_command(-math.inf) == -5000.0
     # A NaN command (inf - inf in the chain) is the engine's overflow guard.
     with pytest.raises(OverflowError):
-        clip_command(math.nan, p)
+        clip_command(math.nan)
 
 
 def test_forward_invariance_smoke():
