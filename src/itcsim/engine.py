@@ -29,10 +29,10 @@ approach inside ten hit radii (a near-miss flyby, reported as ``timeout``
 with the closest approach in its message), when simulated time exceeds
 ``T_MAX_FACTOR`` times the commanded impact time (``timeout``), or when a
 numerical guard fires (``guard-tripped``).  A chain that overflows a float
-(``OverflowError``, e.g. a huge saturation exponent), or a row whose
-acceleration column is past ``logio.ERROR_MAX``, ends the run as the guard
-``overflow``.  A ``GuardTrip`` carries only the guard's name and a detail;
-the engine writes every trip's message, overflow included, as
+(``OverflowError``, e.g. a huge saturation exponent) ends the run as the
+guard ``overflow``.  No ``log_row`` raises, so a run ends at the same step
+at every ``log_stride``.  A ``GuardTrip`` carries only the guard's name and
+a detail; the engine writes every trip's message, overflow included, as
 ``guard '<name>' tripped at t=<t> s: <detail>``, where t is the start of the
 step the run ended on, ``RunOutcome.final_time``, even when a later RK4
 stage tripped.
@@ -71,8 +71,7 @@ class GuidanceLaw(Protocol):
     engine reads no other item and no field name, and of the law's fields
     only ``speed`` and ``t_final``.  ``evaluate`` is that tuple, named, and
     serves as RK4 stage 1 of a logged step; ``log_row`` maps it to a
-    trajectory row, computing sigma, Vz and Vy, and raises
-    ``OverflowError`` on an acceleration column past ``logio.ERROR_MAX``.
+    trajectory row, computing sigma, Vz and Vy, and raises nothing.
     """
 
     state_size: int

@@ -241,9 +241,6 @@ class Guidance3D:
         self, t: float, y: tuple[float, float, float, float, float, float, float], ev: Eval3D
     ) -> LogRow:
         r, theta, psi, theta_m, psi_m, a_my, a_mz = y
-        e_max = ERROR_MAX
-        if not (-e_max < a_my < e_max and -e_max < a_mz < e_max):
-            raise OverflowError(f"logged accelerations a_my={a_my:.3e}, a_mz={a_mz:.3e}")
         z3, z4, zy, zz = ev.z3, ev.z4, ev.zy, ev.zz
         px, py, pz = inertial_position(r, theta, psi)
         # In COLUMNS order; z2 is a planar-only column.  Vz and Vy are the

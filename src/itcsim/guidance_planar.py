@@ -44,11 +44,9 @@ def _planar_log_row(
 
     The planar LOS angle goes in the ``theta`` column (matching the planar
     state naming); the position columns are ``inertial_position`` with that
-    angle as azimuth at zero elevation, in the target's plane z = 0.  An
-    ``a_my`` past ERROR_MAX raises OverflowError.
+    angle as azimuth at zero elevation, in the target's plane z = 0.  Each
+    law's ``rates`` has kept ``a_my`` below ``logio.ERROR_MAX``.
     """
-    if not -ERROR_MAX < a_my < ERROR_MAX:
-        raise OverflowError(f"logged acceleration a_my={a_my:.3e}")
     # In COLUMNS order; the zeros are the 3D-only columns.  tuple.__new__
     # skips the named tuple's Python-level __new__.
     return tuple.__new__(LogRow, (
@@ -200,9 +198,9 @@ class BaselinePlanar:
         sigma_d, sigma_d_dot, _, _, _, _ = shaping_rates(z1, z1_dot, 0.0, self.shaping)
         z2 = sigma - sigma_d
         a_raw = v * (sigma_d_dot - v_sin_s / r - self.k2 * z2)
-        # ``_clip`` would pass an infinite demand and map NaN to +a_clip.
-        if not -math.inf < a_raw < math.inf:
-            raise OverflowError(f"acceleration demand {a_raw}")
+        # Past ERROR_MAX the logged aMy, by or effort would overflow; NaN fails too.
+        if not -ERROR_MAX < a_raw < ERROR_MAX:
+            raise OverflowError(f"acceleration demand {a_raw:.3e}")
         a_my = self._clip(a_raw)
         sigma_dot = a_my / v - theta_dot
         return (

@@ -72,7 +72,8 @@ COLUMNS = tuple(_HEADER.get(f, f) for f in LogRow._fields)
 # sqrt(float max / 2) ~ 9.5e153, so below it the logged Vz/Vy and the
 # metrics' a_my^2 + a_mz^2 stay finite (z2, z3 and z4 are angles, but they
 # integrate a/v).  Each law's ``rates`` raises OverflowError past it on an
-# error coordinate, and its ``log_row`` on an acceleration column.
+# error coordinate, and the comparison law's on its acceleration demand;
+# ``saturation.SaturationParams`` keeps a shaped law's bound a_max below it.
 ERROR_MAX = 9e153
 
 

@@ -8,11 +8,14 @@ where ``b`` is the commanded input, ``n`` an even exponent and ``rho`` a
 positive leak rate.  The bracket vanishes as |a| approaches the axis bound,
 and at the bound the leak term points back inside, so |a| <= a_axis_max is
 forward-invariant for any finite ``b`` -- the channel physically cannot be
-driven past its limit.  Commanded inputs are additionally clipped to the
-large finite magnitude ``B_CAP``, a constant like the guard floors below;
-the invariance argument needs finiteness, and an uncapped feedback command
-can grow without bound exactly when the bracket shrinks, which would both
-defeat the barrier and make the system arbitrarily stiff to integrate.
+driven past its limit.  A law checks its bracket against ``EPS_DEN`` on
+every evaluation and ``SaturationParams`` keeps a_max below
+``logio.ERROR_MAX``, so no row of a shaped law holds an acceleration past
+ERROR_MAX.  Commanded inputs are additionally clipped to the large finite
+magnitude ``B_CAP``, a constant like the guard floors below; the invariance
+argument needs finiteness, and an uncapped feedback command can grow
+without bound exactly when the bracket shrinks, which would both defeat the
+barrier and make the system arbitrarily stiff to integrate.
 
 Three bound schedules are supported; ||a|| is the resultant of the two
 channel accelerations:
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError
+from .logio import ERROR_MAX
 
 # Resultants below this are treated as directionless when splitting a
 # shared bound between axes.
@@ -102,10 +106,10 @@ class SaturationParams:
                 f"saturation leak rate rho must be finite and > 0, got {self.rho}", field="rho"
             )
         # The barrier 1 - (a / a_max)**n needs a bound well away from zero.
-        if not _EPS_BOUND <= self.a_max < math.inf:
+        if not _EPS_BOUND <= self.a_max < ERROR_MAX:
             raise ConfigError(
-                f"acceleration bound a_max must be finite and >= {_EPS_BOUND:g} m/s^2, "
-                f"got {self.a_max}",
+                f"acceleration bound a_max must be finite and in "
+                f"[{_EPS_BOUND:g}, {ERROR_MAX:g}) m/s^2, got {self.a_max}",
                 field="a_max",
             )
         if self.mode is BoundMode.WING_TAIL and not 0.0 < self.a_max_l <= self.a_max:

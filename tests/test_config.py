@@ -369,8 +369,10 @@ def test_owner_rule_errors_name_the_config_key():
         (dict(bound_mode="wing-tail", a_max_l_g=20.0), "saturation.aMaxLG"),
         (dict(a_max_g=0.0), "saturation.aMaxG"),
         (dict(a_max_g=1e308), "saturation.aMaxG"),  # the product overflows
+        # 1e153 × 9.81 is past logio.ERROR_MAX = 9e153 though aMaxG is not.
+        (dict(a_max_g=1e153), "saturation.aMaxG"),
     ],
-    ids=["aMaxG-product", "aMaxLG-product", "aMaxG-alone", "aMaxG-overflow"],
+    ids=["aMaxG-product", "aMaxLG-product", "aMaxG-alone", "aMaxG-overflow", "aMaxG-error-max"],
 )
 def test_g_unit_bound_errors_name_the_product(overrides, key):
     """A g-unit bound is checked in m/s^2, as the key's value times 9.81:

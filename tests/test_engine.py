@@ -336,7 +336,7 @@ def test_huge_times_print_in_exponent_form():
     )
     out = simulate(cfg.make_law(), cfg.initial_state(), cfg.sim_settings())
     assert out.guard == "overflow"
-    assert out.message.startswith("guard 'overflow' tripped at t=7.4e+15 s: ")
+    assert out.message.startswith("guard 'overflow' tripped at t=7.3e+15 s: ")
 
 
 def test_infeasible_shaping_warns_once_per_run():
@@ -499,21 +499,31 @@ def test_logging_does_not_perturb_the_trajectory():
     assert _hex_row(sparse[-1]) == _hex_row(dense[-1])
 
 
-def test_a_run_ends_where_it_would_whatever_its_sinks():
-    """The comparison law at k2 = 1e4, every step logged (``tools/
-    preset_digests.py``'s ``baseline-k2-overflow-stride1``): the logged
-    acceleration passes ERROR_MAX at t = 0.06 s.  ``simulate`` with no sink
-    and with a list, and ``run_scenario``, which also folds the metrics, all
-    end there as the ``overflow`` guard; both paths that keep rows keep the
-    same 60."""
-    cfg = ScenarioConfig(mode="planar", law="baseline", k2=10000.0, log_stride=1)
+@pytest.mark.parametrize("stride", [1, 7, 13])
+def test_a_run_ends_where_it_would_whatever_its_sinks(stride):
+    """The comparison law at k2 = 1e4 (``tools/preset_digests.py``'s
+    ``baseline-k2-overflow-stride1`` and ``-stride7``): an RK4 stage of the
+    step from t = 0.059 s demands an acceleration past ERROR_MAX.
+    ``simulate`` with no sink and with a list, and ``run_scenario``, which
+    also folds the metrics, all end there as the ``overflow`` guard, at every
+    log stride.  Each stride logs the stride-1 rows of the steps it logs (60
+    rows at stride 1) and the end state at 0.059 s."""
+    cfg = ScenarioConfig(mode="planar", law="baseline", k2=10000.0, log_stride=stride)
     bare = simulate(cfg.make_law(), cfg.initial_state(), cfg.sim_settings())
     rows, listed = _run(cfg.make_law(), cfg.initial_state(), cfg.sim_settings())
     scored_rows, scored, mets = run_scenario(cfg)
     assert bare == listed == scored
     assert (bare.status, bare.guard) == (RunStatus.GUARD_TRIPPED, "overflow")
-    assert bare.final_time == pytest.approx(0.06, abs=1e-12)
-    assert "logged acceleration" in bare.message
-    assert len(rows) == 60
+    assert bare.final_time == pytest.approx(0.059, abs=1e-12)
+    assert bare.message == (
+        "guard 'overflow' tripped at t=0.059000 s: acceleration demand -1.054e+154"
+    )
     assert scored_rows == rows
     assert math.isfinite(mets.control_effort)
+
+    every_rows, every = _run(
+        cfg.make_law(), cfg.initial_state(), replace(cfg.sim_settings(), log_stride=1)
+    )
+    assert len(every_rows) == 60
+    assert every == bare
+    assert rows == [every_rows[step] for step in (*range(0, 59, stride), 59)]

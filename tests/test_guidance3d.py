@@ -4,8 +4,8 @@ The reference state is a generic mid-engagement point (nonzero LOS angles,
 lead components and achieved accelerations) evaluated independently with
 exact-arithmetic symbolic forms at 30-digit precision; every intermediate of
 the control chain is pinned at 1e-12 relative tolerance.  The last section
-checks, for all three laws, that ``evaluate`` is the ``rates`` tuple named
-and that ``log_row`` bounds the logged accelerations.
+checks, for all three laws, that ``evaluate`` is the ``rates`` tuple named,
+and that the comparison law bounds its acceleration demand.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+from itcsim import guidance_planar
 from itcsim.errors import GuardTrip
 from itcsim.guidance3d import Eval3D, Guidance3D
 from itcsim.guidance_planar import BaselinePlanar, EvalPlanar, GuidancePlanar
@@ -285,30 +286,32 @@ def test_error_pair_whose_lyapunov_form_would_overflow_raises():
         law.evaluate(T_REF, y)
 
 
-def _row_logging(column: str, a: float):
-    """``log_row`` of a reference state of one law whose logged acceleration
-    ``column`` is ``a``: a state component of the 3D and planar laws, the
-    (unclipped) demand of the comparison law."""
-    if column == "baseline-aMy":
-        law, y = _planar_law("baseline"), (9900.0, 0.3, 0.25)
-        return law.log_row(T_REF, y, law.evaluate(T_REF, y)._replace(alpha_y=a))
-    if column == "planar-aMy":
-        law, y = _planar_law("planar"), (9900.0, 0.3, 0.25, -5.0)
-        return law.log_row(T_REF, y[:3] + (a,), law.evaluate(T_REF, y))
-    law = _law()
-    y = Y_REF[:5] + ((a, Y_REF[6]) if column == "3d-aMy" else (Y_REF[5], a))
-    return law.log_row(T_REF, y, law.evaluate(T_REF, Y_REF))
+def _demanding(monkeypatch, a: float) -> BaselinePlanar:
+    """The comparison law with its shaping demand replaced by sigma_d = 0
+    with rate ``a``: at v = 1 m/s and sigma = 0 its acceleration demand
+    v * (sigma_d_dot - v * sin(sigma) / r - k2 * z2) is ``a`` exactly."""
+    monkeypatch.setattr(
+        guidance_planar, "shaping_rates", lambda *_: (0.0, a, 0.0, 0.0, 0.0, 0.0)
+    )
+    return BaselinePlanar(speed=1.0, t_final=50.0, shaping=ShapingParams())
 
 
-@pytest.mark.parametrize("column", ["3d-aMy", "3d-aMz", "planar-aMy", "baseline-aMy"])
-def test_log_row_raises_past_error_max(column):
-    """A logged acceleration of ERROR_MAX or more in magnitude, or NaN,
-    raises OverflowError, so no row holds one whose square overflows the
-    effort fold; the largest float below ERROR_MAX is logged as it is."""
+def test_comparison_law_bounds_its_demand(monkeypatch):
+    """The comparison law's acceleration demand, which it logs as ``by`` and
+    flies clipped, is refused by ``rates`` and ``evaluate`` with
+    OverflowError at ERROR_MAX or more in magnitude and as NaN, so no row
+    holds an acceleration whose square overflows the effort fold; the
+    largest float below ERROR_MAX is flown and logged as it is."""
+    y = (9900.0, 0.3, 0.0)
     below = math.nextafter(ERROR_MAX, 0.0)
     for a in (below, -below):
-        row = _row_logging(column, a)
-        assert (row.a_mz if column == "3d-aMz" else row.a_my) == a
+        law = _demanding(monkeypatch, a)
+        assert law.rates(T_REF, y)[8] == a
+        ev = law.evaluate(T_REF, y)
+        row = law.log_row(T_REF, y, ev)
+        assert row.a_my == row.b_y == a
     for a in (ERROR_MAX, -ERROR_MAX, math.inf, -math.inf, math.nan):
-        with pytest.raises(OverflowError, match="logged acceleration"):
-            _row_logging(column, a)
+        law = _demanding(monkeypatch, a)
+        for entry in (law.rates, law.evaluate):
+            with pytest.raises(OverflowError, match="^acceleration demand "):
+                entry(T_REF, y)

@@ -160,7 +160,7 @@ def test_baseline_clip_matches_builtin_min_max():
 
 def test_baseline_log_row_logs_the_builtin_min_max_bits():
     """``log_row`` logs those bits for every clipped value within ERROR_MAX;
-    past it, ``log_row`` raises (checked for every law in
+    past it, ``rates`` refuses the demand (checked in
     ``test_guidance3d.py``)."""
     y = Y_REF[:3]
     for law in _baselines():

@@ -14,6 +14,7 @@ import pytest
 
 from itcsim.config import _FIELD_TO_KEY, _OWNER_FIELD
 from itcsim.errors import ConfigError
+from itcsim.logio import ERROR_MAX
 from itcsim.saturation import (
     B_CAP,
     EPS_RESULTANT,
@@ -90,6 +91,16 @@ def test_params_validation_rejects_bad_values():
         SaturationParams(mode=BoundMode.WING_TAIL, a_max_l=99.0, a_max=98.1)
     # a_max_l is ignored outside the wing-tail schedule.
     SaturationParams(mode=BoundMode.CONSTANT, a_max_l=-5.0)
+
+
+def test_params_reject_a_bound_at_error_max():
+    """A bound below ERROR_MAX keeps every acceleration a shaped law logs
+    below it: ERROR_MAX itself is refused, the float below it accepted."""
+    with pytest.raises(ConfigError, match=r"in \[1e-12, 9e\+153\) m/s\^2, got 9e\+153$") as err:
+        SaturationParams(a_max=ERROR_MAX)
+    assert err.value.field == "a_max"
+    below = math.nextafter(ERROR_MAX, 0.0)
+    assert SaturationParams(a_max=below).a_max == below
 
 
 def test_params_reject_a_bound_mode_that_is_not_a_member():

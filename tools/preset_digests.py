@@ -12,13 +12,14 @@ comparison law unclipped and never trip a guard, so the configs in
 ``CONFIGS`` follow, each written to the temporary directory and run with
 ``itcsim run --config``: a clipped comparison law, every step logged on a
 flyby with field-of-view violations and on two short planar runs, a one-row
-overflow trip, an overflow trip of the comparison law, a start too far
-down-range to meet the impact time (the one warning no preset emits), a 3D
-start off the x axis (no preset has a non-zero initial line-of-sight angle),
-a comparison-law run whose clamp warning comes after 1e15 s, and a planar
-run that ends on the range-floor guard, which the law raises by name.  The
-output lists ``sha256  path`` for every file a run wrote and for its stdout
-and stderr, then ``exit N  name``.
+overflow trip, an overflow trip of the comparison law at log strides 1 and
+7, which end at the same step, a start too far down-range to meet the
+impact time (the one warning no preset emits), a 3D start off the x axis (no
+preset has a non-zero initial line-of-sight angle), a comparison-law run
+whose clamp warning comes after 1e15 s, and a planar run that ends on the
+range-floor guard, which the law raises by name.  The output lists
+``sha256  path`` for every file a run wrote and for its stdout and stderr,
+then ``exit N  name``.
 stderr holds the runs' labelled warnings, in scenario order whatever the job
 count, so it is as deterministic as the other outputs.  Paths are relative
 to the temporary directory, so two checkouts that behave the same print the
@@ -69,12 +70,18 @@ CONFIGS = {
     # ERROR_MAX: one row, then the overflow trip.
     "3d-tiny-speed": "scenario.speed = 1e-300\nscenario.tf = 3\ngeometry.initialXKm = -0.5\n",
     # exit 3: the comparison law at k2 = 1e4 trips the overflow guard at
-    # t = 0.06 s, where its logged acceleration passes ERROR_MAX (the bound
-    # in each law's log_row), with a finite effort of about 1.27e300, which
-    # the summary line prints in exponent form.
+    # t = 0.059 s, where an RK4 stage's acceleration demand passes ERROR_MAX
+    # (the bound in its rates), with a finite effort of about 1.27e300,
+    # which the summary line prints in exponent form.
     "baseline-k2-overflow-stride1": (
         "scenario.mode = planar\nscenario.law = baseline\ngains.k2 = 10000\n"
         "sim.logStride = 1\n"
+    ),
+    # exit 3: the same run logging every 7th step ends at the same step, at
+    # t = 0.059 s as `overflow`, with 10 rows, the last one at 0.059 s.
+    "baseline-k2-overflow-stride7": (
+        "scenario.mode = planar\nscenario.law = baseline\ngains.k2 = 10000\n"
+        "sim.logStride = 7\n"
     ),
     # exit 2: a 3D start 1e100 km down-range times out; its unreachable
     # impact-time warning prints the range in exponent form.
