@@ -106,12 +106,14 @@ class ScenarioConfig:
         )
 
     def saturation_params(self) -> SaturationParams:
+        # A schedule splits a bound between two axes; the planar law has one.
+        mode = BoundMode(self.bound_mode) if self.mode == "3d" else BoundMode.CONSTANT
         return SaturationParams(
             n=self.n,
             rho=self.rho,
             a_max=self.a_max_g * G,
             a_max_l=self.a_max_l_g * G,
-            mode=BoundMode(self.bound_mode),
+            mode=mode,
         )
 
     def sim_settings(self) -> SimSettings:

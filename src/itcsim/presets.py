@@ -1,60 +1,41 @@
 """Built-in scenario presets for the standard study cases.
 
-Each preset expands to an ordered list of (label, config) pairs; single-run
-presets expand to one pair.  Labels are stable and filesystem-safe, so batch
-outputs can be named after them.
+Each preset is an ordered list of (label, overrides) pairs: the
+``ScenarioConfig`` fields in which that scenario differs from the nominal
+engagement.  Single-run presets have one pair.  Labels are stable and
+filesystem-safe, so batch outputs can be named after them.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .config import ScenarioConfig
 from .errors import ConfigError
-
-PRESET_NAMES = (
-    "table1-nominal",
-    "fig2-tf-sweep",
-    "fig3-heading-sweep",
-    "fig4-rollcoupled",
-    "fig5-wingtail",
-    "fig6-planar-compare",
-)
 
 # (t_final s, initial lead deg) rows of the planar effort-comparison study.
 PLANAR_COMPARE_ROWS = ((50.0, 10.0), (50.0, 20.0), (50.0, 30.0), (55.0, 10.0), (60.0, 10.0), (65.0, 10.0))
 
+_PRESETS: dict[str, list[tuple[str, dict[str, object]]]] = {
+    "table1-nominal": [("table1-nominal", {})],
+    "fig2-tf-sweep": [(f"tf{int(tf)}", {"tf": tf}) for tf in (45.0, 50.0, 55.0)],
+    "fig3-heading-sweep": [
+        (f"elev{int(elev)}-azim{int(azim)}", {"elevation_deg": elev, "azimuth_deg": azim})
+        for elev, azim in ((0.0, 0.0), (0.0, 30.0), (-30.0, 0.0), (-30.0, 30.0))
+    ],
+    "fig4-rollcoupled": [("rollcoupled", {"bound_mode": "roll-coupled"})],
+    "fig5-wingtail": [("wingtail", {"bound_mode": "wing-tail", "a_max_g": 5.0, "a_max_l_g": 1.0})],
+    "fig6-planar-compare": [
+        (f"tf{int(tf)}-angle{int(angle)}-{law}",
+         {"mode": "planar", "tf": tf, "azimuth_deg": angle, "law": law})
+        for tf, angle in PLANAR_COMPARE_ROWS
+        for law in ("proposed", "baseline")
+    ],
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+
 
 def preset_scenarios(name: str) -> list[tuple[str, ScenarioConfig]]:
     """Expand a preset name into labelled scenario configs."""
-    base = ScenarioConfig()
-    if name == "table1-nominal":
-        return [("table1-nominal", base)]
-    if name == "fig2-tf-sweep":
-        return [
-            (f"tf{int(tf)}", replace(base, tf=tf)) for tf in (45.0, 50.0, 55.0)
-        ]
-    if name == "fig3-heading-sweep":
-        pairs = ((0.0, 0.0), (0.0, 30.0), (-30.0, 0.0), (-30.0, 30.0))
-        return [
-            (
-                f"elev{int(elev)}-azim{int(azim)}",
-                replace(base, elevation_deg=elev, azimuth_deg=azim),
-            )
-            for elev, azim in pairs
-        ]
-    if name == "fig4-rollcoupled":
-        return [("rollcoupled", replace(base, bound_mode="roll-coupled"))]
-    if name == "fig5-wingtail":
-        return [
-            ("wingtail", replace(base, bound_mode="wing-tail", a_max_g=5.0, a_max_l_g=1.0))
-        ]
-    if name == "fig6-planar-compare":
-        out: list[tuple[str, ScenarioConfig]] = []
-        for tf, angle in PLANAR_COMPARE_ROWS:
-            planar = replace(base, mode="planar", tf=tf, azimuth_deg=angle)
-            label = f"tf{int(tf)}-angle{int(angle)}"
-            out.append((f"{label}-proposed", planar))
-            out.append((f"{label}-baseline", replace(planar, law="baseline")))
-        return out
-    raise ConfigError(f"unknown preset '{name}'; available: {', '.join(PRESET_NAMES)}")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset '{name}'; available: {', '.join(PRESET_NAMES)}")
+    return [(label, ScenarioConfig(**overrides)) for label, overrides in _PRESETS[name]]

@@ -17,6 +17,7 @@ from itcsim.config import (
     env_overrides,
     load_config,
     parse_config_text,
+    run_scenario,
     serialize_config,
 )
 from itcsim.engine import SimSettings
@@ -418,6 +419,12 @@ def test_readme_config_docs_match_keys(tmp_path):
     assert set(re.findall(r"`([\w-]+)`", bound_row[3])) == {m.value for m in BoundMode}
 
 
+def test_readme_presets_match_preset_names():
+    section = README.read_text().split("### Presets", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    assert tuple(re.fullmatch(r" `([\w-]+)` ", row[1]).group(1) for row in rows) == PRESET_NAMES
+
+
 def test_readme_removed_keys_match_the_cli_tests():
     """README's "Removed keys and options" list names exactly the keys whose
     refusal the CLI tests check (its ``run --dt`` item is an option, not a
@@ -473,6 +480,21 @@ def test_make_law_dispatch():
     assert law.a_clip == math.inf
     capped = replace(baseline, a_clip_g=10.0)
     assert capped.make_law().a_clip == pytest.approx(98.1, rel=1e-12)
+
+
+@pytest.mark.parametrize("bound_mode", ["roll-coupled", "wing-tail"])
+def test_planar_law_reads_no_bound_schedule(bound_mode):
+    """A schedule splits the bound between two axes, and the planar law has
+    one: under either schedule the shaped planar law logs the constant-bound
+    run's rows and scores its metrics bit for bit (at t = 0, a_my = 0 has no
+    direction, which a schedule would read as the even split).  The aMaxLG
+    range rule is a wing-tail one, so a planar scenario does not check it."""
+    constant = ScenarioConfig(mode="planar", tf=2.3, initial_x_km=-0.5, log_stride=1)
+    scheduled = replace(constant, bound_mode=bound_mode, a_max_l_g=20.0)
+    assert scheduled.saturation_params().mode is BoundMode.CONSTANT
+    rows, outcome, mets = run_scenario(constant)
+    assert len(rows) > 2000
+    assert repr(run_scenario(scheduled)) == repr((rows, outcome, mets))
 
 
 def test_law_parameters_are_converted_units():

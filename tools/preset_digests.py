@@ -16,8 +16,9 @@ overflow trip, an overflow trip of the comparison law at log strides 1 and
 7, which end at the same step, a start too far down-range to meet the
 impact time (the one warning no preset emits), a 3D start off the x axis (no
 preset has a non-zero initial line-of-sight angle), a comparison-law run
-whose clamp warning comes after 1e15 s, and a planar run that ends on the
-range-floor guard, which the law raises by name.  The output lists
+whose clamp warning comes after 1e15 s, a planar run that ends on the
+range-floor guard, which the law raises by name, and a planar run under the
+wing-tail schedule, which the planar law does not read.  The output lists
 ``sha256  path`` for every file a run wrote and for its stdout and stderr,
 then ``exit N  name``.
 stderr holds the runs' labelled warnings, in scenario order whatever the job
@@ -103,6 +104,9 @@ CONFIGS = {
         "scenario.mode = planar\nscenario.tf = 2.0\ngeometry.initialXKm = -0.5\n"
         "launch.elevationDeg = 0\nlaunch.azimuthDeg = 0\nsim.hitRadius = 1e-9\n"
     ),
+    # exit 0: fig6's tf50-angle10 shaped-law row under the wing-tail
+    # schedule; the planar law has one axis and reads the constant bound.
+    "planar-wingtail": "scenario.mode = planar\nsaturation.boundMode = wing-tail\n",
 }
 
 
