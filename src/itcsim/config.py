@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping
 
-from .engine import T_MAX_FACTOR, RunOutcome, SimSettings, simulate
+from .engine import T_MAX_FACTOR, RunOutcome, SimSettings, fixed_or_exponent, simulate
 from .errors import ConfigError
 from .guidance3d import Guidance3D
 from .guidance_planar import BaselinePlanar, GuidancePlanar
@@ -233,7 +233,8 @@ class ScenarioConfig:
             )
         if self.hit_radius >= r0:
             raise ConfigError(
-                f"sim.hitRadius = {self.hit_radius}: must be below the initial range {r0:.1f} m"
+                f"sim.hitRadius = {self.hit_radius}: must be below the initial range "
+                f"{fixed_or_exponent(r0, '.1f')} m"
             )
         # The 3D law's polar guard would trip on the first row of a vertical
         # line of sight; the same test here names the keys instead.

@@ -30,12 +30,12 @@ with the closest approach in its message), when simulated time exceeds
 ``T_MAX_FACTOR`` times the commanded impact time (``timeout``), or when a
 numerical guard fires (``guard-tripped``).  A chain that overflows a float
 (``OverflowError``, e.g. a huge saturation exponent) ends the run as the
-guard ``overflow``.  No ``log_row`` raises, so a run ends at the same step
-at every ``log_stride``.  A ``GuardTrip`` carries only the guard's name and
-a detail; the engine writes every trip's message, overflow included, as
-``guard '<name>' tripped at t=<t> s: <detail>``, where t is the start of the
-step the run ended on, ``RunOutcome.final_time``, even when a later RK4
-stage tripped.
+guard ``overflow``, a non-finite new state as ``nonfinite-state``.  No
+``log_row`` raises, so a run ends at the same step at every ``log_stride``.
+A ``GuardTrip`` carries only the guard's name and a detail; the engine
+writes every guard ending's message as ``guard '<name>' tripped at t=<t> s:
+<detail>``, where t is the start of the step the run ended on,
+``RunOutcome.final_time``, even when a later RK4 stage tripped.
 
 A run's warnings are messages in ``RunOutcome.warnings``; no Python warning
 is raised: an unreachable impact time, and the first step that starts with
@@ -228,9 +228,8 @@ def simulate(
                 last_logged = step
             y_new = rk4_step(law, t, y, dt, ev)
         except (GuardTrip, OverflowError) as exc:
-            status = RunStatus.GUARD_TRIPPED
             guard = exc.guard if isinstance(exc, GuardTrip) else "overflow"
-            message = f"guard '{guard}' tripped at t={fixed_or_exponent(t, '.6f')} s: {exc}"
+            detail = str(exc)
             break
 
         # Report the first clamp only (the step starts with the law's z1 < 0):
@@ -244,12 +243,8 @@ def simulate(
             )
 
         if not all(map(math.isfinite, y_new)):
-            # No row for a non-finite state: the sinks keep the rows they have.
-            return RunOutcome(
-                RunStatus.GUARD_TRIPPED, t, "nonfinite-state",
-                f"non-finite state component after step at t={fixed_or_exponent(t, '.6f')} s",
-                warnings,
-            )
+            guard, detail = "nonfinite-state", "non-finite state component after the step"
+            break
 
         step += 1
         t = step * dt
@@ -278,6 +273,10 @@ def simulate(
                 f"{fixed_or_exponent(r_min, '.2f')} m at t={fixed_or_exponent(t_r_min, '.2f')} s"
             )
             break
+
+    if guard is not None:
+        status = RunStatus.GUARD_TRIPPED
+        message = f"guard '{guard}' tripped at t={fixed_or_exponent(t, '.6f')} s: {detail}"
 
     # Log the end state (the post-step state, or the pre-step state of a
     # guard trip) unless its row is already there.  After a trip that state

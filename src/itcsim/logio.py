@@ -94,13 +94,8 @@ class TrajectoryLog:
 # --- CSV ----------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 # One trajectory row as csv.writer would write it: formatted numbers never
-# need quoting, so a single format string gives the same bytes, faster.  The
-# printf-style ``%.17g`` writes what ``_fmt`` writes, with less per-row work.
+# need quoting, so a single format string gives the same bytes, faster.
 _ROW_FORMAT = ",".join(["%.17g"] * len(COLUMNS)) + "\r\n"
 
 
@@ -156,7 +151,7 @@ def write_report_csv(path: str, header: Iterable[str], rows: Iterable[Iterable[o
         writer = csv.writer(fh)
         writer.writerow(list(header))
         for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+            writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in row])
 
 
 # --- JSON ---------------------------------------------------------------------

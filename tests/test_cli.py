@@ -12,12 +12,23 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from itcsim.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, EXIT_TIMEOUT, main
 from itcsim.logio import read_trajectory_csv
 from itcsim.metrics import interception_metrics
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _child_env(**extra: str) -> dict[str, str]:
+    """This process's environment, with ``src`` first on PYTHONPATH, for a
+    child interpreter that must import this checkout's itcsim."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
 
 ALIGNED_MICRO = """\
 # short head-on engagement, collision course, on-time demand
@@ -92,7 +103,7 @@ def test_run_warnings_do_not_depend_on_warning_filters(tmp_path, micro_cfg, acti
     proc = subprocess.run(
         [sys.executable, "-m", "itcsim.cli", "run", "--config", str(micro_cfg),
          "--out-traj", str(tmp_path / "t.csv"), "--out-metrics", str(tmp_path / "m.json")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONWARNINGS": action},
+        capture_output=True, text=True, env=_child_env(PYTHONWARNINGS=action),
     )
     assert proc.returncode == EXIT_OK
     assert proc.stderr == (
@@ -690,7 +701,7 @@ def test_batch_writes_per_run_outputs_and_report(tmp_path, capsys):
 def test_module_invocation_smoke(tmp_path, micro_cfg):
     proc = subprocess.run(
         [sys.executable, "-m", "itcsim.cli", "validate", "--config", str(micro_cfg)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "OK" in proc.stdout

@@ -292,6 +292,10 @@ def test_validation_messages_name_the_key():
         (dict(hit_radius=0.0), "hitRadius"),
         (dict(hit_radius=math.inf), "hitRadius"),
         (dict(hit_radius=20000.0), r"sim\.hitRadius = 20000\.0: must be below the initial range"),
+        (
+            dict(initial_x_km=-1e100, hit_radius=1e104),
+            r"^sim\.hitRadius = 1e\+104: must be below the initial range 1e\+103 m$",
+        ),
         (dict(log_stride=0), "logStride"),
         (dict(a_clip_g=0.0), "aClipG"),
         (dict(a_clip_g=math.nan), "aClipG"),

@@ -224,16 +224,21 @@ def test_guard_trip_reports_and_logs_last_state():
 
 
 def test_nonfinite_state_is_a_guard():
-    """The step from t=0.5 reaches a NaN stage at t=1.0.  The run reports
-    that step's start; the log keeps the rows it has, with no row for the
-    non-finite state and none added for the pre-step state."""
+    """The step from t=0.5 reaches a NaN stage at t=1.0.  The run ends as a
+    guard trip does: the guard message, stamped at that step's start, and
+    that step's healthy start state as the last row, logged at stride 10
+    too, where t=0.5 is not a logged step."""
     law = _MiniLaw(lambda t, y: (-1.0,) if t < 1.0 else (math.nan,), t_final=1.0)
-    for stride, times in ((1, [0.0, 0.5]), (10, [0.0])):
+    for stride in (1, 10):
         rows, out = _run(law, (10.0,), SimSettings(dt=0.5, log_stride=stride))
         assert out.status is RunStatus.GUARD_TRIPPED
         assert out.guard == "nonfinite-state"
         assert out.final_time == 0.5
-        assert [row.t for row in rows] == times
+        assert out.message == (
+            "guard 'nonfinite-state' tripped at t=0.500000 s: "
+            "non-finite state component after the step"
+        )
+        assert [row.t for row in rows] == [0.0, 0.5]
 
 
 def test_unreachable_target_warns_up_front():
@@ -311,7 +316,7 @@ def test_huge_times_print_in_exponent_form():
     (``tools/preset_digests.py``'s ``huge-time-clamp-warning``) clamps and
     intercepts past 1e15 s: the clamp warning and the intercept message
     print t in exponent form, as the timeout and flyby messages do, and so
-    do the non-finite-state message and a guard trip's."""
+    does a guard trip's, a non-finite state's included."""
     cfg = ScenarioConfig(
         mode="planar", law="baseline", speed=2.5e-13, tf=5e16, azimuth_deg=10.0, k2=1e-15,
         dt=1e12,
@@ -325,8 +330,9 @@ def test_huge_times_print_in_exponent_form():
 
     law = _MiniLaw(lambda t, y: (-1e-16,) if t < 2e15 else (math.nan,), t_final=1e16)
     out = simulate(law, (100.0,), SimSettings(dt=1e15))
-    assert out.guard == "nonfinite-state"
-    assert out.message == "non-finite state component after step at t=1e+15 s"
+    assert out.message == (
+        "guard 'nonfinite-state' tripped at t=1e+15 s: non-finite state component after the step"
+    )
 
     # The comparison law's overflow trip, time scaled up until it ends past
     # 1e15 s: a guard trip's time prints in exponent form too.

@@ -5,10 +5,10 @@ Usage:
 
     python3 tools/preset_digests.py [--src DIR] > digests.txt
 
-Each preset runs through the itcsim CLI in a fresh temporary directory: the
-three single-run presets with ``itcsim run``, the others with
-``itcsim batch --jobs 2``.  The presets log every 10th step, run the
-comparison law unclipped and never trip a guard, so the configs in
+Each preset runs through the itcsim CLI in a fresh temporary directory, in
+the order of the preset table: a preset of one scenario with ``itcsim run``,
+the others with ``itcsim batch --jobs 2``.  The presets log every 10th step,
+run the comparison law unclipped and never trip a guard, so the configs in
 ``CONFIGS`` follow, each written to the temporary directory and run with
 ``itcsim run --config``: a clipped comparison law, every step logged on a
 flyby with field-of-view violations and on two short planar runs, a one-row
@@ -26,8 +26,9 @@ count, so it is as deterministic as the other outputs.  Paths are relative
 to the temporary directory, so two checkouts that behave the same print the
 same text and ``diff`` of the two outputs is the byte-identity check.
 ``--src`` points at the ``src`` directory of another checkout (default: this
-checkout's).  Every ``ITCSIM_*`` variable is removed from the environment of
-the runs.
+checkout's); the preset names and their scenario counts are read from that
+tree.  Every ``ITCSIM_*`` variable is removed from the environment of the
+runs.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-SINGLE_RUN = ("table1-nominal", "fig4-rollcoupled", "fig5-wingtail")
-BATCH = ("fig2-tf-sweep", "fig3-heading-sweep", "fig6-planar-compare")
 
 # Config text by run name; the comment above each gives how it ends.
 CONFIGS = {
@@ -114,10 +112,12 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_args(name: str, out: Path) -> list[str]:
-    if name in BATCH:
+def run_args(name: str, out: Path, command: str | None) -> list[str]:
+    """The CLI arguments of the preset ``name`` run with ``command`` ("run"
+    or "batch"), or, when ``command`` is None, of the ``CONFIGS`` entry."""
+    if command == "batch":
         return ["batch", "--preset", name, "--out-dir", str(out), "--jobs", "2"]
-    if name in SINGLE_RUN:
+    if command == "run":
         source = ["--preset", name]
     else:
         cfg = out.parent / f"{name}.cfg"
@@ -132,14 +132,21 @@ def main() -> int:
     parser.add_argument("--src", default=str(ROOT / "src"), help="itcsim source directory to run")
     args = parser.parse_args()
 
+    src = str(Path(args.src).resolve())
+    sys.path.insert(0, src)
+    from itcsim.presets import PRESET_NAMES, preset_scenarios
+
+    commands = {
+        name: "run" if len(preset_scenarios(name)) == 1 else "batch" for name in PRESET_NAMES
+    }
     env = {k: v for k, v in os.environ.items() if not k.startswith("ITCSIM_")}
-    env["PYTHONPATH"] = str(Path(args.src).resolve())
+    env["PYTHONPATH"] = src
     with tempfile.TemporaryDirectory() as tmp:
-        for name in (*SINGLE_RUN, *BATCH, *CONFIGS):
+        for name in (*commands, *CONFIGS):
             out = Path(tmp) / name
             out.mkdir()
             proc = subprocess.run(
-                [sys.executable, "-m", "itcsim.cli", *run_args(name, out)],
+                [sys.executable, "-m", "itcsim.cli", *run_args(name, out, commands.get(name))],
                 capture_output=True, env=env, cwd=tmp,
             )
             for path in sorted(out.iterdir()):
