@@ -4,16 +4,16 @@ The engine is law-agnostic: anything shaped like ``GuidanceLaw`` can be
 integrated.  Every Runge-Kutta stage re-evaluates the guidance commands, so
 the closed loop is integrated as one smooth vector field rather than with a
 held command, and each step runs the control chain exactly four times.  The
-stages call ``rates(t, y)``, the law's control chain; of the tuple it returns
-the engine reads only item 0, the state derivatives.  ``evaluate(t, y)``,
-that tuple as the law's named record, is built only for the rows that are
-logged (``log_row(t, y, eval)``, which adds sigma, Vz and Vy): every
-``log_stride``-th step plus the terminal or guard-trip row; on a logged step
-it serves as stage 1 itself.  The per-component stage arithmetic, each stage
-state ``y[i] + h * k[i]`` and the step update, is code generated once per
-state size on the first step of that size: the same expressions in the same
-order as a loop over the components, so the results are bit-identical,
-without the loop's per-component overhead.
+stages call ``rates(t, y)``, the law's control chain, and read item 0 of its
+tuple, the state derivatives.  ``simulate`` makes each step's first stage
+itself, and reads its item 3, the law's z1, too: ``evaluate(t, y)``, the
+tuple as the law's named record, on a logged step, ``rates`` on any other.
+Rows (``log_row(t, y, eval)``, which adds sigma, Vz and Vy) are logged every
+``log_stride``-th step plus the terminal or guard-trip row.  The
+per-component stage arithmetic, each stage state ``y[i] + h * k[i]`` and the
+step update, is code generated once per state size on the first step of that
+size: the same expressions in the same order as a loop over the components,
+so the results are bit-identical, without the loop's per-component overhead.
 
 Each logged row is appended, as soon as it is built, to every row sink
 given to ``simulate`` (anything with ``append``), in the order given, so a
@@ -38,9 +38,8 @@ writes every guard ending's message as ``guard '<name>' tripped at t=<t> s:
 ``RunOutcome.final_time``, even when a later RK4 stage tripped.
 
 A run's warnings are messages in ``RunOutcome.warnings``; no Python warning
-is raised: an unreachable impact time, and the first step that starts with
-z1 = v * (t_final - t) - r < 0, computed as every law computes it, where the
-shaping clamps its demand to zero lead.
+is raised: an unreachable impact time, and the first step whose first stage
+carries z1 < 0, where the shaping clamps its demand to zero lead.
 """
 
 from __future__ import annotations
@@ -67,11 +66,11 @@ def fixed_or_exponent(value: float, spec: str) -> str:
 class GuidanceLaw(Protocol):
     """What the engine needs of a law.
 
-    ``rates`` returns a tuple whose item 0 is the state derivatives; the
-    engine reads no other item and no field name, and of the law's fields
-    only ``speed`` and ``t_final``.  ``evaluate`` is that tuple, named, and
-    serves as RK4 stage 1 of a logged step; ``log_row`` maps it to a
-    trajectory row, computing sigma, Vz and Vy, and raises nothing.
+    ``rates`` returns a tuple: the engine reads item 0, the state
+    derivatives, and item 3, the range-time error z1 = v * (t_final - t) -
+    r, no field name, and of the law's fields ``speed`` and ``t_final``.
+    ``evaluate`` is that tuple, named, and is stage 1 of a logged step;
+    ``log_row`` maps it to a row, computing sigma, Vz and Vy, raising nothing.
     """
 
     state_size: int
@@ -108,8 +107,9 @@ class SimSettings:
             raise ConfigError(
                 f"hit radius must be finite and > 0, got {self.hit_radius}", field="hit_radius"
             )
-        if self.log_stride < 1:
-            raise ConfigError(f"log stride must be >= 1, got {self.log_stride}", field="log_stride")
+        stride = self.log_stride  # NaN, 2.5 and True all pass ``< 1``
+        if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
+            raise ConfigError(f"log stride must be an int >= 1, got {stride}", field="log_stride")
 
 
 class RunStatus(str, Enum):
@@ -197,14 +197,13 @@ def simulate(
     appends = tuple(sink.append for sink in sinks)
     warnings: list[str] = []
     dt = settings.dt
-    v, t_final = law.speed, law.t_final
-    t_max = T_MAX_FACTOR * t_final
+    t_max = T_MAX_FACTOR * law.t_final
     y = tuple(float(c) for c in y0)
 
     # Up-front feasibility: flying dead straight must reach the target no
     # later than the commanded impact time, or the timing demand is already
     # unmeetable.
-    budget = v * t_final
+    budget = law.speed * law.t_final
     if y[0] > budget:
         r0, reach = (fixed_or_exponent(d, ".1f") for d in (y[0], budget))
         warnings.append(f"range {r0} m exceeds speed*t_final = {reach} m; impact-time target unreachable")
@@ -219,23 +218,24 @@ def simulate(
     log_stride = settings.log_stride
     while True:
         try:
-            ev = None
             if step % log_stride == 0:
                 ev = law.evaluate(t, y)
                 row = law.log_row(t, y, ev)
                 for append in appends:
                     append(row)
                 last_logged = step
+            else:
+                ev = law.rates(t, y)
             y_new = rk4_step(law, t, y, dt, ev)
         except (GuardTrip, OverflowError) as exc:
             guard = exc.guard if isinstance(exc, GuardTrip) else "overflow"
             detail = str(exc)
             break
 
-        # Report the first clamp only (the step starts with the law's z1 < 0):
-        # a run hovering at the boundary would otherwise flood the list, and
+        # Report the first clamp only (stage 1 carries the law's z1 < 0): a
+        # run hovering at the boundary would otherwise flood the list, and
         # the logged z1 column already carries the step-by-step detail.
-        if not warned_clamp and v * (t_final - t) - y[0] < 0.0:
+        if not warned_clamp and ev[3] < 0.0:
             warned_clamp = True
             warnings.append(
                 f"shaping demand clamped to zero lead at t={fixed_or_exponent(t, '.3f')} s "
@@ -280,8 +280,8 @@ def simulate(
 
     # Log the end state (the post-step state, or the pre-step state of a
     # guard trip) unless its row is already there.  After a trip that state
-    # evaluated fine on the previous iteration, so a second trip here means
-    # the trip is at the step boundary itself and the log just ends early.
+    # is this step's first stage, which the loop made, so a second trip here
+    # means that stage itself tripped and the log just ends early.
     if last_logged != step:
         try:
             row = law.log_row(t, y, law.evaluate(t, y))

@@ -6,8 +6,7 @@ Each stage feeds the next its value *and* its analytic time derivative, so no
 numerical differentiation happens anywhere in the loop:
 
 1. z1 = v*(t_final - t) - r is shaped into a demanded lead (``shaping``)
-   split evenly across the two heading components.  The engine computes
-   the same z1, bit for bit, for its clamp warning.
+   split evenly across the two heading components.
 2. Heading errors z3 = theta_m - heading_d and z4 = psi_m - heading_d are
    driven out by stabilizing accelerations alpha_z, alpha_y chosen to cancel
    the LOS coupling terms in the heading dynamics.
@@ -42,7 +41,7 @@ from .shaping import ShapingParams, shaping_rates
 class Eval3D(NamedTuple):
     """One evaluation of the 3D law: ``Guidance3D.rates``'s tuple, named.
 
-    Item 0 (``derivs``) is all the integrator reads.
+    The engine reads item 0 (``derivs``) and item 3 (``z1``).
     """
 
     # Derivatives of (r, theta, psi, theta_m, psi_m, a_my, a_mz).

@@ -15,7 +15,6 @@ feedback, but the stabilizing acceleration is applied directly as if the
 actuator were ideal, with at most a hard clip at the acceleration bound.  It
 has no actuator state and no knowledge of the saturation dynamics, which is
 exactly what makes it a fair efficiency benchmark for the compensated law.
-Both laws compute z1 = v*(t_final - t) - r as the engine's warnings do.
 """
 
 from __future__ import annotations
@@ -59,9 +58,9 @@ def _planar_log_row(
 class EvalPlanar(NamedTuple):
     """One evaluation of a planar law: its ``rates`` tuple, named.
 
-    ``derivs``, all the integrator reads, covers (r, theta, sigma, a_my) for
-    the compensated law and (r, theta, sigma) for the baseline, whose
-    acceleration is not a state.
+    The engine reads ``derivs`` and ``z1``.  ``derivs`` covers (r, theta,
+    sigma, a_my) for the compensated law and (r, theta, sigma) for the
+    baseline, whose acceleration is not a state.
     """
 
     derivs: tuple[float, ...]

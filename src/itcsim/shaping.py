@@ -23,8 +23,8 @@ combined lead: cos(sigma_d) = cos^2(heading_d).
 
 Negative z1 means the target can no longer be reached in the remaining
 time even flying straight; the demand clamps to zero rather than handing
-back a complex angle.  The engine tests the same z1 itself and reports the
-first clamp of a run as a warning.
+back a complex angle.  The engine reads each law's z1 and reports the first
+clamp of a run as a warning.
 
 ``sgmf``, ``desired_lead`` and ``desired_heading`` are the reference forms
 of each piece.  ``shaping_rates``, the guidance laws' hot path, builds the

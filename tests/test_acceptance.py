@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -304,7 +305,7 @@ def test_c8a_saturation_forward_invariance(criterion_recorder):
 # --- C8b: Lyapunov descent -----------------------------------------------------
 
 
-def _guard_free_3d(row, shaping, b_cap):
+def _guard_free_3d(row, shaping):
     if row.z1 <= 0.0 or abs(row.z1 - shaping.phi) <= 30.0:
         return False
     sigma_d = desired_lead(row.z1, shaping)
@@ -312,7 +313,7 @@ def _guard_free_3d(row, shaping, b_cap):
         return False
     if math.sin(2.0 * desired_heading(sigma_d)) <= EPS_SIN:
         return False
-    cap = b_cap * (1.0 - 1e-12)
+    cap = B_CAP * (1.0 - 1e-12)
     return abs(row.b_y) < cap and abs(row.b_z) < cap
 
 
@@ -322,7 +323,7 @@ def test_c8b_lyapunov_descent(nominal_run, planar_compare_runs, criterion_record
     tol = 1e-9
     rises: list[str] = []
 
-    def check(rows, shaping, b_cap, channels):
+    def check(rows, shaping, channels):
         zy0 = abs(rows[0].zy)
         zz0 = abs(rows[0].zz) if "z" in channels else 0.0
         start = None
@@ -336,7 +337,7 @@ def test_c8b_lyapunov_descent(nominal_run, planar_compare_runs, criterion_record
         pairs = 0
         for i in range(start, len(rows) - 1):
             r0, r1 = rows[i], rows[i + 1]
-            if not (_guard_free_3d(r0, shaping, b_cap) and _guard_free_3d(r1, shaping, b_cap)):
+            if not (_guard_free_3d(r0, shaping) and _guard_free_3d(r1, shaping)):
                 continue
             pairs += 1
             if "z" in channels and r1.lyapunov_z > r0.lyapunov_z + tol * max(1.0, r0.lyapunov_z):
@@ -346,10 +347,10 @@ def test_c8b_lyapunov_descent(nominal_run, planar_compare_runs, criterion_record
         return start, pairs
 
     shaping = nominal_run.cfg.shaping_params()
-    start3, pairs3 = check(nominal_run.rows, shaping, B_CAP, "yz")
+    start3, pairs3 = check(nominal_run.rows, shaping, "yz")
 
     planar = next(b for b in planar_compare_runs if b.label == "tf50-angle10-proposed")
-    startp, pairsp = check(planar.rows, planar.cfg.shaping_params(), B_CAP, "y")
+    startp, pairsp = check(planar.rows, planar.cfg.shaping_params(), "y")
 
     ok = not rises and pairs3 > 1000 and pairsp > 1000
     detail = (
@@ -366,22 +367,22 @@ def test_c8b_lyapunov_descent(nominal_run, planar_compare_runs, criterion_record
 # --- C8c: analytic derivatives vs finite differences ------------------------------
 
 
-def _fd_samples(rows, b_cap, t_lo=2.0, spacing=1.0, limit=7):
+def _fd_samples(rows, shaping, t_lo=2.0, spacing=1.0, limit=7):
     """Logged rows suitable for finite-difference probes: inside the flight,
     clear of the blend-layer edge, the demand floor, and the command cap.
     Samples both regimes: full-lead cruise (z1 above the layer) and the
     blending descent (z1 inside the layer)."""
-    cap = b_cap * 0.999
+    cap = B_CAP * 0.999
     outside, inside = [], []
     t_out, t_in = -math.inf, -math.inf
     for row in rows[:-1]:
         if row.t < t_lo:
             continue
-        if row.z1 <= 30.0 or abs(row.z1 - 300.0) <= 30.0:
+        if row.z1 <= 30.0 or abs(row.z1 - shaping.phi) <= 30.0:
             continue
         if abs(row.b_y) >= cap or abs(row.b_z) >= cap:
             continue
-        if row.z1 > 300.0:
+        if row.z1 > shaping.phi:
             if row.t - t_out >= spacing and len(outside) < limit:
                 outside.append(row)
                 t_out = row.t
@@ -419,7 +420,7 @@ def test_c8c_analytic_derivatives_match_finite_differences(
     # 3D closed loop: second LOS derivatives and stabilizing-acceleration
     # rates, probed by stepping the true dynamics +-h around logged states.
     law3 = nominal_run.cfg.make_law()
-    samples = _fd_samples(nominal_run.rows, B_CAP)
+    samples = _fd_samples(nominal_run.rows, shaping)
     assert len(samples) >= 8, f"only {len(samples)} usable probe rows"
     for row in samples:
         t, y = row.t, (row.r, row.theta, row.psi, row.theta_m, row.psi_m, row.a_my, row.a_mz)
@@ -440,7 +441,7 @@ def test_c8c_analytic_derivatives_match_finite_differences(
     # Planar closed loop: stabilizing-acceleration rate.
     planar = next(b for b in planar_compare_runs if b.label == "tf50-angle10-proposed")
     lawp = planar.cfg.make_law()
-    psamples = _fd_samples(planar.rows, B_CAP)
+    psamples = _fd_samples(planar.rows, planar.cfg.shaping_params())
     assert len(psamples) >= 8
     for row in psamples:
         t, y = row.t, (row.r, row.theta, row.sigma, row.a_my)
@@ -559,3 +560,28 @@ def test_c8f_lead_identities(nominal_run, criterion_recorder):
     )
     criterion_recorder("8f", ok, detail)
     assert ok, detail
+
+
+# --- README's figures --------------------------------------------------------------
+
+
+def test_readme_acceptance_figures_match_the_runs(
+    nominal_run, nominal_half_dt_run, planar_compare_runs
+):
+    """Each figure README "Acceptance status" quotes, formatted from the
+    session's runs as README prints it: C8e's two step-halving changes, the
+    nominal run's terminal acceleration and the tf65-angle10-proposed
+    terminal lead."""
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    nominal = nominal_run.metrics
+    half = nominal_half_dt_run.metrics
+    dt_impact = abs(nominal.impact_time - half.impact_time)
+    rel_effort = abs(nominal.control_effort - half.control_effort) / nominal.control_effort
+    tf65 = next(b for b in planar_compare_runs if b.label == "tf65-angle10-proposed").metrics
+    figures = (
+        f"moves the impact time by {dt_impact:.2e} s and the effort by {rel_effort:.2e} relative",
+        f"(measured {max(nominal.terminal_ay, nominal.terminal_az):.2f})",
+        f"(t_f = 65 s) also exceeds the lead gate ({math.degrees(tf65.terminal_lead):.2f}°,",
+    )
+    missing = [figure for figure in figures if figure not in text]
+    assert not missing, missing
