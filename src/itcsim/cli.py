@@ -191,6 +191,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "batch" and args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
+    if args.command == "run":
+        paths = [os.path.realpath(p) for p in (args.out_traj, args.out_metrics, args.config) if p]
+        if len(set(paths)) < len(paths):
+            parser.error("--out-traj, --out-metrics and --config must each name a different file")
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -5,9 +5,10 @@ integrated.  Every Runge-Kutta stage re-evaluates the guidance commands, so
 the closed loop is integrated as one smooth vector field rather than with a
 held command, and each step runs the control chain exactly four times.  The
 stages call ``rates(t, y)``, the law's control chain, and read item 0 of its
-tuple, the state derivatives.  ``simulate`` makes each step's first stage
-itself, and reads its item 3, the law's z1, too: ``evaluate(t, y)``, the
-tuple as the law's named record, on a logged step, ``rates`` on any other.
+tuple, the state derivatives.  ``simulate`` makes each step's first stage,
+which ``rk4_step`` always takes from its caller, and reads its item 3, the
+law's z1, too: ``evaluate(t, y)``, the tuple as the law's named record, on a
+logged step, ``rates`` on any other.
 Rows (``log_row(t, y, eval)``, which adds sigma, Vz and Vy) are logged every
 ``log_stride``-th step plus the terminal or guard-trip row.  The
 per-component stage arithmetic, each stage state ``y[i] + h * k[i]`` and the
@@ -99,11 +100,11 @@ class SimSettings:
 
     def __post_init__(self) -> None:
         # Written as ranges so that NaN, which fails every comparison, fails too.
-        if not 0.0 < self.dt < math.inf:
+        if not 0.0 < self.dt < math.inf or self.dt is True:
             raise ConfigError(
                 f"integration step dt must be finite and > 0, got {self.dt}", field="dt"
             )
-        if not 0.0 < self.hit_radius < math.inf:
+        if not 0.0 < self.hit_radius < math.inf or self.hit_radius is True:
             raise ConfigError(
                 f"hit radius must be finite and > 0, got {self.hit_radius}", field="hit_radius"
             )
@@ -138,16 +139,15 @@ def rk4_step(
     t: float,
     y: tuple[float, ...],
     h: float,
-    stage1: tuple | None = None,
+    stage1: tuple,
 ) -> tuple[float, ...]:
-    """One classical RK4 step of size ``h``; returns the new state.
-
-    ``stage1`` is ``law.rates(t, y)`` or ``law.evaluate(t, y)`` when the
-    caller already has it; only its item 0 is read.
-    """
+    """One classical RK4 step of size ``h`` from ``stage1``, the caller's
+    ``law.rates(t, y)`` or ``law.evaluate(t, y)``, of which only item 0 is
+    read; returns the new state.  ``law.rates`` runs only at the three trial
+    states, at t + h/2, t + h/2 and t + h, never at (t, y)."""
     rates = law.rates
     stage, update = _STAGE_ARITHMETIC.get(len(y)) or _stage_arithmetic(len(y))
-    k1 = (rates(t, y) if stage1 is None else stage1)[0]
+    k1 = stage1[0]
     h2 = 0.5 * h
     k2 = rates(t + h2, stage(y, h2, k1))[0]
     k3 = rates(t + h2, stage(y, h2, k2))[0]

@@ -101,18 +101,20 @@ class SaturationParams:
         if self.n < 2 or self.n % 2 != 0:
             raise ConfigError(f"saturation exponent n must be even and >= 2, got {self.n}", field="n")
         # Written as ranges so that NaN, which fails every comparison, fails too.
-        if not 0.0 < self.rho < math.inf:
+        if not 0.0 < self.rho < math.inf or self.rho is True:
             raise ConfigError(
                 f"saturation leak rate rho must be finite and > 0, got {self.rho}", field="rho"
             )
         # The barrier 1 - (a / a_max)**n needs a bound well away from zero.
-        if not _EPS_BOUND <= self.a_max < ERROR_MAX:
+        if not _EPS_BOUND <= self.a_max < ERROR_MAX or self.a_max is True:
             raise ConfigError(
                 f"acceleration bound a_max must be finite and in "
                 f"[{_EPS_BOUND:g}, {ERROR_MAX:g}) m/s^2, got {self.a_max}",
                 field="a_max",
             )
-        if self.mode is BoundMode.WING_TAIL and not 0.0 < self.a_max_l <= self.a_max:
+        if self.mode is BoundMode.WING_TAIL and (
+            not 0.0 < self.a_max_l <= self.a_max or self.a_max_l is True
+        ):
             raise ConfigError(
                 f"wing-tail lower bound a_max_l must be in (0, a_max], got {self.a_max_l}",
                 field="a_max_l",

@@ -66,7 +66,7 @@ class ShapingParams:
     sigma_max: float = math.radians(60.0)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.sigma_max < math.pi / 2:
+        if not 0.0 < self.sigma_max < math.pi / 2 or self.sigma_max is True:
             raise ConfigError(
                 f"field-of-view sigma_max must be in (0, pi/2) rad, got {self.sigma_max}",
                 field="sigma_max",
@@ -78,7 +78,7 @@ class ShapingParams:
                 f"got {self.k1}",
                 field="k1",
             )
-        if self.phi <= 0.0:
+        if self.phi <= 0.0 or self.phi is True:
             raise ConfigError(f"boundary layer phi must be > 0, got {self.phi}", field="phi")
         try:
             cube = self.phi**3  # the sigmoid divides by it

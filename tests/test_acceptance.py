@@ -425,8 +425,8 @@ def test_c8c_analytic_derivatives_match_finite_differences(
     for row in samples:
         t, y = row.t, (row.r, row.theta, row.psi, row.theta_m, row.psi_m, row.a_my, row.a_mz)
         ev0 = law3.evaluate(t, y)
-        y_p = rk4_step(law3, t, y, h)
-        y_m = rk4_step(law3, t, y, -h)
+        y_p = rk4_step(law3, t, y, h, ev0)
+        y_m = rk4_step(law3, t, y, -h, ev0)
         ev_p = law3.evaluate(t + h, y_p)
         ev_m = law3.evaluate(t - h, y_m)
         pairs = (
@@ -446,8 +446,8 @@ def test_c8c_analytic_derivatives_match_finite_differences(
     for row in psamples:
         t, y = row.t, (row.r, row.theta, row.sigma, row.a_my)
         ev0 = lawp.evaluate(t, y)
-        y_p = rk4_step(lawp, t, y, h)
-        y_m = rk4_step(lawp, t, y, -h)
+        y_p = rk4_step(lawp, t, y, h, ev0)
+        y_m = rk4_step(lawp, t, y, -h, ev0)
         fd = (lawp.evaluate(t + h, y_p).alpha_y - lawp.evaluate(t - h, y_m).alpha_y) / (2 * h)
         worst = max(worst, _rel_err(fd, ev0.alpha_y_dot, 1e-6))
 
@@ -488,8 +488,8 @@ def _compare_section(cfg, steps, dt=1e-3):
     worst = 0.0
     for k in range(steps):
         t = k * dt
-        y2 = rk4_step(planar_law, t, y2, dt)
-        y7 = rk4_step(section, t, y7, dt)
+        y2 = rk4_step(planar_law, t, y2, dt, planar_law.rates(t, y2))
+        y7 = rk4_step(section, t, y7, dt, section.rates(t, y7))
         assert y7[1] == 0.0 and y7[3] == 0.0 and y7[6] == 0.0
         for a, b in zip(y2, (y7[0], y7[2], y7[4], y7[5])):
             worst = max(worst, abs(a - b))

@@ -355,6 +355,25 @@ def test_run_unwritable_output_path(tmp_path, micro_cfg, monkeypatch, capsys, ba
         assert read_trajectory_csv(str(paths["out-traj"])).rows == []
 
 
+@pytest.mark.parametrize("clash", ["out-metrics", "config"])
+def test_run_refuses_two_of_its_files_on_one_path(tmp_path, micro_cfg, monkeypatch, capsys, clash):
+    """--out-traj naming the same file as --out-metrics (which would keep
+    only the metrics) or as --config (which would overwrite the config with
+    the CSV), here once relative and once absolute, is a usage error: exit 1
+    before any file is opened, so no output appears and the config keeps
+    its bytes."""
+    monkeypatch.chdir(tmp_path)
+    config_bytes = micro_cfg.read_bytes()
+    traj = "out.txt" if clash == "out-metrics" else micro_cfg.name
+    mets = str(tmp_path / traj) if clash == "out-metrics" else "m.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(micro_cfg), "--out-traj", traj, "--out-metrics", mets])
+    assert exc.value.code == EXIT_ERROR
+    assert "must each name a different file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["micro.cfg"]
+    assert micro_cfg.read_bytes() == config_bytes
+
+
 def test_run_summary_line_prints_a_huge_value_in_exponent_form(tmp_path, capsys):
     """The comparison law at k2 = 1e4, every step logged, ends as an
     overflow trip whose finite effort is about 1.27e300: the summary line

@@ -75,7 +75,8 @@ def test_settings_validation():
         assert err.value.field == "log_stride", stride
     # NaN fails every comparison, so each bound is a range that excludes it.
     for field in ("dt", "hit_radius"):
-        for value in (math.nan, math.inf):
+        # True passes the range as the number 1, so each rule refuses it too.
+        for value in (math.nan, math.inf, True):
             with pytest.raises(ConfigError) as err:
                 SimSettings(**{field: value})
             assert err.value.field == field, (field, value)
@@ -90,15 +91,18 @@ def test_state_size_mismatch():
 def test_rk4_step_basics():
     # Zero derivative: state unchanged bit-for-bit.
     law = _MiniLaw(lambda t, y: (0.0, 0.0), state_size=2)
-    assert rk4_step(law, 0.0, (3.5, -2.25), 0.1) == (3.5, -2.25)
+    y = (3.5, -2.25)
+    assert rk4_step(law, 0.0, y, 0.1, law.rates(0.0, y)) == y
     # Unit derivative advances by exactly one step (up to one rounding).
     law = _MiniLaw(lambda t, y: (1.0,))
-    y_new = rk4_step(law, 0.0, (0.0,), 0.125)
+    y_new = rk4_step(law, 0.0, (0.0,), 0.125, law.rates(0.0, (0.0,)))
     assert y_new[0] == pytest.approx(0.125, rel=1e-15)
-    # A supplied stage 1 replaces the first rates call; only its item 0 is read.
+    # Stage 1 is the caller's, and only its item 0 is read: the step calls
+    # rates only at the three trial states, never at its start state.
     law = _CountingLaw(lambda t, y: (1.0,))
     assert rk4_step(law, 0.0, (0.0,), 0.125, ((1.0,), "unread")) == y_new
     assert law.rate_calls == 3
+    assert law.rate_times == [0.0625, 0.0625, 0.125]
 
 
 # Specials and subnormals mixed into the seeded stage-arithmetic operands.
@@ -138,7 +142,7 @@ def test_rk4_accuracy_harmonic_oscillator():
     y = (1.0, 0.0)
     dt = 1e-3
     for k in range(2000):
-        y = rk4_step(law, k * dt, y, dt)
+        y = rk4_step(law, k * dt, y, dt, law.rates(k * dt, y))
     assert y[0] == pytest.approx(math.cos(2.0), abs=1e-11)
     assert y[1] == pytest.approx(-math.sin(2.0), abs=1e-11)
 
@@ -381,15 +385,18 @@ def test_log_stride_pattern():
 
 
 class _CountingLaw(_MiniLaw):
-    """Counts hot-path ``rates`` calls and diagnostic ``evaluate`` calls."""
+    """Counts hot-path ``rates`` calls, and the times they came at, and
+    diagnostic ``evaluate`` calls."""
 
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
         self.rate_calls = 0
+        self.rate_times: list[float] = []
         self.eval_calls = 0
 
     def rates(self, t, y):
         self.rate_calls += 1
+        self.rate_times.append(t)
         return super().rates(t, y)
 
     def evaluate(self, t, y):

@@ -89,6 +89,11 @@ def test_params_validation_rejects_bad_values():
         SaturationParams(mode=BoundMode.WING_TAIL, a_max_l=0.0)
     with pytest.raises(ConfigError, match="a_max_l"):
         SaturationParams(mode=BoundMode.WING_TAIL, a_max_l=99.0, a_max=98.1)
+    # True is the number 1 to a comparison; each bound refuses it by name.
+    for kw in ({"rho": True}, {"a_max": True}, {"a_max_l": True, "mode": BoundMode.WING_TAIL}):
+        with pytest.raises(ConfigError) as err:
+            SaturationParams(**kw)
+        assert err.value.field == next(iter(kw)), kw
     # a_max_l is ignored outside the wing-tail schedule.
     SaturationParams(mode=BoundMode.CONSTANT, a_max_l=-5.0)
 

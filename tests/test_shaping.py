@@ -55,6 +55,12 @@ def test_params_validation():
         ShapingParams(sigma_max=math.radians(90.0))
     with pytest.raises(ConfigError, match="sigma_max"):
         ShapingParams(sigma_max=0.0)
+    # True is the number 1 to a comparison; each field refuses it by name,
+    # sigma_max also where k1 = 0.3 is within a 1 rad field of view's limit.
+    for kw in ({"phi": True}, {"sigma_max": True}, {"sigma_max": True, "k1": 0.3}):
+        with pytest.raises(ConfigError) as err:
+            ShapingParams(**kw)
+        assert err.value.field == next(iter(kw)), kw
 
 
 def test_max_demand_frozen():
