@@ -1,4 +1,4 @@
-"""The benchmark tracer still finds every name it wraps.
+"""The benchmark still finds every name it binds.
 
 ``perfbench/tracer.py`` replaces functions on the names their callers bind
 (``Guidance3D.evaluate`` on the class, ``shaping_rates`` inside each law
@@ -7,22 +7,28 @@ runs, so this runs the tracer, unchanged, on three short engagements: one
 3D, one planar with the proposed law and one planar with the baseline law.
 Each must also pass through the traced ``run_scenario`` and ``simulate``
 boundaries, so a CLI that stopped calling them would show.
+
+``perfbench/run.py`` also calls four functions as ``itcsim.<name>`` on the
+package root, and the root exports exactly those.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import itcsim
 from itcsim.cli import EXIT_GUARD, EXIT_OK, EXIT_TIMEOUT
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+RUNNER = ROOT / "perfbench" / "run.py"
 
 # 0.5 km head-on at 2 s: about 2 000 steps, a fraction of a second traced.
 MICRO = """\
@@ -76,3 +82,11 @@ def test_tracer_wraps_the_law_and_layer_bindings(tmp_path, name):
     layers = LAYERS[:1] if name == "planar-baseline" else LAYERS
     for record in (*BOUNDARIES, *law_records, *layers):
         assert records.get(record, [0])[0] > 0, record
+
+
+def test_package_root_exports_what_the_benchmark_calls():
+    # run.py passes the imported package around as ``itc``.
+    used = set(re.findall(r"\bitc\.([A-Za-z_]\w*)", RUNNER.read_text()))
+    assert used == set(itcsim.__all__) - {"__version__"}
+    for name in itcsim.__all__:
+        assert hasattr(itcsim, name), name

@@ -17,10 +17,12 @@ overflow trip, an overflow trip of the comparison law at log strides 1 and
 impact time (the one warning no preset emits), a 3D start off the x axis (no
 preset has a non-zero initial line-of-sight angle), a comparison-law run
 whose clamp warning comes after 1e15 s, a planar run that ends on the
-range-floor guard, which the law raises by name, and a planar run under the
-wing-tail schedule, which the planar law does not read.  The output lists
-``sha256  path`` for every file a run wrote and for its stdout and stderr,
-then ``exit N  name``.
+range-floor guard, which the law raises by name, a planar run under the
+wing-tail schedule, which the planar law does not read, and the wing-tail
+preset at 4 and 6 ms steps, where a trial stage of an RK4 step trips a
+guard (range-floor, denominator-singular) from a healthy state.  The
+output lists ``sha256  path`` for every file a run wrote and for its stdout
+and stderr, then ``exit N  name``.
 stderr holds the runs' labelled warnings, in scenario order whatever the job
 count, so it is as deterministic as the other outputs.  Paths are relative
 to the temporary directory, so two checkouts that behave the same print the
@@ -105,6 +107,20 @@ CONFIGS = {
     # exit 0: fig6's tf50-angle10 shaped-law row under the wing-tail
     # schedule; the planar law has one axis and reads the constant bound.
     "planar-wingtail": "scenario.mode = planar\nsaturation.boundMode = wing-tail\n",
+    # exit 3: fig5's wingtail at a 4 ms step trips range-floor at
+    # t = 49.996 s, in a trial stage of the closing step (r = 1.9e-7 m),
+    # after 1 251 rows.
+    "wingtail-dt4ms": (
+        "saturation.boundMode = wing-tail\nsaturation.aMaxG = 5\nsaturation.aMaxLG = 1\n"
+        "sim.dt = 0.004\n"
+    ),
+    # exit 3: the same run at a 6 ms step trips denominator-singular at
+    # t = 0.030 s, where a trial stage overshoots the barrier while the
+    # command is capped (horizontal bracket -2.2e-2); 2 rows.
+    "wingtail-dt6ms": (
+        "saturation.boundMode = wing-tail\nsaturation.aMaxG = 5\nsaturation.aMaxLG = 1\n"
+        "sim.dt = 0.006\n"
+    ),
 }
 
 
