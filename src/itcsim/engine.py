@@ -210,7 +210,6 @@ def simulate(
 
     r_min, t_r_min = y[0], 0.0
     step, t = 0, 0.0
-    last_logged = -1
     warned_clamp = False
     status, guard = RunStatus.TIMEOUT, None
 
@@ -223,7 +222,6 @@ def simulate(
                 row = law.log_row(t, y, ev)
                 for append in appends:
                     append(row)
-                last_logged = step
             else:
                 ev = law.rates(t, y)
             y_new = rk4_step(law, t, y, dt, ev)
@@ -278,11 +276,12 @@ def simulate(
         status = RunStatus.GUARD_TRIPPED
         message = f"guard '{guard}' tripped at t={fixed_or_exponent(t, '.6f')} s: {detail}"
 
-    # Log the end state (the post-step state, or the pre-step state of a
-    # guard trip) unless its row is already there.  After a trip that state
-    # is this step's first stage, which the loop made, so a second trip here
-    # means that stage itself tripped and the log just ends early.
-    if last_logged != step:
+    # Log the end state: the post-step state, or the pre-step state of a
+    # guard trip.  A trip on a logged step has logged that state already or
+    # tripped evaluating it.  On any other step the loop made the state's
+    # first stage with ``rates``, so a second trip here means that stage
+    # itself tripped and the log just ends early.
+    if guard is None or step % log_stride:
         try:
             row = law.log_row(t, y, law.evaluate(t, y))
             for append in appends:

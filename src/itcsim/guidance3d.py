@@ -7,9 +7,15 @@ numerical differentiation happens anywhere in the loop:
 
 1. z1 = v*(t_final - t) - r is shaped into a demanded lead (``shaping``)
    split evenly across the two heading components.
-2. Heading errors z3 = theta_m - heading_d and z4 = psi_m - heading_d are
-   driven out by stabilizing accelerations alpha_z, alpha_y chosen to cancel
-   the LOS coupling terms in the heading dynamics.
+2. Each lead rate is an acceleration term plus the coupling that the LOS
+   rotation adds, theta_m_dot = a_mz/v + coupling_z and
+   psi_m_dot = a_my/(v*cos(theta_m)) + coupling_y.  The heading errors
+   z3 = theta_m - heading_d and z4 = psi_m - heading_d are driven out by
+   stabilizing accelerations that cancel those couplings:
+
+       alpha_z = v*(-coupling_z + heading_d_dot - k3*z3)
+       alpha_y = v*cos(theta_m)*(-coupling_y + heading_d_dot - k4*z4)
+
 3. Actuator errors zz = a_mz - alpha_z and zy = a_my - alpha_y are driven
    out through the saturating actuator channels; the commanded input divides
    by the channel's input-effectiveness bracket so the design dynamics are
@@ -118,30 +124,20 @@ class Guidance3D:
         # (-v) * x bit for bit: IEEE negation is exact.
         v_cos_tm = v * cos_tm
         v_sin_tm = v * sin_tm
-        v_cos_tm_sin_pm = v_cos_tm * sin_pm
-        r_r = r * r
         r_cos_t = r * cos_t
 
         # --- Kinematics: the range and LOS rates, then the lead rates, each
-        # an acceleration term plus the LOS rates' coupling terms ---
+        # an acceleration term plus the coupling that the LOS rotation adds ---
         r_dot = -v_cos_tm * cos_pm
         theta_dot = -v_sin_tm / r
-        psi_dot = -v_cos_tm_sin_pm / r_cos_t
+        psi_dot = -v_cos_tm * sin_pm / r_cos_t
         psi_dot_sin_t = psi_dot * sin_t
-        psi_dot_sin_t_sin_pm = psi_dot_sin_t * sin_pm
         psi_dot_cos_t = psi_dot * cos_t
         psi_dot_theta_dot = psi_dot * theta_dot
-        theta_dot_cos_pm = theta_dot * cos_pm
-        theta_m_dot = a_mz / v - psi_dot_sin_t_sin_pm - theta_dot_cos_pm
-        # The heading rates take math.tan(theta_m), which sin/cos can miss by
-        # an ulp; the brackets below take sin/cos.
-        tan_m = math.tan(theta_m)
-        psi_m_dot = (
-            a_my / v_cos_tm
-            + psi_dot * tan_m * cos_pm * sin_t
-            - psi_dot_cos_t
-            - theta_dot * tan_m * sin_pm
-        )
+        coupling_z = -psi_dot_sin_t * sin_pm - theta_dot * cos_pm
+        coupling_y = psi_dot * tan_tm * cos_pm * sin_t - psi_dot_cos_t - theta_dot * tan_tm * sin_pm
+        theta_m_dot = a_mz / v + coupling_z
+        psi_m_dot = a_my / v_cos_tm + coupling_y
 
         # --- Range-time error and shaped demand ---
         z1 = v * (self.t_final - t) - r
@@ -154,15 +150,9 @@ class Guidance3D:
         # --- Heading errors and stabilizing accelerations ---
         z3 = theta_m - heading_d
         z4 = psi_m - heading_d
-        bracket_az = psi_dot_sin_t_sin_pm + theta_dot_cos_pm + heading_d_dot - self.k3 * z3
+        bracket_az = -coupling_z + heading_d_dot - self.k3 * z3
         alpha_z = v * bracket_az
-        bracket_ay = (
-            -psi_dot * tan_tm * cos_pm * sin_t
-            + psi_dot_cos_t
-            + theta_dot * tan_tm * sin_pm
-            + heading_d_dot
-            - self.k4 * z4
-        )
+        bracket_ay = -coupling_y + heading_d_dot - self.k4 * z4
         alpha_y = v_cos_tm * bracket_ay
 
         zz = a_mz - alpha_z
@@ -176,13 +166,10 @@ class Guidance3D:
             raise OverflowError(f"error pairs z3={z3:.3e}, zz={zz:.3e}, z4={z4:.3e}, zy={zy:.3e}")
 
         # --- Second derivatives needed by the input stage ---
-        theta_ddot = v_sin_tm * r_dot / r_r - v_cos_tm * theta_m_dot / r
+        theta_ddot = -(theta_dot * r_dot + v_cos_tm * theta_m_dot) / r
         psi_ddot = (
-            v_cos_tm_sin_pm * r_dot / (r_r * cos_t)
-            - v_cos_tm_sin_pm * sin_t * theta_dot / (r_cos_t * cos_t)
-            - v_cos_tm * cos_pm * psi_m_dot / r_cos_t
-            + v_sin_tm * sin_pm * theta_m_dot / r_cos_t
-        )
+            v_sin_tm * sin_pm * theta_m_dot - v_cos_tm * cos_pm * psi_m_dot
+        ) / r_cos_t - psi_dot * (r_dot / r - theta_dot * sin_t / cos_t)
         z3_dot = theta_m_dot - heading_d_dot
         z4_dot = psi_m_dot - heading_d_dot
 

@@ -2,7 +2,9 @@
 
 The planar law is the two-dimensional restriction of the 3D chain: one LOS
 angle, one lead angle ``sigma`` and one lateral-acceleration channel.  The
-shaped lead demand is tracked through the error pair
+lead rate is sigma_dot = a_my/v - theta_dot, whose coupling term -theta_dot
+the stabilizing acceleration alpha_y = v*(sigma_d_dot + theta_dot - k2*z2)
+cancels.  The shaped lead demand is tracked through the error pair
 
     z2 = sigma - sigma_d,    zy = a_my - alpha_y
 
@@ -119,7 +121,7 @@ class GuidancePlanar:
 
         # --- Lead error and stabilizing acceleration ---
         z2 = sigma - sigma_d
-        alpha_y = v * (sigma_d_dot - v_sin_s / r - self.k2 * z2)
+        alpha_y = v * (sigma_d_dot + theta_dot - self.k2 * z2)
         zy = a_my - alpha_y
         # Beyond ERROR_MAX the logged Vy would be infinite.
         e_max = ERROR_MAX
@@ -196,7 +198,7 @@ class BaselinePlanar:
         # slot feeds sigma_d_ddot, which this law never uses.
         sigma_d, sigma_d_dot, _, _, _, _ = shaping_rates(z1, z1_dot, 0.0, self.shaping)
         z2 = sigma - sigma_d
-        a_raw = v * (sigma_d_dot - v_sin_s / r - self.k2 * z2)
+        a_raw = v * (sigma_d_dot + theta_dot - self.k2 * z2)
         # Past ERROR_MAX the logged aMy, by or effort would overflow; NaN fails too.
         if not -ERROR_MAX < a_raw < ERROR_MAX:
             raise OverflowError(f"acceleration demand {a_raw:.3e}")

@@ -438,9 +438,10 @@ def test_logged_step_guard_trip_keeps_one_pre_step_row():
 def test_guard_trip_at_step_start_ends_the_log_at_the_last_row(stride, times):
     """A trip at a step's own start state (stage 1 of the step from t=2.0;
     stage 4 of the step before reaches t=2.0 with a larger u and passes)
-    trips again when the end row is evaluated; the second trip is dropped
-    and the log ends at the last row logged before it.  Stride 3 trips in
-    ``rates``, stride 4 in the logged step's own ``evaluate``."""
+    ends the log at the last row logged before it.  Stride 3 trips in
+    ``rates`` and again when the end row is evaluated, and the second trip
+    is dropped; stride 4 trips in the logged step's own ``evaluate``, whose
+    state is not evaluated again."""
     def f(t, y):
         if t >= 2.0 and y[1] < 7.4:
             raise GuardTrip("test-guard", "synthetic")
@@ -452,9 +453,9 @@ def test_guard_trip_at_step_start_ends_the_log_at_the_last_row(stride, times):
     assert out.guard == "test-guard"
     assert out.final_time == 2.0
     assert [row.t for row in rows] == times
-    # One evaluate per logged row, the tripping one at step 4 (stride 4 only)
-    # and the end-row attempt.
-    assert law.eval_calls == len(times) + 1 + (stride == 4)
+    # One evaluate per logged row, then the tripping one at step 4 (stride 4)
+    # or the end-row attempt (stride 3).
+    assert law.eval_calls == len(times) + 1
 
 
 def test_a_laws_guard_trip_prints_the_step_start():
@@ -476,8 +477,8 @@ def test_a_laws_guard_trip_prints_the_step_start():
 @pytest.mark.parametrize("stride, times", [(3, [0.0, 1.5]), (4, [0.0])])
 def test_overflow_ends_the_run_as_a_guard_trip(stride, times):
     """A chain that overflows a float ends the run as the guard ``overflow``
-    with the rows it has, like a ``GuardTrip`` at the same state: the
-    end-row re-evaluation overflows again and is dropped."""
+    with the rows it has, like a ``GuardTrip`` at the same state: off a
+    logged step the end-row re-evaluation overflows again and is dropped."""
     def f(t, y):
         if t >= 2.0 and y[1] < 7.4:
             return (-1.0, 1e300**2)
@@ -490,7 +491,9 @@ def test_overflow_ends_the_run_as_a_guard_trip(stride, times):
     assert out.message.startswith("guard 'overflow' tripped at t=2.000000 s: ")
     assert out.final_time == 2.0
     assert [row.t for row in rows] == times
-    assert law.eval_calls == len(times) + 1 + (stride == 4)
+    # As in the GuardTrip test: the tripping evaluate (stride 4) or the
+    # end-row attempt (stride 3).
+    assert law.eval_calls == len(times) + 1
 
 
 def _hex_row(row: LogRow) -> list[str]:
